@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .bwb import GradedDims
-from .flagx import EObject, ExtResult, k_class, k_sub, x_ext
+from .flagx import EObject, ExtResult, euler_basis, k_class, k_sub, x_ext
 from .collections import (
     Collection,
     EngineError,
@@ -379,13 +379,6 @@ def verify_van(part: int, n: int, parity: str = "odd", jobs: int = 1) -> Report:
     return report
 
 
-def verify_van_all(n: int, parity: str = "odd", jobs: int = 1) -> Report:
-    report = Report(n, parity)
-    for part in range(1, 7):
-        report.extend(verify_van(part, n, parity, jobs))
-    return report
-
-
 # --------------------------------------------------------------------- mut
 
 
@@ -402,6 +395,9 @@ def verify_mut(n: int, parity: str = "odd", jobs: int = 1) -> Report:
     """Mutation rules (1)-(3): RHom = C[0], mutation executes, K-class holds."""
     report = Report(n, parity)
     n_amb = report.n_amb
+    # Every suite that reaches k_class builds the shared per-N K-theory
+    # basis before any fan-out, so parallel claims never build it twice.
+    euler_basis(n_amb)
     specs: list[Spec] = []
     for k in range(1, n):
         for rule in (1, 2, 3):
@@ -646,6 +642,7 @@ _STEP_STATEMENTS = {
 def verify_inductive_steps(n: int, jobs: int = 1, strict: bool = False) -> Report:
     """Replay the four odd-case inductive steps with every move certified."""
     report = Report(n, "odd")
+    euler_basis(report.n_amb)
     for step in ("step1", "step2", "step3", "step3b", "step4"):
         _replay_claims(
             report,
@@ -676,6 +673,7 @@ def verify_sod_odd(n: int, jobs: int = 1, strict: bool = False) -> Report:
     """End-to-end odd replay to the mutated Gr-side SOD: counts, reading audits."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
+    euler_basis(n_amb)
     expected = _expected_sod1mut(n)
     final = _replay_claims(report, "sod", "odd", "full", expected, strict=strict)
     if final is None:
@@ -723,12 +721,13 @@ def verify_sod_odd(n: int, jobs: int = 1, strict: bool = False) -> Report:
         return PASS, {"objects": len(pures)}
 
     def semiorthogonal() -> tuple[str, Optional[dict]]:
+        checks = check_semiorthogonal(final)
         fails = [
             {"later": c.later, "earlier": c.earlier, "detail": c.detail}
-            for c in check_semiorthogonal(final)
+            for c in checks
             if c.status == FAIL
         ]
-        indet = sum(1 for c in check_semiorthogonal(final) if c.status == INDET)
+        indet = sum(1 for c in checks if c.status == INDET)
         if fails:
             return FAIL, {"failing_pairs": fails[:5]}
         if indet:
@@ -836,6 +835,7 @@ def verify_chessboard(n: int, jobs: int = 1, strict: bool = False) -> Report:
     """Staircase moves, the staircase Proposition, and the region claims."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
+    euler_basis(n_amb)
 
     conditions = {"i": 0, "ii": 0, "neither": 0}
     neither_samples: list[dict] = []
@@ -1055,6 +1055,7 @@ def verify_even(n: int, jobs: int = 1, strict: bool = False) -> Report:
     """Even-case replay, counts, collection-reading audit, N=4 Remark checks."""
     report = Report(n, "even")
     n_amb = 2 * n
+    euler_basis(n_amb)
 
     def gr_collection_reading() -> tuple[str, Optional[dict]]:
         from .bwb import gr_ext

@@ -43,9 +43,6 @@ class Weight:
         """Tensor with O(cH) = Sigma^{c,c} U^vee."""
         return Weight(self.a + c, self.b + c)
 
-    def is_line(self) -> bool:
-        return self.a == self.b
-
 
 def dual(w: Weight) -> Weight:
     return w.dual()

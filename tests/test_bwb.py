@@ -65,6 +65,36 @@ def test_weyl_dim_rejects_non_monotone():
         weyl_dim([0, 1, 0])
 
 
+def bwb_reference(a: int, b: int, n_amb: int) -> GradedDims:
+    """The textbook BWB recipe: sort lambda + rho, count inversions, weyl_dim."""
+    rho = list(range(n_amb - 1, -1, -1))
+    mu = [a + rho[0], b + rho[1]] + rho[2:]
+    if len(set(mu)) < n_amb:
+        return GradedDims()
+    inversions = sum(
+        1 for i in range(n_amb) for j in range(i + 1, n_amb) if mu[i] < mu[j]
+    )
+    nu = [x - r for x, r in zip(sorted(mu, reverse=True), rho)]
+    return GradedDims.of([(inversions, weyl_dim(nu))])
+
+
+def test_cohomology_closed_form_matches_reference_exhaustively():
+    # Every weight in a box reaching 7-8 steps past both vanishing bands
+    # (1-N <= a <= -2, 2-N <= b <= -1) on each side, so the band edges and
+    # all three degrees 0, N-2 and 2(N-2) are covered for every N.
+    checked = 0
+    for n_amb in range(3, 36):
+        seen = set()
+        for a in range(-n_amb - 6, 7):
+            for b in range(-n_amb - 6, a + 1):
+                got = cohomology(Weight(a, b), n_amb)
+                assert got == bwb_reference(a, b, n_amb), (n_amb, a, b)
+                seen.update(got.degrees())
+                checked += 1
+        assert seen == {0, n_amb - 2, 2 * (n_amb - 2)}
+    assert checked == 18_920
+
+
 def test_cohomology_standard_rep():
     for n_amb in range(3, 9):
         assert cohomology(Weight(1, 0), n_amb) == GradedDims.of([(0, n_amb)])

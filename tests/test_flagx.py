@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -12,6 +12,7 @@ from flipcheck.flagx import (
     k_sub,
     omega_e,
     push_p2,
+    x_euler,
     x_ext,
     x_vanishes,
 )
@@ -25,6 +26,18 @@ def eobjects(max_abs=5):
     return st.tuples(pair, st.integers(-3, 3)).map(
         lambda t: EObject.of_weight(Weight(max(t[0]), min(t[0])), t[1])
     )
+
+
+def multi_eobjects(max_abs=6):
+    """Sums of 1-3 terms with h-twists, shifts and multiplicities."""
+    term = st.tuples(
+        st.integers(-max_abs, max_abs),
+        st.integers(-max_abs, max_abs),
+        st.integers(-4, 4),
+        st.integers(-2, 2),
+        st.integers(1, 3),
+    ).map(lambda t: (Weight(max(t[0], t[1]), min(t[0], t[1])), t[2], t[3], t[4]))
+    return st.lists(term, min_size=1, max_size=3).map(EObject.of)
 
 
 def test_push_p2_trichotomy():
@@ -191,3 +204,18 @@ def test_e_euler_against_x_euler_same_twist(n_amb, a):
     r = x_ext(a, b, n_amb)
     assert not r.front
     assert r.euler() == e_euler(a, b, n_amb)
+
+
+_BOUNDED_A = EObject.of_weight(Weight(-3, -6), -2)
+_BOUNDED_B = EObject.of_weight(Weight(-2, -6), 0)
+
+
+@given(st.integers(min_value=3, max_value=11), multi_eobjects(), multi_eobjects())
+@example(4, _BOUNDED_A, _BOUNDED_B)
+@example(4, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_euler_matches_ext(n_amb, a, b):
+    # Differential oracle: the closed-form pairings equal the Euler
+    # characteristics of the fully normalized Ext groups, bounded ones too.
+    assert e_euler(a, b, n_amb) == e_ext(a, b, n_amb).euler()
+    assert x_euler(a, b, n_amb) == x_ext(a, b, n_amb).euler()

@@ -172,3 +172,31 @@ def test_statuses_independent_of_les_orientation(monkeypatch):
     monkeypatch.setattr(fe, "x_ext", conservative)
     for (n, p), expected in baseline.items():
         assert verify_suite(n, p, "all").summary() == expected
+
+
+def test_euler_basis_built_once_before_fan_out(monkeypatch):
+    # The K-theory basis is shared per-N state: a suite whose claims reach
+    # k_class builds it before its thread fan-out, never once per thread.
+    import flipcheck.flagx as fx
+
+    builds = []
+    gr_collection = fx.gr_collection
+
+    def counted(n_amb):
+        builds.append(n_amb)
+        return gr_collection(n_amb)
+
+    monkeypatch.setattr(fx, "_basis_cache", {})
+    monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "gr_collection", counted)
+    verify_mut(3, "odd", jobs=4)
+    assert builds == [7]
+
+
+def test_van_suites_do_not_build_euler_basis(monkeypatch):
+    import flipcheck.flagx as fx
+
+    monkeypatch.setattr(fx, "_basis_cache", {})
+    for part in range(1, 7):
+        verify_van(part, 3, "odd")
+    assert fx._basis_cache == {}
