@@ -19,6 +19,8 @@ against it.
 All arithmetic is Python-int exact; dimensions grow combinatorially in N and
 must never wrap.  Results are memoized by (N, a, b); the cache is
 observationally pure and safe under concurrent use (idempotent writes).
+``cohomology_at`` reads the memo by plain ints, for the Ext and
+Euler-pairing kernels on E.
 """
 
 from __future__ import annotations
@@ -133,14 +135,13 @@ def cohomology(w: Weight, n_amb: int) -> GradedDims:
     return result
 
 
-def euler_char(a: int, b: int, n_amb: int) -> int:
-    """chi(Gr(2, N), Sigma^{a,b} U^vee) for a >= b, through the cohomology memo."""
+def cohomology_at(a: int, b: int, n_amb: int) -> GradedDims:
+    """cohomology(Weight(a, b), n_amb) for a >= b, read from the memo by ints.
+
+    Only a miss enters ``cohomology``; a hit builds no ``Weight``.
+    """
     g = _cohomology_cache.get((n_amb, a, b))
-    if g is None:
-        g = cohomology(Weight(a, b), n_amb)
-    for deg, dim in g.dims:
-        return -dim if deg % 2 else dim
-    return 0
+    return cohomology(Weight(a, b), n_amb) if g is None else g
 
 
 def sum_cohomology(s: GrSum, n_amb: int) -> GradedDims:

@@ -320,6 +320,9 @@ def run(argv: Optional[list[str]] = None) -> int:
             if args.n < 2:
                 print("need n >= 2", file=sys.stderr)
                 return 3
+            if args.jobs < 1:
+                print("need --jobs >= 1", file=sys.stderr)
+                return 3
             if 2 * args.n + 1 > 15 and not args.allow_large:
                 print("n > 7 needs --allow-large", file=sys.stderr)
                 return 3

@@ -11,6 +11,14 @@ Ext groups on E reduce to Gr(2,N) through the pushforward of powers of O(h)::
                 = 0                      d = -1
                 = S^{-d-2} U (x) O(-H) [-1]   d <= -2
 
+One enumerator, ``_pushed_terms``, lists the terms of Rp2* RHom_E(a, b) as
+plain ints: the Clebsch-Gordan split of a^vee (x) b, times this trichotomy,
+split again.  ``e_ext`` adds the BWB dimension of each term into a
+degree -> dimension map; ``e_euler`` adds the same dimensions signed by
+degree parity.  Neither builds a ``GrSum`` or merges and sorts terms; the
+``GrSum`` route (``weights.hom_object``, ``bwb.gr_ext``) is for objects on
+Gr(2,N) itself.
+
 For pushforwards to X (total space of O(-H-h) over E, where E sits as the
 exceptional divisor) the restriction triangle
 
@@ -30,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bwb import GradedDims, euler_char, sum_cohomology
-from .weights import GrSum, Weight, cg_tensor
+from .bwb import GradedDims, cohomology_at
+from .weights import GrSum, Weight
 
 
 @dataclass(frozen=True)
@@ -60,16 +68,16 @@ class EObject:
     @staticmethod
     def line(c_h: int = 0, d_h: int = 0) -> "EObject":
         """The line bundle O(c_h.H + d_h.h)."""
-        return EObject.of([(Weight(c_h, c_h), d_h, 0, 1)])
+        return EObject(((Weight(c_h, c_h), d_h, 0, 1),))
 
     @staticmethod
     def schur(k: int, c_h: int = 0, d_h: int = 0) -> "EObject":
         """S^k U^vee (x) O(c_h.H + d_h.h)."""
-        return EObject.of([(Weight(k + c_h, c_h), d_h, 0, 1)])
+        return EObject(((Weight(k + c_h, c_h), d_h, 0, 1),))
 
     @staticmethod
     def of_weight(w: Weight, d_h: int = 0) -> "EObject":
-        return EObject.of([(w, d_h, 0, 1)])
+        return EObject(((w, d_h, 0, 1),))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -80,12 +88,17 @@ class EObject:
     def __add__(self, other: "EObject") -> "EObject":
         return EObject.of(self.terms + other.terms)
 
+    # A uniform translation of (a, b, dh, shift) keeps the terms distinct and
+    # in order, so twisted and shifted need no renormalization.
+
     def twisted(self, c_h: int = 0, d_h: int = 0) -> "EObject":
         """Tensor with the line bundle O(c_h.H + d_h.h)."""
-        return EObject.of((w.twist(c_h), dh + d_h, s, m) for w, dh, s, m in self)
+        return EObject(
+            tuple((w.twist(c_h), dh + d_h, s, m) for w, dh, s, m in self.terms)
+        )
 
     def shifted(self, k: int) -> "EObject":
-        return EObject.of((w, dh, s + k, m) for w, dh, s, m in self)
+        return EObject(tuple((w, dh, s + k, m) for w, dh, s, m in self.terms))
 
     def dual(self) -> "EObject":
         return EObject.of((w.dual(), -dh, -s, m) for w, dh, s, m in self)
@@ -109,49 +122,56 @@ def push_p2(d_h: int) -> GrSum:
     return GrSum.single(Weight(-1, d_h + 1), -1)
 
 
-def e_hom_pushed(a: EObject, b: EObject) -> GrSum:
-    """Rp2* RHom_E(a, b) as a graded sum on Gr(2, N)."""
-    out: list[tuple[Weight, int, int]] = []
-    for wa, da, sa, ma in a:
-        for wb, db, sb, mb in b:
-            shift = sb - sa
+def _pushed_terms(a: EObject, b: EObject) -> Iterator[tuple[int, int, int, int]]:
+    """Terms of Rp2* RHom_E(a, b) as ints (x, y, shift, mult).
+
+    Each stands for mult copies of Sigma^{x,y} U^vee [shift].  For each pair
+    of terms, a^vee (x) b is split by Clebsch-Gordan, tensored with push_p2
+    of the relative h-twist and split again.  Terms are not merged, so one
+    (x, y, shift) may occur more than once.
+    """
+    for wa, da, sa, ma in a.terms:
+        a1, b1 = -wa.b, -wa.a  # weight of the dual
+        for wb, db, sb, mb in b.terms:
+            d = db - da
+            if d == -1:
+                continue
+            # push_p2(d) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1] for d <= -2.
+            pa, pb, sp = (d, 0, 0) if d >= 0 else (-1, d + 1, -1)
+            shift = sb - sa + sp
             mult = ma * mb
-            pushed = push_p2(db - da)
-            for w, _, _ in cg_tensor(wa.dual(), wb):
-                for wp, sp, mp in pushed:
-                    for wt, _, _ in cg_tensor(w, wp):
-                        out.append((wt, shift + sp, mult * mp))
-    return GrSum.of(out)
+            a2, b2 = wb.a, wb.b
+            for t in range(min(a1 - b1, a2 - b2) + 1):
+                ca, cb = a1 + a2 - t, b1 + b2 + t
+                for u in range(min(ca - cb, pa - pb) + 1):
+                    yield ca + pa - u, cb + pb + u, shift, mult
 
 
 def e_ext(a: EObject, b: EObject, n_amb: int) -> GradedDims:
-    """Ext^bullet_E(a, b), computed on Gr(2, N) after pushing forward."""
-    return sum_cohomology(e_hom_pushed(a, b), n_amb)
+    """Ext^bullet_E(a, b) = H^bullet(Gr(2, N), Rp2* RHom_E(a, b)).
+
+    A term Sigma^{x,y}[shift] with multiplicity mult adds mult * dim to degree
+    deg - shift for each H^deg of Sigma^{x,y} U^vee.  Every dim and mult is
+    positive, so nothing cancels and the sorted degree map is the normal form.
+    """
+    acc: dict[int, int] = {}
+    for x, y, shift, mult in _pushed_terms(a, b):
+        for deg, dim in cohomology_at(x, y, n_amb).dims:
+            k = deg - shift
+            acc[k] = acc.get(k, 0) + dim * mult
+    return GradedDims(tuple(sorted(acc.items())))
 
 
 def e_euler(a: EObject, b: EObject, n_amb: int) -> int:
     """chi_E(a, b) = e_ext(a, b, n_amb).euler(), without building the Ext.
 
-    Each term of Rp2* RHom_E(a, b) contributes (-1)^shift * mult * chi of its
-    Schur bundle, so only the Clebsch-Gordan weights and the push_p2 signs
-    are needed; nothing is normalized or sorted.
+    The same sum as ``e_ext``, with each mult * dim signed by the parity of
+    its degree deg - shift.
     """
     total = 0
-    for wa, da, sa, ma in a:
-        a1, b1 = -wa.b, -wa.a  # weight of the dual
-        for wb, db, sb, mb in b:
-            d = db - da
-            if d == -1:
-                continue
-            # push_p2(d) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1] for
-            # d <= -2, whose odd shift flips the sign.
-            pa, pb, flip = (d, 0, 0) if d >= 0 else (-1, d + 1, 1)
-            mult = -ma * mb if (sb - sa + flip) % 2 else ma * mb
-            a2, b2 = wb.a, wb.b
-            for t in range(min(a1 - b1, a2 - b2) + 1):
-                ca, cb = a1 + a2 - t, b1 + b2 + t
-                for u in range(min(ca - cb, pa - pb) + 1):
-                    total += mult * euler_char(ca + pa - u, cb + pb + u, n_amb)
+    for x, y, shift, mult in _pushed_terms(a, b):
+        for deg, dim in cohomology_at(x, y, n_amb).dims:
+            total += -mult * dim if (deg - shift) % 2 else mult * dim
     return total
 
 

@@ -16,6 +16,7 @@ claim rather than hardcoding a correction.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -86,7 +87,10 @@ Spec = tuple[str, str, Callable[[], tuple[str, Optional[dict]]]]
 
 
 def _run_specs(report: Report, specs: list[Spec], jobs: int = 1) -> None:
-    """Evaluate claim thunks (possibly in parallel) in stable order."""
+    """Evaluate claim thunks (possibly in parallel) in stable order.
+
+    The pool never has more threads than claims or CPUs.
+    """
 
     def evaluate(spec: Spec) -> Claim:
         cid, statement, thunk = spec
@@ -96,8 +100,9 @@ def _run_specs(report: Report, specs: list[Spec], jobs: int = 1) -> None:
             status, detail = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
         return Claim(cid, statement, status, detail)
 
-    if jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             report.claims.extend(pool.map(evaluate, specs))
     else:
         report.claims.extend(evaluate(s) for s in specs)
@@ -119,6 +124,19 @@ def _vanish_thunk(a: EObject, b: EObject, n_amb: int) -> Callable[[], tuple[str,
         if r.kind == "bounded":
             return INDET, _ext_detail(r)
         return FAIL, _ext_detail(r)
+
+    return thunk
+
+
+def _exceptional_thunk(pures: list[EObject], n_amb: int) -> Callable[[], tuple[str, Optional[dict]]]:
+    """Claim thunk: every pure object T has Ext_X(T, T) = C[0]."""
+
+    def thunk() -> tuple[str, Optional[dict]]:
+        for t in pures:
+            r = x_ext(t, t, n_amb)
+            if r.kind != "exact" or r.total().dims != ((0, 1),):
+                return FAIL, {"object": notation(t), "ext": _ext_detail(r)}
+        return PASS, {"objects": len(pures)}
 
     return thunk
 
@@ -713,13 +731,6 @@ def verify_sod_odd(n: int, jobs: int = 1, strict: bool = False) -> Report:
 
     pures = final.pure_objects()
 
-    def exceptional() -> tuple[str, Optional[dict]]:
-        for t in pures:
-            r = x_ext(t, t, n_amb)
-            if r.kind != "exact" or r.total().dims != ((0, 1),):
-                return FAIL, {"object": notation(t), "ext": _ext_detail(r)}
-        return PASS, {"objects": len(pures)}
-
     def semiorthogonal() -> tuple[str, Optional[dict]]:
         checks = check_semiorthogonal(final)
         fails = [
@@ -740,7 +751,7 @@ def verify_sod_odd(n: int, jobs: int = 1, strict: bool = False) -> Report:
             (
                 "sod/exceptional",
                 "every pure object T of the final odd SOD has Ext_X(T,T) = C[0]",
-                exceptional,
+                _exceptional_thunk(pures, n_amb),
             ),
             (
                 "sod/semiorthogonal",
@@ -1130,13 +1141,6 @@ def verify_even(n: int, jobs: int = 1, strict: bool = False) -> Report:
 
     pures = final.pure_objects()
 
-    def exceptional() -> tuple[str, Optional[dict]]:
-        for t in pures:
-            r = x_ext(t, t, n_amb)
-            if r.kind != "exact" or r.total().dims != ((0, 1),):
-                return FAIL, {"object": notation(t), "ext": _ext_detail(r)}
-        return PASS, {"objects": len(pures)}
-
     def pairs() -> tuple[str, Optional[dict]]:
         checks = check_semiorthogonal(final)
         fails = [c for c in checks if c.status == FAIL]
@@ -1151,7 +1155,7 @@ def verify_even(n: int, jobs: int = 1, strict: bool = False) -> Report:
         (
             "even/exceptional",
             "every pure object T of the final even SOD has Ext_X(T,T) = C[0]",
-            exceptional,
+            _exceptional_thunk(pures, n_amb),
         )
     ]
     if n == 2:

@@ -93,6 +93,12 @@ def test_cli_large_n_cap():
     assert run(["--allow-large", "cohom", "--N", "20", "O"]) == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "-100"])
+def test_cli_verify_rejects_jobs_below_one(jobs, capsys):
+    assert run(["verify", "--n", "2", "--lemma", "mut", "--jobs", jobs]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_verify_json_exit_zero(capsys):
     code = run(["--format", "json", "verify", "--n", "2", "--parity", "odd", "--lemma", "mut"])
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from flipcheck.bwb import GradedDims, gr_ext
+from flipcheck.bwb import GradedDims, gr_ext, sum_cohomology
 from flipcheck.flagx import (
     EObject,
     e_ext,
@@ -16,7 +16,7 @@ from flipcheck.flagx import (
     x_ext,
     x_vanishes,
 )
-from flipcheck.weights import GrSum, Weight
+from flipcheck.weights import GrSum, Weight, cg_tensor
 
 
 def eobjects(max_abs=5):
@@ -219,3 +219,53 @@ def test_closed_form_euler_matches_ext(n_amb, a, b):
     # characteristics of the fully normalized Ext groups, bounded ones too.
     assert e_euler(a, b, n_amb) == e_ext(a, b, n_amb).euler()
     assert x_euler(a, b, n_amb) == x_ext(a, b, n_amb).euler()
+
+
+def _reference_e_ext(a, b, n_amb):
+    """The obvious route: build Rp2* RHom_E(a, b) as a normalized GrSum of
+    Clebsch-Gordan and push_p2 terms, then take its cohomology term by term."""
+    out = []
+    for wa, da, sa, ma in a:
+        for wb, db, sb, mb in b:
+            for w, _, _ in cg_tensor(wa.dual(), wb):
+                for wp, sp, mp in push_p2(db - da):
+                    for wt, _, _ in cg_tensor(w, wp):
+                        out.append((wt, sb - sa + sp, ma * mb * mp))
+    return sum_cohomology(GrSum.of(out), n_amb)
+
+
+# Pinned: both e_ext calls of the bounded x_ext pair, and an empty Ext.
+@given(st.integers(min_value=3, max_value=13), multi_eobjects(), multi_eobjects())
+@example(4, _BOUNDED_A, _BOUNDED_B)
+@example(4, _BOUNDED_A.twisted(1, 1), _BOUNDED_B)
+@example(7, EObject.line(1, 1), EObject.line())
+@settings(max_examples=200, deadline=None)
+def test_fused_e_ext_matches_reference(n_amb, a, b):
+    # Differential oracle for the fused kernel.  The strategy's h-twists in
+    # [-4, 4] reach all three push_p2 branches (d >= 0, d = -1, d <= -2).
+    ref = _reference_e_ext(a, b, n_amb)
+    assert e_ext(a, b, n_amb) == ref
+    assert e_euler(a, b, n_amb) == ref.euler()
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    multi_eobjects(),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_direct_normal_forms_match_of(k, c, d, o, c2, d2, s):
+    # line/schur/of_weight, twisted and shifted build their terms without
+    # EObject.of; the result must be exactly its normal form.
+    w = Weight(k + c, c)
+    assert EObject.line(c, d) == EObject.of([(Weight(c, c), d, 0, 1)])
+    assert EObject.schur(k, c, d) == EObject.of([(w, d, 0, 1)])
+    assert EObject.of_weight(w, d) == EObject.of([(w, d, 0, 1)])
+    assert o.twisted(c2, d2) == EObject.of(
+        (wt.twist(c2), dh + d2, sh, m) for wt, dh, sh, m in o
+    )
+    assert o.shifted(s) == EObject.of((wt, dh, sh + s, m) for wt, dh, sh, m in o)

@@ -2,6 +2,8 @@ import pytest
 
 from flipcheck.cli import emit_report
 from flipcheck.verify import (
+    PASS,
+    Report,
     verify_chessboard,
     verify_even,
     verify_inductive_steps,
@@ -200,3 +202,39 @@ def test_van_suites_do_not_build_euler_basis(monkeypatch):
     for part in range(1, 7):
         verify_van(part, 3, "odd")
     assert fx._basis_cache == {}
+
+
+def test_thread_pool_capped_by_claims_and_cpus(monkeypatch):
+    # A huge --jobs must not start a thread per claim: the pool is sized
+    # min(jobs, claims, CPUs), and one worker means no pool at all.
+    import flipcheck.verify as fv
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def specs(k):
+        return [(f"c{i}", "s", lambda i=i: (PASS, {"i": i})) for i in range(k)]
+
+    monkeypatch.setattr(fv, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(fv.os, "cpu_count", lambda: 4)
+    report = Report(2, "odd")
+    fv._run_specs(report, specs(10), jobs=100000)
+    fv._run_specs(report, specs(3), jobs=100000)
+    fv._run_specs(report, specs(10), jobs=2)
+    assert sizes == [4, 3, 2]
+    assert [c.detail["i"] for c in report.claims] == [*range(10), *range(3), *range(10)]
+    monkeypatch.setattr(fv.os, "cpu_count", lambda: None)
+    fv._run_specs(report, specs(10), jobs=100000)
+    assert sizes == [4, 3, 2]
