@@ -6,10 +6,9 @@ roof X of the flip Tot_{Gr(2,N)}(U(-H)) -> Tot_{P^{N-1}}(Q(-2h)), for any
 rank parameter N, reporting pass/fail/indeterminate per claim.
 """
 
-from .weights import GrSum, Weight, cg_tensor, det_twist, dual, hom_object
+from .weights import EObject, Weight, cg_tensor, hom_object
 from .bwb import GradedDims, cohomology, gr_euler, gr_ext, weyl_dim
 from .flagx import (
-    EObject,
     ExtResult,
     e_ext,
     e_euler,

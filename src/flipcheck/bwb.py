@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .weights import GrSum, Weight, hom_object
+from .weights import EObject, Weight, hom_object, normalize
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,7 @@ class GradedDims:
 
     @staticmethod
     def of(entries: Iterable[tuple[int, int]]) -> "GradedDims":
-        acc: dict[int, int] = {}
-        for deg, d in entries:
-            if d < 0:
-                raise ValueError("negative dimension")
-            if d:
-                acc[deg] = acc.get(deg, 0) + d
-        return GradedDims(tuple(sorted(acc.items())))
+        return GradedDims(normalize(entries))
 
     def __bool__(self) -> bool:
         return bool(self.dims)
@@ -144,20 +138,26 @@ def cohomology_at(a: int, b: int, n_amb: int) -> GradedDims:
     return cohomology(Weight(a, b), n_amb) if g is None else g
 
 
-def sum_cohomology(s: GrSum, n_amb: int) -> GradedDims:
-    """Cohomology of a graded sum; a term Sigma^w[k] lands in degrees j - k."""
+def sum_cohomology(s: EObject, n_amb: int) -> GradedDims:
+    """Cohomology of an object on Gr(2, N); a term Sigma^w[k] lands in
+    degrees j - k.  A term with an h-twist is not on Gr(2, N): ValueError."""
     out: list[tuple[int, int]] = []
-    for w, shift, mult in s:
+    for w, dh, shift, mult in s:
+        if dh:
+            raise ValueError(f"term {w} has h-twist {dh}; not on Gr(2,N)")
         for deg, dim in cohomology(w, n_amb).dims:
             out.append((deg - shift, dim * mult))
     return GradedDims.of(out)
 
 
-def gr_ext(a: GrSum, b: GrSum, n_amb: int) -> GradedDims:
-    """Ext^bullet_{Gr(2,N)}(a, b) = H^bullet of the Hom object."""
+def gr_ext(a: EObject, b: EObject, n_amb: int) -> GradedDims:
+    """Ext^bullet_{Gr(2,N)}(a, b) = H^bullet of the Hom object.
+
+    The Hom object must have h-twist 0 (``sum_cohomology`` raises otherwise).
+    """
     return sum_cohomology(hom_object(a, b), n_amb)
 
 
-def gr_euler(a: GrSum, b: GrSum, n_amb: int) -> int:
+def gr_euler(a: EObject, b: EObject, n_amb: int) -> int:
     """Euler pairing chi(a, b) on Gr(2, N)."""
     return gr_ext(a, b, n_amb).euler()

@@ -33,7 +33,7 @@ from typing import Optional
 from .bwb import GradedDims, gr_ext, sum_cohomology
 from .flagx import EObject, e_ext, x_ext
 from .verify import LEMMAS, Claim, Report, verify_suite
-from .weights import GrSum, Weight
+from .weights import Weight
 
 
 class ParseError(ValueError):
@@ -115,10 +115,10 @@ def print_object(obj: EObject) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _to_grsum(obj: EObject) -> GrSum:
+def _on_gr(obj: EObject) -> EObject:
     if any(dh for _, dh, _, _ in obj):
         raise ParseError("object has h-twists; not a Gr(2,N) object", 0)
-    return GrSum.of((w, s, m) for w, _, s, m in obj)
+    return obj
 
 
 def _render_dims(g: GradedDims) -> str:
@@ -297,13 +297,13 @@ def run(argv: Optional[list[str]] = None) -> int:
                 return 3
         if args.command == "cohom":
             obj = parse_object(args.expr)
-            print(_render_cohom(sum_cohomology(_to_grsum(obj), args.n_amb)))
+            print(_render_cohom(sum_cohomology(_on_gr(obj), args.n_amb)))
             return 0
         if args.command == "ext":
             a = parse_object(args.expr_a)
             b = parse_object(args.expr_b)
             if args.space == "gr":
-                print(_render_dims(gr_ext(_to_grsum(a), _to_grsum(b), args.n_amb)))
+                print(_render_dims(gr_ext(_on_gr(a), _on_gr(b), args.n_amb)))
                 return 0
             if args.space == "e":
                 print(_render_dims(e_ext(a, b, args.n_amb)))

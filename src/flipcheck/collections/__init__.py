@@ -1,7 +1,5 @@
 """Block constructors, ordered collections, mutation moves, and move scripts."""
 
-from importlib import resources
-
 from .blocks import BlockRangeError, make_block, notation, parse_block_spec
 from .engine import (
     Collection,
@@ -37,8 +35,5 @@ __all__ = [name for name in dir() if not name.startswith("_")]
 
 
 def load_script(parity: str, step: str, n: int) -> list[str]:
-    """Move script for (parity, step, n): shipped data if present, else generated."""
-    pkg = resources.files(__name__) / "scripts" / parity / f"n{n}" / f"{step}.moves"
-    if pkg.is_file():
-        return pkg.read_text().splitlines()
+    """Move script for (parity, step, n), generated on demand."""
     return generate(parity, step, n)

@@ -343,11 +343,12 @@ def promote(col: Collection, i: int, name: str) -> Collection:
     return col._with(ent, f"promote {i} as {name}")
 
 
-def _gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
+def gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
     """Solve Gram c = chi(block_j, target) by back-substitution.
 
     The chi_X Gram matrix of an exceptional sequence is upper-unitriangular
-    in collection order; validated here before solving.
+    in collection order; validated here before solving (KClassMismatch if
+    not).
     """
     m = len(block)
     gram = [[x_euler(block[i], block[j], n_amb) for j in range(m)] for i in range(m)]
@@ -375,7 +376,7 @@ def mutate_block_left(col: Collection, i: int, j: int, check: bool = True) -> Co
     target = _require_pure(col, j + 1, "mutlblock")
     kclass = None
     if check:
-        coeff = _gram_solve(block, target, col.n_amb)
+        coeff = gram_solve(block, target, col.n_amb)
         kc = k_class(target, col.n_amb)
         for c, s in zip(coeff, block):
             kc = k_sub(kc, tuple(c * v for v in k_class(s, col.n_amb)))

@@ -1,8 +1,8 @@
 """Generators for the mutation move scripts.
 
 Each generator simulates the collection structurally (oracle checks off) and
-emits concrete index-based moves; the shipped ``scripts/`` data files are the
-frozen output of these functions, and the test suite pins them together.
+emits concrete index-based moves.  ``load_script`` calls them on demand; the
+test suite pins each script's sha256 for n = 2..5.
 
 Objects are located by value during generation, which is safe because every
 collection in the replay is multiplicity-free.
@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from ..flagx import EObject
 from .engine import Collection, ScriptError, apply_move
+
+
+# Object shorthands, shared with the verifiers.
 
 
 def _S(k: int, c: int = 0, d: int = 0) -> EObject:

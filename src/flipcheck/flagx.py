@@ -1,9 +1,9 @@
 """Objects and Ext groups on E = Fl(1,2,N) and on the ambient total space X.
 
 E is the P^1-bundle p2: P(U) -> Gr(2,N) with relative hyperplane class h
-(pulled back from the P^{N-1} side).  An ``EObject`` is a formal sum of
-``Sigma^{a,b} U^vee (x) O(d.h) [s]`` terms; H-twists are folded into the
-weight so every object has a unique normal form.
+(pulled back from the P^{N-1} side).  An ``EObject`` (from ``weights``) is a
+formal sum of ``Sigma^{a,b} U^vee (x) O(d.h) [s]`` terms; H-twists are folded
+into the weight so every object has a unique normal form.
 
 Ext groups on E reduce to Gr(2,N) through the pushforward of powers of O(h)::
 
@@ -15,9 +15,9 @@ One enumerator, ``_pushed_terms``, lists the terms of Rp2* RHom_E(a, b) as
 plain ints: the Clebsch-Gordan split of a^vee (x) b, times this trichotomy,
 split again.  ``e_ext`` adds the BWB dimension of each term into a
 degree -> dimension map; ``e_euler`` adds the same dimensions signed by
-degree parity.  Neither builds a ``GrSum`` or merges and sorts terms; the
-``GrSum`` route (``weights.hom_object``, ``bwb.gr_ext``) is for objects on
-Gr(2,N) itself.
+degree parity.  Neither builds a formal sum or merges and sorts terms.
+``bwb.gr_ext`` takes the formal-sum route (``weights.hom_object``, then
+cohomology term by term) for objects with h-twist 0, i.e. on Gr(2,N).
 
 For pushforwards to X (total space of O(-H-h) over E, where E sits as the
 exceptional divisor) the restriction triangle
@@ -36,90 +36,19 @@ matrix is validated upper-unitriangular once per N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .bwb import GradedDims, cohomology_at
-from .weights import GrSum, Weight
+from .weights import EObject, Weight
 
 
-@dataclass(frozen=True)
-class EObject:
-    """Formal sum of (weight, h-twist, shift, multiplicity) terms on E."""
-
-    terms: tuple[tuple[Weight, int, int, int], ...] = ()
-
-    @staticmethod
-    def of(entries: Iterable[tuple[Weight, int, int, int]]) -> "EObject":
-        merged: dict[tuple[Weight, int, int], int] = {}
-        for w, dh, s, m in entries:
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            if m:
-                merged[(w, dh, s)] = merged.get((w, dh, s), 0) + m
-        return EObject(
-            tuple(
-                (w, dh, s, merged[(w, dh, s)])
-                for (w, dh, s) in sorted(
-                    merged, key=lambda k: (k[0].a, k[0].b, k[1], k[2])
-                )
-            )
-        )
-
-    @staticmethod
-    def line(c_h: int = 0, d_h: int = 0) -> "EObject":
-        """The line bundle O(c_h.H + d_h.h)."""
-        return EObject(((Weight(c_h, c_h), d_h, 0, 1),))
-
-    @staticmethod
-    def schur(k: int, c_h: int = 0, d_h: int = 0) -> "EObject":
-        """S^k U^vee (x) O(c_h.H + d_h.h)."""
-        return EObject(((Weight(k + c_h, c_h), d_h, 0, 1),))
-
-    @staticmethod
-    def of_weight(w: Weight, d_h: int = 0) -> "EObject":
-        return EObject(((w, d_h, 0, 1),))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[Weight, int, int, int]]:
-        return iter(self.terms)
-
-    def __add__(self, other: "EObject") -> "EObject":
-        return EObject.of(self.terms + other.terms)
-
-    # A uniform translation of (a, b, dh, shift) keeps the terms distinct and
-    # in order, so twisted and shifted need no renormalization.
-
-    def twisted(self, c_h: int = 0, d_h: int = 0) -> "EObject":
-        """Tensor with the line bundle O(c_h.H + d_h.h)."""
-        return EObject(
-            tuple((w.twist(c_h), dh + d_h, s, m) for w, dh, s, m in self.terms)
-        )
-
-    def shifted(self, k: int) -> "EObject":
-        return EObject(tuple((w, dh, s + k, m) for w, dh, s, m in self.terms))
-
-    def dual(self) -> "EObject":
-        return EObject.of((w.dual(), -dh, -s, m) for w, dh, s, m in self)
-
-    def is_single(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0][2] == 0 and self.terms[0][3] == 1
-
-    def single_term(self) -> tuple[Weight, int]:
-        if not self.is_single():
-            raise ValueError(f"not a single pure term: {self}")
-        w, dh, _, _ = self.terms[0]
-        return w, dh
-
-
-def push_p2(d_h: int) -> GrSum:
+def push_p2(d_h: int) -> EObject:
     """Rp2* O(d_h.h) on Gr(2, N), per the projection-formula trichotomy."""
     if d_h >= 0:
-        return GrSum.single(Weight(d_h, 0))
+        return EObject.of_weight(Weight(d_h, 0))
     if d_h == -1:
-        return GrSum()
-    return GrSum.single(Weight(-1, d_h + 1), -1)
+        return EObject()
+    return EObject.of_weight(Weight(-1, d_h + 1)).shifted(-1)
 
 
 def _pushed_terms(a: EObject, b: EObject) -> Iterator[tuple[int, int, int, int]]:
@@ -230,7 +159,7 @@ def x_euler(a: EObject, b: EObject, n_amb: int) -> int:
     return e_euler(a, b, n_amb) - e_euler(a.twisted(1, 1), b, n_amb)
 
 
-def gr_collection(n_amb: int) -> tuple[GrSum, ...]:
+def gr_collection(n_amb: int) -> tuple[EObject, ...]:
     """The full exceptional collection of D(Gr(2,N)) used throughout.
 
     Odd N = 2n+1: blocks <S^i U^vee (kH)>_{0<=i<=n-1} for k = 0..N-1.
@@ -238,18 +167,18 @@ def gr_collection(n_amb: int) -> tuple[GrSum, ...]:
     k = n..2n-1 (the count-consistent reading; see the even-case audit).
     """
     n = n_amb // 2
-    out: list[GrSum] = []
+    out: list[EObject] = []
     if n_amb % 2:
         for k in range(n_amb):
             for i in range(n):
-                out.append(GrSum.single(Weight(i + k, k)))
+                out.append(EObject.of_weight(Weight(i + k, k)))
     else:
         for k in range(n):
             for i in range(n):
-                out.append(GrSum.single(Weight(i + k, k)))
+                out.append(EObject.of_weight(Weight(i + k, k)))
         for k in range(n, 2 * n):
             for i in range(n - 1):
-                out.append(GrSum.single(Weight(i + k, k)))
+                out.append(EObject.of_weight(Weight(i + k, k)))
     return tuple(out)
 
 
@@ -270,9 +199,7 @@ def euler_basis(n_amb: int) -> tuple[EObject, ...]:
     hit = _basis_cache.get(n_amb)
     if hit is not None:
         return hit
-    gr_objs = [
-        EObject.of((w, 0, s, m) for w, s, m in t) for t in gr_collection(n_amb)
-    ]
+    gr_objs = list(gr_collection(n_amb))
     basis = tuple(gr_objs + [o.twisted(0, 1) for o in gr_objs])
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):

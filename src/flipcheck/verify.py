@@ -36,7 +36,8 @@ from .collections import (
     notation,
     replay,
 )
-from .collections.engine import Entry
+from .collections.engine import Entry, gram_solve
+from .collections.scriptgen import _O, _S
 
 PASS = "pass"
 FAIL = "fail"
@@ -139,14 +140,6 @@ def _exceptional_thunk(pures: list[EObject], n_amb: int) -> Callable[[], tuple[s
         return PASS, {"objects": len(pures)}
 
     return thunk
-
-
-def _S(k: int, c: int = 0, d: int = 0) -> EObject:
-    return EObject.schur(k, c, d)
-
-
-def _O(c: int = 0, d: int = 0) -> EObject:
-    return EObject.line(c, d)
 
 
 def _vacuous(report: Report, cid: str, statement: str) -> None:
@@ -560,7 +553,7 @@ def _replay_claims(
     strict: bool = False,
     statement: str = "final collection equals the stated right-hand side",
 ) -> Optional[Collection]:
-    """Replay a shipped script and emit replay/final/count claims."""
+    """Replay a move script and emit replay/final/count claims."""
     n = report.n
     n_amb = report.n_amb
     lines = load_script(parity, step, n)
@@ -928,31 +921,15 @@ def verify_chessboard(n: int, jobs: int = 1, strict: bool = False) -> Report:
         )
 
     # (b) staircase Proposition via the unitriangular Euler-Gram system.
-    from .flagx import x_euler
-
     specs: list[Spec] = []
     for k in range(n):
         def prop(k: int = k) -> tuple[str, Optional[dict]]:
             cells = [_O(l, k - 2 * l) for l in range(k + 1)]
             target = _S(k)
-            m = len(cells)
-            gram = [
-                [x_euler(cells[i], cells[j], n_amb) for j in range(m)]
-                for i in range(m)
-            ]
-            for i in range(m):
-                if gram[i][i] != 1:
-                    return FAIL, {"gram_diagonal": gram[i][i], "at": i}
-                for j in range(i):
-                    if gram[i][j]:
-                        return FAIL, {"gram_not_unitriangular_at": [i, j]}
-            rhs = [x_euler(cells[j], target, n_amb) for j in range(m)]
-            coeff = [0] * m
-            for i in range(m - 1, -1, -1):
-                coeff[i] = rhs[i] - sum(
-                    gram[i][j] * coeff[j] for j in range(i + 1, m)
-                )
-            if coeff != [1] * m:
+            # A Gram that is not unitriangular raises KClassMismatch, which
+            # _run_specs records as FAIL with the solver's message.
+            coeff = gram_solve(cells, target, n_amb)
+            if coeff != [1] * len(cells):
                 return FAIL, {"coefficients": coeff}
             kc = k_class(target, n_amb)
             for c in cells:

@@ -10,7 +10,10 @@ Grassmannian of planes.  Useful special cases::
 
 All arithmetic here is representation-theoretic bookkeeping and is exact:
 duals, determinant twists, the rank-2 Clebsch-Gordan (Littlewood-Richardson)
-tensor decomposition, and formal Hom objects of graded sums.
+tensor decomposition, and formal Hom objects.  ``EObject`` is the one formal
+sum of shifted, h-twisted Schur bundles, for objects on E = P(U) and on
+Gr(2, N) alike (h-twist 0); ``normalize`` is the normal form it shares with
+``bwb.GradedDims``.
 """
 
 from __future__ import annotations
@@ -44,88 +47,112 @@ class Weight:
         return Weight(self.a + c, self.b + c)
 
 
-def dual(w: Weight) -> Weight:
-    return w.dual()
+def normalize(entries: Iterable[tuple]) -> tuple[tuple, ...]:
+    """Normal form of a formal sum of ``(*key, count)`` tuples.
 
-
-def det_twist(w: Weight, c: int) -> Weight:
-    return w.twist(c)
+    Equal keys merge, zero counts drop, a negative count is a ``ValueError``,
+    and the result is sorted by key (a ``Weight`` sorts as (a, b)), so equal
+    sums compare equal.
+    """
+    acc: dict[tuple, int] = {}
+    for entry in entries:
+        key, count = entry[:-1], entry[-1]
+        if count < 0:
+            raise ValueError(f"negative count {count} at {key}")
+        if count:
+            acc[key] = acc.get(key, 0) + count
+    return tuple(key + (acc[key],) for key in sorted(acc))
 
 
 @dataclass(frozen=True)
-class GrSum:
-    """Formal finite direct sum of shifted Schur bundles on Gr(2, N).
+class EObject:
+    """Formal sum of (weight, h-twist, shift, multiplicity) terms.
 
-    A term ``(w, s, m)`` stands for ``Sigma^w U^vee [s]`` with multiplicity
-    ``m`` > 0.  Terms are kept merged and in canonical (a, b, shift) order so
-    equal sums compare equal; the empty sum is the zero object.
+    A term ``(w, dh, s, m)`` stands for m copies of
+    ``Sigma^w U^vee (x) O(dh.h) [s]`` on E = P(U); H-twists are folded into
+    the weight.  Since Rp2* O_E = O, an object on Gr(2, N) is the same as its
+    pullback, an EObject whose terms all have h-twist 0.  Terms are kept in
+    ``normalize`` form; the empty sum is the zero object.
     """
 
-    terms: tuple[tuple[Weight, int, int], ...] = ()
+    terms: tuple[tuple[Weight, int, int, int], ...] = ()
 
     @staticmethod
-    def of(entries: Iterable[tuple[Weight, int, int]]) -> "GrSum":
-        merged: dict[tuple[Weight, int], int] = {}
-        for w, s, m in entries:
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            if m:
-                merged[(w, s)] = merged.get((w, s), 0) + m
-        return GrSum(
-            tuple(
-                (w, s, merged[(w, s)])
-                for (w, s) in sorted(merged, key=lambda k: (k[0].a, k[0].b, k[1]))
-            )
-        )
+    def of(entries: Iterable[tuple[Weight, int, int, int]]) -> "EObject":
+        return EObject(normalize(entries))
 
     @staticmethod
-    def single(w: Weight, shift: int = 0, mult: int = 1) -> "GrSum":
-        return GrSum.of([(w, shift, mult)])
+    def line(c_h: int = 0, d_h: int = 0) -> "EObject":
+        """The line bundle O(c_h.H + d_h.h)."""
+        return EObject(((Weight(c_h, c_h), d_h, 0, 1),))
+
+    @staticmethod
+    def schur(k: int, c_h: int = 0, d_h: int = 0) -> "EObject":
+        """S^k U^vee (x) O(c_h.H + d_h.h)."""
+        return EObject(((Weight(k + c_h, c_h), d_h, 0, 1),))
+
+    @staticmethod
+    def of_weight(w: Weight, d_h: int = 0) -> "EObject":
+        return EObject(((w, d_h, 0, 1),))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __iter__(self) -> Iterator[tuple[Weight, int, int]]:
+    def __iter__(self) -> Iterator[tuple[Weight, int, int, int]]:
         return iter(self.terms)
 
-    def __add__(self, other: "GrSum") -> "GrSum":
-        return GrSum.of(self.terms + other.terms)
+    def __add__(self, other: "EObject") -> "EObject":
+        return EObject.of(self.terms + other.terms)
 
-    def shifted(self, k: int) -> "GrSum":
-        return GrSum.of((w, s + k, m) for w, s, m in self.terms)
+    # A uniform translation of (a, b, dh, shift) keeps the terms distinct and
+    # in order, so twisted and shifted need no renormalization.
 
-    def twisted(self, c: int) -> "GrSum":
-        return GrSum.of((w.twist(c), s, m) for w, s, m in self.terms)
+    def twisted(self, c_h: int = 0, d_h: int = 0) -> "EObject":
+        """Tensor with the line bundle O(c_h.H + d_h.h)."""
+        return EObject(
+            tuple((w.twist(c_h), dh + d_h, s, m) for w, dh, s, m in self.terms)
+        )
 
-    def dual(self) -> "GrSum":
-        return GrSum.of((w.dual(), -s, m) for w, s, m in self.terms)
+    def shifted(self, k: int) -> "EObject":
+        return EObject(tuple((w, dh, s + k, m) for w, dh, s, m in self.terms))
 
-    def total_rank(self) -> int:
-        return sum(w.rank * m for w, s, m in self.terms)
+    def dual(self) -> "EObject":
+        return EObject.of((w.dual(), -dh, -s, m) for w, dh, s, m in self)
+
+    def is_single(self) -> bool:
+        return len(self.terms) == 1 and self.terms[0][2] == 0 and self.terms[0][3] == 1
+
+    def single_term(self) -> tuple[Weight, int]:
+        if not self.is_single():
+            raise ValueError(f"not a single pure term: {self}")
+        w, dh, _, _ = self.terms[0]
+        return w, dh
 
 
-def cg_tensor(w1: Weight, w2: Weight) -> GrSum:
+def cg_tensor(w1: Weight, w2: Weight) -> EObject:
     """Clebsch-Gordan decomposition of Sigma^{w1} tensor Sigma^{w2} in rank 2.
 
     Sigma^{a1,b1} (x) Sigma^{a2,b2} = (+)_{t=0}^{m} Sigma^{a1+a2-t, b1+b2+t}
     with m = min(a1-b1, a2-b2); every summand occurs once.
     """
     m = min(w1.a - w1.b, w2.a - w2.b)
-    return GrSum.of(
-        (Weight(w1.a + w2.a - t, w1.b + w2.b + t), 0, 1) for t in range(m + 1)
+    return EObject.of(
+        (Weight(w1.a + w2.a - t, w1.b + w2.b + t), 0, 0, 1) for t in range(m + 1)
     )
 
 
-def tensor(x: GrSum, y: GrSum) -> GrSum:
-    """Bilinear extension of cg_tensor; shifts add, multiplicities multiply."""
-    out: list[tuple[Weight, int, int]] = []
-    for w1, s1, m1 in x:
-        for w2, s2, m2 in y:
-            for w, _, _ in cg_tensor(w1, w2):
-                out.append((w, s1 + s2, m1 * m2))
-    return GrSum.of(out)
+def tensor(x: EObject, y: EObject) -> EObject:
+    """Bilinear extension of cg_tensor; h-twists and shifts add,
+    multiplicities multiply."""
+    out: list[tuple[Weight, int, int, int]] = []
+    for w1, d1, s1, m1 in x:
+        for w2, d2, s2, m2 in y:
+            for w, _, _, _ in cg_tensor(w1, w2):
+                out.append((w, d1 + d2, s1 + s2, m1 * m2))
+    return EObject.of(out)
 
 
-def hom_object(a: GrSum, b: GrSum) -> GrSum:
-    """Formal RHom object a^vee (x) b; term shifts are shift(b) - shift(a)."""
+def hom_object(a: EObject, b: EObject) -> EObject:
+    """Formal RHom object a^vee (x) b; term h-twists and shifts are those of
+    b minus those of a."""
     return tensor(a.dual(), b)

@@ -21,7 +21,7 @@ from flipcheck.verify import (
     verify_suite,
     verify_van,
 )
-from flipcheck.weights import GrSum, Weight
+from flipcheck.weights import Weight
 
 
 def _report_line(name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -84,10 +84,10 @@ def test_criterion_02_serre_duality():
                 a1, b1 = sorted(rng.sample(range(-n_amb, n_amb + 1), 2))
                 a2, b2 = sorted(rng.sample(range(-n_amb, n_amb + 1), 2))
                 wa, wb = Weight(b1, a1), Weight(b2, a2)
-                lhs = gr_ext(GrSum.single(wa), GrSum.single(wb), n_amb)
+                lhs = gr_ext(EObject.of_weight(wa), EObject.of_weight(wb), n_amb)
                 rhs = gr_ext(
-                    GrSum.single(wb),
-                    GrSum.single(wa.twist(-n_amb)),
+                    EObject.of_weight(wb),
+                    EObject.of_weight(wa.twist(-n_amb)),
                     n_amb,
                 )
                 for deg in range(top_gr + 1):
@@ -111,8 +111,8 @@ def test_criterion_03_pushforward():
                 lhs = e_ext(o, EObject.line(0, d), n_amb)
                 if d >= 0:
                     assert lhs == gr_ext(
-                        GrSum.single(Weight(0, 0)),
-                        GrSum.single(Weight(d, 0)),
+                        EObject.of_weight(Weight(0, 0)),
+                        EObject.of_weight(Weight(d, 0)),
                         n_amb,
                     )
                 elif d == -1:

@@ -4,8 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from flipcheck.bwb import GradedDims, cohomology, gr_euler, gr_ext, weyl_dim
-from flipcheck.weights import GrSum, Weight
+from flipcheck.bwb import (
+    GradedDims,
+    cohomology,
+    gr_euler,
+    gr_ext,
+    sum_cohomology,
+    weyl_dim,
+)
+from flipcheck.weights import EObject, Weight
 
 
 def ssyt_count(shape: tuple[int, ...], n: int) -> int:
@@ -156,10 +163,10 @@ def test_cohomology_concentrated_and_bounded(n_amb, ab):
 @settings(max_examples=60)
 def test_serre_duality_on_gr(n_amb, ab):
     w = Weight(max(ab), min(ab))
-    a = GrSum.single(w)
-    o = GrSum.single(Weight(0, 0))
+    a = EObject.of_weight(w)
+    o = EObject.of_weight(Weight(0, 0))
     lhs = gr_ext(o, a, n_amb)
-    rhs = gr_ext(a, GrSum.single(Weight(-n_amb, -n_amb)), n_amb)
+    rhs = gr_ext(a, EObject.of_weight(Weight(-n_amb, -n_amb)), n_amb)
     top = 2 * (n_amb - 2)
     for deg in range(top + 1):
         assert lhs[deg] == rhs[top - deg]
@@ -170,24 +177,24 @@ def test_gr_ext_mutation_rule_inputs():
     for n_amb in (5, 7, 9):
         n = n_amb // 2
         for k in range(1, n):
-            a = GrSum.single(Weight(k, 1))
-            b = GrSum.single(Weight(k + 1, 0)) + GrSum.single(Weight(k, 1))
+            a = EObject.of_weight(Weight(k, 1))
+            b = EObject.of_weight(Weight(k + 1, 0)) + EObject.of_weight(Weight(k, 1))
             assert gr_ext(a, b, n_amb) == GradedDims.of([(0, 1)])
             # item (i): Ext(S^{k-1}Uv(2H), S^k Uv) = 0
             assert not gr_ext(
-                GrSum.single(Weight(k + 1, 2)), GrSum.single(Weight(k, 0)), n_amb
+                EObject.of_weight(Weight(k + 1, 2)), EObject.of_weight(Weight(k, 0)), n_amb
             )
 
 
 def test_gr_ext_exceptional_object():
-    o = GrSum.single(Weight(0, 0))
+    o = EObject.of_weight(Weight(0, 0))
     assert gr_ext(o, o, 6) == GradedDims.of([(0, 1)])
 
 
 def test_gr_euler_examples():
-    o = GrSum.single(Weight(0, 0))
+    o = EObject.of_weight(Weight(0, 0))
     for n_amb in range(4, 9):
-        uv = GrSum.single(Weight(1, 0))
+        uv = EObject.of_weight(Weight(1, 0))
         assert gr_euler(o, o, n_amb) == 1
         assert gr_euler(o, uv, n_amb) == n_amb
         assert gr_euler(uv, o, n_amb) == 0
@@ -200,7 +207,24 @@ def test_gr_euler_examples():
 )
 @settings(max_examples=40)
 def test_euler_bilinearity(n_amb, parts, ab):
-    b = GrSum.single(Weight(max(ab), min(ab)))
-    sums = [GrSum.single(Weight(max(p), min(p))) for p in parts]
-    total = GrSum.of([t for s in sums for t in s.terms])
+    b = EObject.of_weight(Weight(max(ab), min(ab)))
+    sums = [EObject.of_weight(Weight(max(p), min(p))) for p in parts]
+    total = EObject.of([t for s in sums for t in s.terms])
     assert gr_euler(total, b, n_amb) == sum(gr_euler(s, b, n_amb) for s in sums)
+
+
+def test_gr_route_rejects_h_twists():
+    # An h-twisted term is not an object on Gr(2, N); ignoring the twist
+    # would silently compute the cohomology of a different bundle.
+    o = EObject.line()
+    twisted = EObject.line(0, 1)
+    with pytest.raises(ValueError):
+        sum_cohomology(twisted, 5)
+    with pytest.raises(ValueError):
+        sum_cohomology(o + twisted.shifted(1), 5)
+    with pytest.raises(ValueError):
+        gr_ext(o, twisted, 5)
+    with pytest.raises(ValueError):
+        gr_ext(EObject.schur(1, 0, -1) + o, o, 5)
+    with pytest.raises(ValueError):
+        gr_euler(o, twisted, 5)

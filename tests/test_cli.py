@@ -74,6 +74,29 @@ def test_cli_ext_on_e(capsys):
     assert capsys.readouterr().out.strip() == "Ext^0 = 1"
 
 
+def test_cli_ext_on_gr(capsys):
+    code = run(["ext", "--N", "5", "--space", "gr", "S{1}Uv(1H)", "S{2}Uv+S{1}Uv(1H)"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "Ext^0 = 1"
+    assert run(["ext", "--N", "5", "--space", "gr", "O", "S{1}Uv"]) == 0
+    assert capsys.readouterr().out.strip() == "Ext^0 = 5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohom", "--N", "5", "O(1h)"],
+        ["ext", "--N", "5", "--space", "gr", "O", "O(1h)"],
+        ["ext", "--N", "5", "--space", "gr", "S{1}Uv(-1h)+O", "O"],
+    ],
+)
+def test_cli_gr_rejects_h_twists(argv, capsys):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "h-twists" in captured.err
+
+
 def test_cli_cohom_band(capsys):
     code = run(["cohom", "--N", "4", "Sigma{-2,-2}Uv"])
     assert code == 0

@@ -2,7 +2,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from flipcheck.bwb import GradedDims, gr_ext, sum_cohomology
+from flipcheck.bwb import GradedDims, gr_euler, gr_ext, sum_cohomology
 from flipcheck.flagx import (
     EObject,
     e_ext,
@@ -16,7 +16,7 @@ from flipcheck.flagx import (
     x_ext,
     x_vanishes,
 )
-from flipcheck.weights import GrSum, Weight, cg_tensor
+from flipcheck.weights import Weight, cg_tensor
 
 
 def eobjects(max_abs=5):
@@ -28,12 +28,12 @@ def eobjects(max_abs=5):
     )
 
 
-def multi_eobjects(max_abs=6):
+def multi_eobjects(max_abs=6, max_dh=4):
     """Sums of 1-3 terms with h-twists, shifts and multiplicities."""
     term = st.tuples(
         st.integers(-max_abs, max_abs),
         st.integers(-max_abs, max_abs),
-        st.integers(-4, 4),
+        st.integers(-max_dh, max_dh),
         st.integers(-2, 2),
         st.integers(1, 3),
     ).map(lambda t: (Weight(max(t[0], t[1]), min(t[0], t[1])), t[2], t[3], t[4]))
@@ -41,11 +41,11 @@ def multi_eobjects(max_abs=6):
 
 
 def test_push_p2_trichotomy():
-    assert push_p2(0) == GrSum.single(Weight(0, 0))
-    assert push_p2(3) == GrSum.single(Weight(3, 0))
+    assert push_p2(0) == EObject.of_weight(Weight(0, 0))
+    assert push_p2(3) == EObject.of_weight(Weight(3, 0))
     assert not push_p2(-1)
-    assert push_p2(-2) == GrSum.single(Weight(-1, -1), -1)  # O(-H)[-1]
-    assert push_p2(-4) == GrSum.single(Weight(-1, -3), -1)
+    assert push_p2(-2) == EObject.of_weight(Weight(-1, -1)).shifted(-1)  # O(-H)[-1]
+    assert push_p2(-4) == EObject.of_weight(Weight(-1, -3)).shifted(-1)
 
 
 @pytest.mark.parametrize("n_amb", [5, 6, 7, 8])
@@ -55,7 +55,7 @@ def test_push_consistent_with_relative_euler_sequence(n_amb):
     for d in range(7):
         lhs = e_ext(o, EObject.line(0, d), n_amb)
         rhs = gr_ext(
-            GrSum.single(Weight(0, 0)), GrSum.single(Weight(d, 0)), n_amb
+            EObject.of_weight(Weight(0, 0)), EObject.of_weight(Weight(d, 0)), n_amb
         )
         assert lhs == rhs
 
@@ -221,17 +221,32 @@ def test_closed_form_euler_matches_ext(n_amb, a, b):
     assert x_euler(a, b, n_amb) == x_ext(a, b, n_amb).euler()
 
 
+@given(
+    st.integers(min_value=3, max_value=11),
+    multi_eobjects(max_dh=0),
+    multi_eobjects(max_dh=0),
+)
+@settings(max_examples=150, deadline=None)
+def test_gr_route_matches_e_route(n_amb, a, b):
+    # Projection formula: Rp2* O_E = O, so Ext_E(p2^* a, p2^* b) = Ext_Gr(a, b)
+    # for objects with h-twist 0.  Cross-checks the formal-sum route
+    # (hom_object + sum_cohomology) against the fused kernel on E.
+    assert gr_ext(a, b, n_amb) == e_ext(a, b, n_amb)
+    assert gr_euler(a, b, n_amb) == e_euler(a, b, n_amb)
+
+
 def _reference_e_ext(a, b, n_amb):
-    """The obvious route: build Rp2* RHom_E(a, b) as a normalized GrSum of
-    Clebsch-Gordan and push_p2 terms, then take its cohomology term by term."""
+    """The obvious route: build Rp2* RHom_E(a, b) as a normalized formal sum
+    of Clebsch-Gordan and push_p2 terms, then take its cohomology term by
+    term."""
     out = []
     for wa, da, sa, ma in a:
         for wb, db, sb, mb in b:
-            for w, _, _ in cg_tensor(wa.dual(), wb):
-                for wp, sp, mp in push_p2(db - da):
-                    for wt, _, _ in cg_tensor(w, wp):
-                        out.append((wt, sb - sa + sp, ma * mb * mp))
-    return sum_cohomology(GrSum.of(out), n_amb)
+            for w, _, _, _ in cg_tensor(wa.dual(), wb):
+                for wp, _, sp, mp in push_p2(db - da):
+                    for wt, _, _, _ in cg_tensor(w, wp):
+                        out.append((wt, 0, sb - sa + sp, ma * mb * mp))
+    return sum_cohomology(EObject.of(out), n_amb)
 
 
 # Pinned: both e_ext calls of the bounded x_ext pair, and an empty Ext.

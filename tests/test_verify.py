@@ -112,6 +112,21 @@ def test_chessboard_proposition_coefficients():
         assert c.detail["coefficients"] == [1] * (k + 1)
 
 
+def test_chessboard_proposition_fails_with_solver_message(monkeypatch):
+    # The Proposition uses the engine's Gram solver; a Gram that is not
+    # unitriangular is a FAIL carrying the solver's message.
+    import flipcheck.verify as verify
+    from flipcheck.collections import KClassMismatch
+
+    def broken(block, target, n_amb):
+        raise KClassMismatch("Gram not unitriangular at (1,0)")
+
+    monkeypatch.setattr(verify, "gram_solve", broken)
+    c = claims_by_id(verify_chessboard(2))["chess/prop/k=1"]
+    assert c.status == "fail"
+    assert c.detail == {"error": "KClassMismatch: Gram not unitriangular at (1,0)"}
+
+
 def test_even_collection_reading_audit():
     r = verify_even(3)
     audit = claims_by_id(r)["even/gr-collection/reading-audit"]

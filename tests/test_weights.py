@@ -2,7 +2,8 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from flipcheck.weights import GrSum, Weight, cg_tensor, det_twist, dual, hom_object
+from flipcheck.bwb import GradedDims
+from flipcheck.weights import EObject, Weight, cg_tensor, hom_object
 
 
 weights = st.tuples(
@@ -16,21 +17,21 @@ def test_weight_rejects_bad_order():
 
 
 def test_dual_examples():
-    assert dual(Weight(0, 0)) == Weight(0, 0)
-    assert dual(Weight(3, 0)) == Weight(0, -3)  # (S^3 Uv)^vee = S^3 U
-    assert dual(Weight(1, 1)) == Weight(-1, -1)  # O(H)^vee = O(-H)
+    assert Weight(0, 0).dual() == Weight(0, 0)
+    assert Weight(3, 0).dual() == Weight(0, -3)  # (S^3 Uv)^vee = S^3 U
+    assert Weight(1, 1).dual() == Weight(-1, -1)  # O(H)^vee = O(-H)
 
 
-def test_det_twist_examples():
-    assert det_twist(Weight(3, 0), 1) == Weight(4, 1)
-    assert det_twist(Weight(4, 0), -1) == Weight(3, -1)
-    assert det_twist(Weight(0, 0), 5) == Weight(5, 5)
+def test_twist_examples():
+    assert Weight(3, 0).twist(1) == Weight(4, 1)
+    assert Weight(4, 0).twist(-1) == Weight(3, -1)
+    assert Weight(0, 0).twist(5) == Weight(5, 5)
 
 
 def test_cg_rank2_plethysm():
     # Uv (x) Uv = S^2 Uv + L^2 Uv
-    assert cg_tensor(Weight(1, 0), Weight(1, 0)) == GrSum.of(
-        [(Weight(2, 0), 0, 1), (Weight(1, 1), 0, 1)]
+    assert cg_tensor(Weight(1, 0), Weight(1, 0)) == EObject.of(
+        [(Weight(2, 0), 0, 0, 1), (Weight(1, 1), 0, 0, 1)]
     )
 
 
@@ -38,13 +39,13 @@ def test_cg_rank2_plethysm():
 def test_cg_matches_displayed_decomposition(n):
     # S^{n-1}U(-H) (x) S^n Uv = sum_t Sigma^{n-t-1, -n+t}
     got = cg_tensor(Weight(-1, -n), Weight(n, 0))
-    assert got == GrSum.of(
-        [(Weight(n - t - 1, -n + t), 0, 1) for t in range(n)]
+    assert got == EObject.of(
+        [(Weight(n - t - 1, -n + t), 0, 0, 1) for t in range(n)]
     )
 
 
 def test_cg_line_bundle_is_single_term():
-    assert cg_tensor(Weight(2, 2), Weight(5, 1)) == GrSum.single(Weight(7, 3))
+    assert cg_tensor(Weight(2, 2), Weight(5, 1)) == EObject.of_weight(Weight(7, 3))
 
 
 @given(weights, weights)
@@ -54,47 +55,85 @@ def test_cg_commutative(w1, w2):
 
 @given(weights, weights)
 def test_cg_conserves_rank(w1, w2):
-    assert cg_tensor(w1, w2).total_rank() == w1.rank * w2.rank
+    total_rank = sum(w.rank * m for w, _, _, m in cg_tensor(w1, w2))
+    assert total_rank == w1.rank * w2.rank
 
 
 @given(weights, weights)
 def test_cg_outputs_dominant(w1, w2):
-    for w, _, _ in cg_tensor(w1, w2):
+    for w, _, _, _ in cg_tensor(w1, w2):
         assert w.a >= w.b
 
 
 @given(weights)
 def test_dual_involution(w):
-    assert dual(dual(w)) == w
+    assert w.dual().dual() == w
 
 
 @given(weights, st.integers(min_value=-6, max_value=6))
-def test_det_twist_inverse(w, c):
-    assert det_twist(det_twist(w, c), -c) == w
+def test_twist_inverse(w, c):
+    assert w.twist(c).twist(-c) == w
 
 
 def test_hom_object_trivial():
-    o = GrSum.single(Weight(0, 0))
+    o = EObject.of_weight(Weight(0, 0))
     assert hom_object(o, o) == o
 
 
 def test_hom_object_shifts_subtract():
-    a = GrSum.single(Weight(0, 0), shift=2)
-    b = GrSum.single(Weight(1, 1), shift=-1)
-    assert hom_object(a, b) == GrSum.single(Weight(1, 1), shift=-3)
+    a = EObject.of_weight(Weight(0, 0)).shifted(2)
+    b = EObject.of_weight(Weight(1, 1)).shifted(-1)
+    assert hom_object(a, b) == EObject.of_weight(Weight(1, 1)).shifted(-3)
 
 
 def test_hom_object_twisted_power_pairing():
     # Hom(S^{n-1}Uv(H), S^n Uv) for n = 3
     n = 3
-    a = GrSum.single(Weight(n, 1))
-    b = GrSum.single(Weight(n, 0))
-    assert hom_object(a, b) == GrSum.of(
-        [(Weight(n - t - 1, -n + t), 0, 1) for t in range(n)]
+    a = EObject.of_weight(Weight(n, 1))
+    b = EObject.of_weight(Weight(n, 0))
+    assert hom_object(a, b) == EObject.of(
+        [(Weight(n - t - 1, -n + t), 0, 0, 1) for t in range(n)]
     )
 
 
-def test_grsum_merges_and_orders():
-    s = GrSum.of([(Weight(1, 0), 0, 1), (Weight(0, 0), 0, 2), (Weight(1, 0), 0, 1)])
-    assert s.terms == ((Weight(0, 0), 0, 2), (Weight(1, 0), 0, 2))
-    assert not GrSum()
+def test_normal_form_merges_and_orders():
+    s = EObject.of(
+        [(Weight(1, 0), 0, 0, 1), (Weight(0, 0), 0, 0, 2), (Weight(1, 0), 0, 0, 1)]
+    )
+    assert s.terms == ((Weight(0, 0), 0, 0, 2), (Weight(1, 0), 0, 0, 2))
+    assert not EObject()
+
+
+def test_normal_form_drops_zeros_and_rejects_negatives():
+    assert EObject.of([(Weight(0, 0), 0, 0, 0)]) == EObject()
+    assert GradedDims.of([(3, 0), (1, 2), (3, 0)]).dims == ((1, 2),)
+    with pytest.raises(ValueError):
+        EObject.of([(Weight(0, 0), 0, 0, -1)])
+    with pytest.raises(ValueError):
+        GradedDims.of([(0, -1)])
+
+
+terms = st.lists(
+    st.tuples(weights, st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3)),
+    max_size=8,
+)
+
+
+@given(terms)
+def test_normal_form_matches_merge_and_sort(entries):
+    # One normalizer for EObject and GradedDims: merge by key, drop zeros,
+    # order terms by (a, b, h-twist, shift) and degrees ascending.
+    merged = {}
+    for w, dh, s, m in entries:
+        if m:
+            merged[(w.a, w.b, dh, s)] = merged.get((w.a, w.b, dh, s), 0) + m
+    assert EObject.of(entries).terms == tuple(
+        (Weight(a, b), dh, s, m) for (a, b, dh, s), m in sorted(merged.items())
+    )
+    degrees = {}
+    for _, _, s, m in entries:
+        if m:
+            degrees[s] = degrees.get(s, 0) + m
+    assert GradedDims.of((s, m) for _, _, s, m in entries).dims == tuple(
+        sorted(degrees.items())
+    )
