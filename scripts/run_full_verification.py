@@ -23,12 +23,11 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--n-min", type=int, default=2)
     ap.add_argument("--n-max", type=int, default=5)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--stdout", action="store_true")
     args = ap.parse_args()
 
     t0 = time.time()
-    reports = verify_all(args.n_min, args.n_max, jobs=args.jobs)
+    reports = verify_all(args.n_min, args.n_max)
     worst = 0
     for r in reports:
         s = r.summary()

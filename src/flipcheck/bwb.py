@@ -18,7 +18,7 @@ against it.
 
 All arithmetic is Python-int exact; dimensions grow combinatorially in N and
 must never wrap.  Results are memoized by (N, a, b); the cache is
-observationally pure and safe under concurrent use (idempotent writes).
+observationally pure.
 ``cohomology_at`` reads the memo by plain ints, for the Ext and
 Euler-pairing kernels on E.
 """

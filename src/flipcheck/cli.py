@@ -235,7 +235,12 @@ def _global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument(
         "--format", choices=("text", "json"), default=d if suppress else "text"
     )
-    p.add_argument("--jobs", type=int, default=d if suppress else 1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=d if suppress else 1,
+        help="accepted for compatibility; claims run in order, so it has no effect",
+    )
     p.add_argument(
         "--strict",
         action="store_true",
@@ -326,9 +331,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             if 2 * args.n + 1 > 15 and not args.allow_large:
                 print("n > 7 needs --allow-large", file=sys.stderr)
                 return 3
-            report = verify_suite(
-                args.n, args.parity, args.lemma, jobs=args.jobs, strict=args.strict
-            )
+            report = verify_suite(args.n, args.parity, args.lemma, strict=args.strict)
             print(emit_report(report, args.format))
             return _exit_code(report)
         if args.command == "chessboard":

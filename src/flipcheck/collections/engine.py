@@ -316,9 +316,7 @@ def serre_tail(col: Collection, i: int, j: int) -> Collection:
     return col._with(ent, f"serre {i}..{j}")
 
 
-def expand_block(
-    col: Collection, spec: str, at: int, check: bool = False
-) -> Collection:
+def expand_block(col: Collection, spec: str, at: int) -> Collection:
     name, params, twist = parse_block_spec(spec)
     objs = make_block(name, params, col.n_amb, twist)
     ent = list(col.entries)

@@ -16,8 +16,6 @@ claim rather than hardcoding a correction.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -87,26 +85,17 @@ class Report:
 Spec = tuple[str, str, Callable[[], tuple[str, Optional[dict]]]]
 
 
-def _run_specs(report: Report, specs: list[Spec], jobs: int = 1) -> None:
-    """Evaluate claim thunks (possibly in parallel) in stable order.
+def _run_specs(report: Report, specs: list[Spec]) -> None:
+    """Evaluate claim thunks in order on the calling thread.
 
-    The pool never has more threads than claims or CPUs.
+    A thunk that raises is recorded as a FAIL whose detail names the error.
     """
-
-    def evaluate(spec: Spec) -> Claim:
-        cid, statement, thunk = spec
+    for cid, statement, thunk in specs:
         try:
             status, detail = thunk()
         except Exception as exc:  # honest failure, never a crash
             status, detail = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
-        return Claim(cid, statement, status, detail)
-
-    workers = min(jobs, len(specs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            report.claims.extend(pool.map(evaluate, specs))
-    else:
-        report.claims.extend(evaluate(s) for s in specs)
+        report.claims.append(Claim(cid, statement, status, detail))
 
 
 def _dims(g: GradedDims) -> list[list[int]]:
@@ -151,7 +140,7 @@ def _vacuous(report: Report, cid: str, statement: str) -> None:
 # --------------------------------------------------------------------- van
 
 
-def verify_van(part: int, n: int, parity: str = "odd", jobs: int = 1) -> Report:
+def verify_van(part: int, n: int, parity: str = "odd") -> Report:
     """The six Hom-vanishing statements, instance by instance."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -386,7 +375,7 @@ def verify_van(part: int, n: int, parity: str = "odd", jobs: int = 1) -> Report:
     else:
         raise ValueError("part must be 1..6")
 
-    _run_specs(report, specs, jobs)
+    _run_specs(report, specs)
     return report
 
 
@@ -402,12 +391,13 @@ def _expected_pair(rule: int, k: int) -> tuple[list[EObject], list[EObject]]:
     return [_S(k), _S(k - 1, 0, 1)], [_S(k - 1, 0, 1), _O(k, -k)]
 
 
-def verify_mut(n: int, parity: str = "odd", jobs: int = 1) -> Report:
+def verify_mut(n: int, parity: str = "odd") -> Report:
     """Mutation rules (1)-(3): RHom = C[0], mutation executes, K-class holds."""
     report = Report(n, parity)
     n_amb = report.n_amb
-    # Every suite that reaches k_class builds the shared per-N K-theory
-    # basis before any fan-out, so parallel claims never build it twice.
+    # The claim thunks reach k_class.  Building the K-theory basis here lets
+    # a BasisValidationError (a program fault, not a refuted claim) propagate
+    # instead of being recorded as a FAIL per claim.
     euler_basis(n_amb)
     specs: list[Spec] = []
     for k in range(1, n):
@@ -496,7 +486,7 @@ def verify_mut(n: int, parity: str = "odd", jobs: int = 1) -> Report:
             euler_seqs,
         )
     )
-    _run_specs(report, specs, jobs)
+    _run_specs(report, specs)
     return report
 
 
@@ -554,10 +544,6 @@ def _replay_claims(
     statement: str = "final collection equals the stated right-hand side",
 ) -> Optional[Collection]:
     """Replay a move script and emit replay/final/count claims."""
-    n = report.n
-    n_amb = report.n_amb
-    lines = load_script(parity, step, n)
-    moves = [l for l in lines if l.strip() and not l.lstrip().startswith("#")]
     start_counts: list[int] = []
 
     def counter(line: str, before: Collection, after: Collection) -> None:
@@ -566,27 +552,21 @@ def _replay_claims(
         if on_move is not None:
             on_move(line, before, after)
 
-    res = replay(Collection.empty(n_amb), lines, check=True, strict=strict, on_move=counter)
-    if res.ok:
-        report.claims.append(
-            Claim(
-                f"{prefix}/replay",
-                f"every move precondition of the {step} script certified",
-                PASS,
-                {"moves": res.moves_applied},
-            )
+    lines = load_script(parity, step, report.n)
+    res = replay(Collection.empty(report.n_amb), lines, check=True, strict=strict, on_move=counter)
+    report.claims.append(
+        Claim(
+            f"{prefix}/replay",
+            f"every move precondition of the {step} script certified",
+            PASS if res.ok else FAIL,
+            {"moves": res.moves_applied}
+            if res.ok
+            else {"failed_move": res.failed_line, "error": res.error},
         )
-    else:
-        report.claims.append(
-            Claim(
-                f"{prefix}/replay",
-                f"every move precondition of the {step} script certified",
-                FAIL,
-                {"failed_move": res.failed_line, "error": res.error},
-            )
-        )
+    )
+    if not res.ok:
         return None
-    if not moves:
+    if res.moves_applied == 0:
         report.claims.append(
             Claim(
                 f"{prefix}/final",
@@ -650,10 +630,9 @@ _STEP_STATEMENTS = {
 }
 
 
-def verify_inductive_steps(n: int, jobs: int = 1, strict: bool = False) -> Report:
+def verify_inductive_steps(n: int, strict: bool = False) -> Report:
     """Replay the four odd-case inductive steps with every move certified."""
     report = Report(n, "odd")
-    euler_basis(report.n_amb)
     for step in ("step1", "step2", "step3", "step3b", "step4"):
         _replay_claims(
             report,
@@ -680,11 +659,10 @@ def _expected_sod1mut(n: int) -> list[tuple[str, object]]:
     return _expected_entries(n_amb, [("opaque", "D")], *specs)
 
 
-def verify_sod_odd(n: int, jobs: int = 1, strict: bool = False) -> Report:
+def verify_sod_odd(n: int, strict: bool = False) -> Report:
     """End-to-end odd replay to the mutated Gr-side SOD: counts, reading audits."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
-    euler_basis(n_amb)
     expected = _expected_sod1mut(n)
     final = _replay_claims(report, "sod", "odd", "full", expected, strict=strict)
     if final is None:
@@ -753,7 +731,6 @@ def verify_sod_odd(n: int, jobs: int = 1, strict: bool = False) -> Report:
                 semiorthogonal,
             ),
         ],
-        jobs,
     )
     return report
 
@@ -835,10 +812,11 @@ def _van6_condition(a: int, b: int, n: int, n_amb: int) -> str:
     return "neither"
 
 
-def verify_chessboard(n: int, jobs: int = 1, strict: bool = False) -> Report:
+def verify_chessboard(n: int, strict: bool = False) -> Report:
     """Staircase moves, the staircase Proposition, and the region claims."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
+    # The Proposition thunks reach k_class; see verify_mut.
     euler_basis(n_amb)
 
     conditions = {"i": 0, "ii": 0, "neither": 0}
@@ -946,10 +924,10 @@ def verify_chessboard(n: int, jobs: int = 1, strict: bool = False) -> Report:
                 prop,
             )
         )
-    _run_specs(report, specs, jobs)
+    _run_specs(report, specs)
 
     # (c) region membership of the two groups of perp(D2).
-    final_regions = _replay_claims(
+    _replay_claims(
         report, "chess/regions", "odd", "regions", _expected_regions(n), strict=strict
     )
     group1, group2 = _region_groups(n)
@@ -993,7 +971,7 @@ def verify_chessboard(n: int, jobs: int = 1, strict: bool = False) -> Report:
             assignment,
         )
     )
-    _run_specs(report, specs, jobs)
+    _run_specs(report, specs)
     return report
 
 
@@ -1039,11 +1017,10 @@ def _expected_even_final(n: int) -> list[tuple[str, object]]:
     return out
 
 
-def verify_even(n: int, jobs: int = 1, strict: bool = False) -> Report:
+def verify_even(n: int, strict: bool = False) -> Report:
     """Even-case replay, counts, collection-reading audit, N=4 Remark checks."""
     report = Report(n, "even")
     n_amb = 2 * n
-    euler_basis(n_amb)
 
     def gr_collection_reading() -> tuple[str, Optional[dict]]:
         from .bwb import gr_ext
@@ -1080,7 +1057,6 @@ def verify_even(n: int, jobs: int = 1, strict: bool = False) -> Report:
                 gr_collection_reading,
             )
         ],
-        jobs,
     )
 
     _replay_claims(
@@ -1144,7 +1120,7 @@ def verify_even(n: int, jobs: int = 1, strict: bool = False) -> Report:
                 pairs,
             )
         )
-    _run_specs(report, claims, jobs)
+    _run_specs(report, claims)
     return report
 
 
@@ -1170,7 +1146,11 @@ LEMMAS = (
 def verify_suite(
     n: int, parity: str, lemma: str = "all", jobs: int = 1, strict: bool = False
 ) -> Report:
-    """One report for (n, parity) covering the requested lemma suite."""
+    """One report for (n, parity) covering the requested lemma suite.
+
+    Claims are evaluated in order on the calling thread.  ``jobs`` is
+    accepted for compatibility with existing callers and has no effect.
+    """
     report = Report(n, parity)
 
     def skip(cid: str, why: str) -> None:
@@ -1180,27 +1160,27 @@ def verify_suite(
     wanted = LEMMAS[:-1] if lemma == "all" else (lemma,)
     for item in wanted:
         if item.startswith("van."):
-            report.extend(verify_van(int(item.split(".")[1]), n, parity, jobs))
+            report.extend(verify_van(int(item.split(".")[1]), n, parity))
         elif item == "mut":
-            report.extend(verify_mut(n, parity, jobs))
+            report.extend(verify_mut(n, parity))
         elif item == "steps":
             if odd:
-                report.extend(verify_inductive_steps(n, jobs, strict))
+                report.extend(verify_inductive_steps(n, strict=strict))
             elif lemma != "all":
                 skip("steps/parity", "inductive steps 1-4 are the odd-case replay")
         elif item == "sod":
             if odd:
-                report.extend(verify_sod_odd(n, jobs, strict))
+                report.extend(verify_sod_odd(n, strict=strict))
             elif lemma != "all":
                 skip("sod/parity", "the Gr-side SOD replay is the odd case")
         elif item == "chessboard":
             if odd:
-                report.extend(verify_chessboard(n, jobs, strict))
+                report.extend(verify_chessboard(n, strict=strict))
             elif lemma != "all":
                 skip("chessboard/parity", "the chessboard suite is the odd case")
         elif item == "even":
             if not odd:
-                report.extend(verify_even(n, jobs, strict))
+                report.extend(verify_even(n, strict=strict))
             elif lemma != "all":
                 skip("even/parity", "the even-case replay needs --parity even")
         else:
@@ -1208,10 +1188,10 @@ def verify_suite(
     return report
 
 
-def verify_all(n_min: int, n_max: int, jobs: int = 1) -> list[Report]:
+def verify_all(n_min: int, n_max: int) -> list[Report]:
     """Every verifier for both parities over n = n_min..n_max."""
     return [
-        verify_suite(n, parity, "all", jobs)
+        verify_suite(n, parity, "all")
         for n in range(n_min, n_max + 1)
         for parity in ("odd", "even")
     ]

@@ -2,8 +2,6 @@ import pytest
 
 from flipcheck.cli import emit_report
 from flipcheck.verify import (
-    PASS,
-    Report,
     verify_chessboard,
     verify_even,
     verify_inductive_steps,
@@ -143,6 +141,27 @@ def test_even_n2_remark():
     assert by["even/count-final"].detail["count"] == 6
 
 
+def test_replay_claims_fail_and_vacuous_paths(monkeypatch):
+    import flipcheck.verify as fv
+
+    monkeypatch.setattr(fv, "load_script", lambda parity, step, n: ["# c", "exchange 0"])
+    by = claims_by_id(verify_inductive_steps(2))
+    assert by["steps.step1/replay"].status == "fail"
+    assert by["steps.step1/replay"].detail == {
+        "failed_move": "exchange 0",
+        "error": "exchange: index 0 out of range",
+    }
+    assert "steps.step1/final" not in by
+
+    monkeypatch.setattr(fv, "load_script", lambda parity, step, n: ["# c", "  "])
+    by = claims_by_id(verify_inductive_steps(2))
+    assert by["steps.step1/replay"].status == "pass"
+    assert by["steps.step1/replay"].detail == {"moves": 0}
+    assert by["steps.step1/final"].detail == {
+        "note": "vacuous for this n (empty blocks elided)"
+    }
+
+
 def test_parity_guards():
     assert [c.status for c in verify_suite(2, "even", "sod").claims] == [
         "skipped-opaque"
@@ -191,9 +210,9 @@ def test_statuses_independent_of_les_orientation(monkeypatch):
         assert verify_suite(n, p, "all").summary() == expected
 
 
-def test_euler_basis_built_once_before_fan_out(monkeypatch):
+def test_euler_basis_built_once_per_n(monkeypatch):
     # The K-theory basis is shared per-N state: a suite whose claims reach
-    # k_class builds it before its thread fan-out, never once per thread.
+    # k_class builds and validates it once, not once per claim.
     import flipcheck.flagx as fx
 
     builds = []
@@ -206,8 +225,24 @@ def test_euler_basis_built_once_before_fan_out(monkeypatch):
     monkeypatch.setattr(fx, "_basis_cache", {})
     monkeypatch.setattr(fx, "_kclass_cache", {})
     monkeypatch.setattr(fx, "gr_collection", counted)
-    verify_mut(3, "odd", jobs=4)
+    verify_mut(3, "odd")
     assert builds == [7]
+
+
+def test_basis_fault_propagates(monkeypatch):
+    # A K-theory basis that fails validation is a program fault: it must
+    # raise out of the suite, not be recorded as a FAIL per claim.
+    import flipcheck.flagx as fx
+    from flipcheck.flagx import BasisValidationError
+
+    gr_collection = fx.gr_collection
+    monkeypatch.setattr(fx, "_basis_cache", {})
+    monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "gr_collection", lambda n_amb: gr_collection(n_amb)[::-1])
+    with pytest.raises(BasisValidationError):
+        verify_mut(3)
+    with pytest.raises(BasisValidationError):
+        verify_chessboard(2)
 
 
 def test_van_suites_do_not_build_euler_basis(monkeypatch):
@@ -219,37 +254,27 @@ def test_van_suites_do_not_build_euler_basis(monkeypatch):
     assert fx._basis_cache == {}
 
 
-def test_thread_pool_capped_by_claims_and_cpus(monkeypatch):
-    # A huge --jobs must not start a thread per claim: the pool is sized
-    # min(jobs, claims, CPUs), and one worker means no pool at all.
+def test_claims_run_on_the_calling_thread(monkeypatch):
+    # jobs is accepted but ignored: every Ext query of a suite runs on the
+    # caller's thread, even with several CPUs, and the report is unchanged.
+    import os
+    import threading
+
+    import flipcheck.collections.engine as fe
+    import flipcheck.flagx as fx
     import flipcheck.verify as fv
 
-    sizes = []
+    base = emit_report(verify_suite(3, "odd", "all", jobs=1), "json")
+    threads = set()
+    orig = fx.x_ext
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording(a, b, n_amb):
+        threads.add(threading.get_ident())
+        return orig(a, b, n_amb)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    def specs(k):
-        return [(f"c{i}", "s", lambda i=i: (PASS, {"i": i})) for i in range(k)]
-
-    monkeypatch.setattr(fv, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(fv.os, "cpu_count", lambda: 4)
-    report = Report(2, "odd")
-    fv._run_specs(report, specs(10), jobs=100000)
-    fv._run_specs(report, specs(3), jobs=100000)
-    fv._run_specs(report, specs(10), jobs=2)
-    assert sizes == [4, 3, 2]
-    assert [c.detail["i"] for c in report.claims] == [*range(10), *range(3), *range(10)]
-    monkeypatch.setattr(fv.os, "cpu_count", lambda: None)
-    fv._run_specs(report, specs(10), jobs=100000)
-    assert sizes == [4, 3, 2]
+    for module in (fx, fv, fe):
+        monkeypatch.setattr(module, "x_ext", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    got = emit_report(verify_suite(3, "odd", "all", jobs=4), "json")
+    assert threads == {threading.get_ident()}
+    assert got == base
