@@ -242,12 +242,6 @@ def _global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
         help="accepted for compatibility; claims run in order, so it has no effect",
     )
     p.add_argument(
-        "--strict",
-        action="store_true",
-        default=d if suppress else False,
-        help="also verify backward Homs on exchanges",
-    )
-    p.add_argument(
         "--allow-large",
         action="store_true",
         default=d if suppress else False,
@@ -331,7 +325,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             if 2 * args.n + 1 > 15 and not args.allow_large:
                 print("n > 7 needs --allow-large", file=sys.stderr)
                 return 3
-            report = verify_suite(args.n, args.parity, args.lemma, strict=args.strict)
+            report = verify_suite(args.n, args.parity, args.lemma)
             print(emit_report(report, args.format))
             return _exit_code(report)
         if args.command == "chessboard":

@@ -6,9 +6,9 @@ inert complement placeholders (no Ext queries allowed), and ``cone`` entries
 record a left mutation whose result is not a pure object (kept only as a name
 plus its K-theory class).
 
-Moves return new collections and record themselves in the history:
+Moves return new collections:
 
-    exchange i            transpose entries i, i+1 (forward Hom must vanish)
+    exchange i            transpose entries i, i+1 (Hom must vanish both ways)
     mutl i                (E, b) -> (L_E b, E) through the rule table
     mutr i                (b, E) -> (E, R_E b) through the rule table
     serre i..j            twist the tail i..j by K_X|_E = O(-(N-2)H - h) and
@@ -115,7 +115,6 @@ class Entry:
 class Collection:
     n_amb: int
     entries: tuple[Entry, ...] = ()
-    history: tuple[str, ...] = ()
 
     @staticmethod
     def empty(n_amb: int) -> "Collection":
@@ -130,8 +129,8 @@ class Collection:
     def labels(self) -> list[str]:
         return [e.label() for e in self.entries]
 
-    def _with(self, entries: Iterable[Entry], move: str) -> "Collection":
-        return Collection(self.n_amb, tuple(entries), self.history + (move,))
+    def _with(self, entries: Iterable[Entry]) -> "Collection":
+        return Collection(self.n_amb, tuple(entries))
 
 
 def count_objects(col: Collection) -> int:
@@ -153,32 +152,31 @@ def _require_pure(col: Collection, i: int, what: str) -> EObject:
     return e.obj
 
 
-def exchange(
-    col: Collection, i: int, check: bool = True, strict: bool = False
-) -> Collection:
-    """Swap entries i, i+1; legal when Hom_X(e_i, e_{i+1}) = 0."""
+def _require_vanishing(a: EObject, b: EObject, n_amb: int, i: int) -> None:
+    r = x_ext(a, b, n_amb)
+    if r.kind == "bounded":
+        raise VanishingNotEstablished(
+            f"exchange {i}: Hom({notation(a)}, {notation(b)}) bounded"
+        )
+    if not r.is_zero():
+        raise VanishingFalse(
+            f"exchange {i}: Hom({notation(a)}, {notation(b)}) = "
+            f"{r.total().dims} != 0"
+        )
+
+
+def exchange(col: Collection, i: int, check: bool = True) -> Collection:
+    """Swap entries i, i+1; legal when the pair is mutually semiorthogonal,
+    Hom_X(e_i, e_{i+1}) = 0 = Hom_X(e_{i+1}, e_i).  A bounded Hom in either
+    direction is not a vanishing (VanishingNotEstablished)."""
     a = _require_pure(col, i, "exchange")
     b = _require_pure(col, i + 1, "exchange")
     if check:
-        r = x_ext(a, b, col.n_amb)
-        if r.kind == "bounded":
-            raise VanishingNotEstablished(
-                f"exchange {i}: Hom({notation(a)}, {notation(b)}) bounded"
-            )
-        if not r.is_zero():
-            raise VanishingFalse(
-                f"exchange {i}: Hom({notation(a)}, {notation(b)}) = "
-                f"{r.total().dims} != 0"
-            )
-        if strict:
-            rb = x_ext(b, a, col.n_amb)
-            if not rb.is_zero():
-                raise VanishingFalse(
-                    f"exchange {i} (strict): Hom({notation(b)}, {notation(a)}) != 0"
-                )
+        _require_vanishing(a, b, col.n_amb, i)
+        _require_vanishing(b, a, col.n_amb, i)
     ent = list(col.entries)
     ent[i], ent[i + 1] = ent[i + 1], ent[i]
-    return col._with(ent, f"exchange {i}")
+    return col._with(ent)
 
 
 def _simple_degree(r: ExtResult, who: str) -> int:
@@ -282,7 +280,7 @@ def mutate_left(col: Collection, i: int, check: bool = True) -> Collection:
         _check_kclass(result, target, mutator, degree, col.n_amb)
     ent = list(col.entries)
     ent[i], ent[i + 1] = Entry.pure(result), Entry.pure(mutator)
-    return col._with(ent, f"mutl {i}")
+    return col._with(ent)
 
 
 def mutate_right(col: Collection, i: int, check: bool = True) -> Collection:
@@ -297,7 +295,7 @@ def mutate_right(col: Collection, i: int, check: bool = True) -> Collection:
         _check_kclass(result, target, mutator, degree, col.n_amb)
     ent = list(col.entries)
     ent[i], ent[i + 1] = Entry.pure(mutator), Entry.pure(result)
-    return col._with(ent, f"mutr {i}")
+    return col._with(ent)
 
 
 def serre_twist(objs: list[EObject], n_amb: int) -> list[EObject]:
@@ -313,7 +311,7 @@ def serre_tail(col: Collection, i: int, j: int) -> Collection:
     tail = [_require_pure(col, t, "serre") for t in range(i, j + 1)]
     twisted = [Entry.pure(o) for o in serre_twist(tail, col.n_amb)]
     ent = twisted + list(col.entries[:i])
-    return col._with(ent, f"serre {i}..{j}")
+    return col._with(ent)
 
 
 def expand_block(col: Collection, spec: str, at: int) -> Collection:
@@ -321,13 +319,13 @@ def expand_block(col: Collection, spec: str, at: int) -> Collection:
     objs = make_block(name, params, col.n_amb, twist)
     ent = list(col.entries)
     ent[at:at] = [Entry.pure(o) for o in objs]
-    return col._with(ent, f"expand {spec} at {at}")
+    return col._with(ent)
 
 
 def insert_opaque(col: Collection, name: str, at: int) -> Collection:
     ent = list(col.entries)
     ent.insert(at, Entry.opaque(name))
-    return col._with(ent, f"opaque {name} at {at}")
+    return col._with(ent)
 
 
 def promote(col: Collection, i: int, name: str) -> Collection:
@@ -338,7 +336,7 @@ def promote(col: Collection, i: int, name: str) -> Collection:
     ent = list(col.entries)
     del ent[i]
     ent.insert(0, Entry.opaque(name))
-    return col._with(ent, f"promote {i} as {name}")
+    return col._with(ent)
 
 
 def gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
@@ -387,7 +385,7 @@ def mutate_block_left(col: Collection, i: int, j: int, check: bool = True) -> Co
     ent = list(col.entries)
     del ent[j + 1]
     ent.insert(i, cone)
-    return col._with(ent, f"mutlblock {i}..{j}")
+    return col._with(ent)
 
 
 @dataclass(frozen=True)
@@ -438,9 +436,7 @@ _MOVE_RES: list[tuple[re.Pattern, str]] = [
 ]
 
 
-def apply_move(
-    col: Collection, line: str, check: bool = True, strict: bool = False
-) -> Collection:
+def apply_move(col: Collection, line: str, check: bool = True) -> Collection:
     """Apply one script line to the collection."""
     line = line.strip()
     for rx, kind in _MOVE_RES:
@@ -448,7 +444,7 @@ def apply_move(
         if not m:
             continue
         if kind == "exchange":
-            return exchange(col, int(m.group(1)), check=check, strict=strict)
+            return exchange(col, int(m.group(1)), check=check)
         if kind == "mutl":
             return mutate_left(col, int(m.group(1)), check=check)
         if kind == "mutr":
@@ -481,11 +477,10 @@ class ReplayResult:
 def replay(
     col: Collection,
     lines: Iterable[str],
-    check: bool = True,
-    strict: bool = False,
     on_move: Optional[Callable[[str, Collection, Collection], None]] = None,
 ) -> ReplayResult:
-    """Execute a move script, failing fast on the first refused move."""
+    """Execute a move script with every move certified, failing fast on the
+    first refused move."""
     applied = 0
     for raw in lines:
         line = raw.strip()
@@ -493,7 +488,7 @@ def replay(
             continue
         before = col
         try:
-            col = apply_move(col, line, check=check, strict=strict)
+            col = apply_move(col, line)
         except EngineError as exc:
             return ReplayResult(col, applied, failed_line=line, error=str(exc))
         applied += 1

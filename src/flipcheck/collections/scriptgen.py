@@ -2,10 +2,12 @@
 
 Each generator simulates the collection structurally (oracle checks off) and
 emits concrete index-based moves.  ``load_script`` calls them on demand; the
-test suite pins each script's sha256 for n = 2..5.
+test suite pins each script's sha256 for n = 2..5 and one digest per
+generator over n = 6..9.
 
 Objects are located by value during generation, which is safe because every
-collection in the replay is multiplicity-free.
+collection in the replay is multiplicity-free.  A run of exchanges looks its
+object up once: each exchange moves it by exactly one place.
 """
 
 from __future__ import annotations
@@ -61,12 +63,16 @@ class Sim:
         return hits[0]
 
     def move_left(self, obj: EObject, count: int) -> None:
-        for _ in range(count):
-            self.do(f"exchange {self.idx(obj) - 1}")
+        if count > 0:
+            i = self.idx(obj)
+            for j in range(i - 1, i - 1 - count, -1):
+                self.do(f"exchange {j}")
 
     def move_right(self, obj: EObject, count: int) -> None:
-        for _ in range(count):
-            self.do(f"exchange {self.idx(obj)}")
+        if count > 0:
+            i = self.idx(obj)
+            for j in range(i, i + count):
+                self.do(f"exchange {j}")
 
     def mutl_at(self, mutator: EObject) -> None:
         self.do(f"mutl {self.idx(mutator)}")
@@ -117,9 +123,13 @@ def _step3b_moves(sim: Sim, n: int) -> None:
 
 
 def _move_pair_right(sim: Sim, x: EObject, y: EObject, count: int) -> None:
-    for _ in range(count):
-        sim.do(f"exchange {sim.idx(y)}")
-        sim.do(f"exchange {sim.idx(x)}")
+    """Move the adjacent pair x, y (x first) ``count`` places right."""
+    if count > 0:
+        iy, ix = sim.idx(y), sim.idx(x)
+        for _ in range(count):
+            sim.do(f"exchange {iy}")
+            sim.do(f"exchange {ix}")
+            iy, ix = iy + 1, ix + 1
 
 
 def _step4_moves_odd(sim: Sim, n: int) -> None:

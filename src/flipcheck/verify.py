@@ -41,6 +41,7 @@ PASS = "pass"
 FAIL = "fail"
 INDET = "indeterminate"
 SKIP = "skipped-opaque"
+_SUMMARY_KEYS = {PASS: "pass", FAIL: "fail", INDET: "indeterminate", SKIP: "skipped"}
 
 
 @dataclass(frozen=True)
@@ -66,16 +67,12 @@ class Report:
         return 2 * self.n + (1 if self.parity == "odd" else 0)
 
     def summary(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "indeterminate": 0, "skipped": 0}
+        """Claim counts by status; a status outside the four is a ValueError."""
+        out = dict.fromkeys(_SUMMARY_KEYS.values(), 0)
         for c in self.claims:
-            if c.status == PASS:
-                out["pass"] += 1
-            elif c.status == FAIL:
-                out["fail"] += 1
-            elif c.status == INDET:
-                out["indeterminate"] += 1
-            else:
-                out["skipped"] += 1
+            if c.status not in _SUMMARY_KEYS:
+                raise ValueError(f"claim {c.id}: unknown status {c.status!r}")
+            out[_SUMMARY_KEYS[c.status]] += 1
         return out
 
     def extend(self, other: "Report") -> None:
@@ -540,7 +537,6 @@ def _replay_claims(
     step: str,
     expected: Optional[list[tuple[str, object]]],
     on_move=None,
-    strict: bool = False,
     statement: str = "final collection equals the stated right-hand side",
 ) -> Optional[Collection]:
     """Replay a move script and emit replay/final/count claims."""
@@ -553,7 +549,7 @@ def _replay_claims(
             on_move(line, before, after)
 
     lines = load_script(parity, step, report.n)
-    res = replay(Collection.empty(report.n_amb), lines, check=True, strict=strict, on_move=counter)
+    res = replay(Collection.empty(report.n_amb), lines, on_move=counter)
     report.claims.append(
         Claim(
             f"{prefix}/replay",
@@ -630,7 +626,7 @@ _STEP_STATEMENTS = {
 }
 
 
-def verify_inductive_steps(n: int, strict: bool = False) -> Report:
+def verify_inductive_steps(n: int) -> Report:
     """Replay the four odd-case inductive steps with every move certified."""
     report = Report(n, "odd")
     for step in ("step1", "step2", "step3", "step3b", "step4"):
@@ -640,7 +636,6 @@ def verify_inductive_steps(n: int, strict: bool = False) -> Report:
             "odd",
             step,
             _expected_step(step, n),
-            strict=strict,
             statement=_STEP_STATEMENTS[step],
         )
     return report
@@ -659,12 +654,12 @@ def _expected_sod1mut(n: int) -> list[tuple[str, object]]:
     return _expected_entries(n_amb, [("opaque", "D")], *specs)
 
 
-def verify_sod_odd(n: int, strict: bool = False) -> Report:
+def verify_sod_odd(n: int) -> Report:
     """End-to-end odd replay to the mutated Gr-side SOD: counts, reading audits."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
     expected = _expected_sod1mut(n)
-    final = _replay_claims(report, "sod", "odd", "full", expected, strict=strict)
+    final = _replay_claims(report, "sod", "odd", "full", expected)
     if final is None:
         return report
     count = count_objects(final)
@@ -812,7 +807,7 @@ def _van6_condition(a: int, b: int, n: int, n_amb: int) -> str:
     return "neither"
 
 
-def verify_chessboard(n: int, strict: bool = False) -> Report:
+def verify_chessboard(n: int) -> Report:
     """Staircase moves, the staircase Proposition, and the region claims."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
@@ -865,7 +860,6 @@ def verify_chessboard(n: int, strict: bool = False) -> Report:
         "chessboard",
         _expected_chessboard_final(n),
         on_move=capture,
-        strict=strict,
     )
     if final is not None:
         report.claims.append(
@@ -927,9 +921,7 @@ def verify_chessboard(n: int, strict: bool = False) -> Report:
     _run_specs(report, specs)
 
     # (c) region membership of the two groups of perp(D2).
-    _replay_claims(
-        report, "chess/regions", "odd", "regions", _expected_regions(n), strict=strict
-    )
+    _replay_claims(report, "chess/regions", "odd", "regions", _expected_regions(n))
     group1, group2 = _region_groups(n)
     specs = []
     for tag, group in (("group1", group1), ("group2", group2)):
@@ -1017,7 +1009,7 @@ def _expected_even_final(n: int) -> list[tuple[str, object]]:
     return out
 
 
-def verify_even(n: int, strict: bool = False) -> Report:
+def verify_even(n: int) -> Report:
     """Even-case replay, counts, collection-reading audit, N=4 Remark checks."""
     report = Report(n, "even")
     n_amb = 2 * n
@@ -1059,12 +1051,8 @@ def verify_even(n: int, strict: bool = False) -> Report:
         ],
     )
 
-    _replay_claims(
-        report, "even/step2", "even", "step2", _expected_even_step2(n), strict=strict
-    )
-    final = _replay_claims(
-        report, "even", "even", "full", _expected_even_final(n), strict=strict
-    )
+    _replay_claims(report, "even/step2", "even", "step2", _expected_even_step2(n))
+    final = _replay_claims(report, "even", "even", "full", _expected_even_final(n))
     if final is None:
         return report
     count = count_objects(final)
@@ -1143,9 +1131,7 @@ LEMMAS = (
 )
 
 
-def verify_suite(
-    n: int, parity: str, lemma: str = "all", jobs: int = 1, strict: bool = False
-) -> Report:
+def verify_suite(n: int, parity: str, lemma: str = "all", jobs: int = 1) -> Report:
     """One report for (n, parity) covering the requested lemma suite.
 
     Claims are evaluated in order on the calling thread.  ``jobs`` is
@@ -1165,22 +1151,22 @@ def verify_suite(
             report.extend(verify_mut(n, parity))
         elif item == "steps":
             if odd:
-                report.extend(verify_inductive_steps(n, strict=strict))
+                report.extend(verify_inductive_steps(n))
             elif lemma != "all":
                 skip("steps/parity", "inductive steps 1-4 are the odd-case replay")
         elif item == "sod":
             if odd:
-                report.extend(verify_sod_odd(n, strict=strict))
+                report.extend(verify_sod_odd(n))
             elif lemma != "all":
                 skip("sod/parity", "the Gr-side SOD replay is the odd case")
         elif item == "chessboard":
             if odd:
-                report.extend(verify_chessboard(n, strict=strict))
+                report.extend(verify_chessboard(n))
             elif lemma != "all":
                 skip("chessboard/parity", "the chessboard suite is the odd case")
         elif item == "even":
             if not odd:
-                report.extend(verify_even(n, strict=strict))
+                report.extend(verify_even(n))
             elif lemma != "all":
                 skip("even/parity", "the even-case replay needs --parity even")
         else:

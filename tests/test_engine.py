@@ -1,5 +1,6 @@
 import pytest
 
+from flipcheck.bwb import GradedDims
 from flipcheck.collections import (
     Collection,
     KClassMismatch,
@@ -7,6 +8,7 @@ from flipcheck.collections import (
     NotSimple,
     OpaqueEntryError,
     VanishingFalse,
+    VanishingNotEstablished,
     apply_move,
     check_semiorthogonal,
     count_objects,
@@ -18,8 +20,9 @@ from flipcheck.collections import (
     promote,
     serre_twist,
 )
+from flipcheck.collections import engine
 from flipcheck.collections.engine import Entry, ScriptError
-from flipcheck.flagx import EObject
+from flipcheck.flagx import EObject, ExtResult
 
 
 def col_of(n_amb, *objs):
@@ -33,17 +36,26 @@ def test_exchange_requires_vanishing():
 
 
 def test_exchange_certified():
-    # Hom(O, O(-h)) = 0: the pair <O, O(-h)> may transpose
-    c = col_of(5, EObject.line(), EObject.line(0, -1))
+    # Hom(O, O(-H+h)) = 0 = Hom(O(-H+h), O) at N = 5: the pair may transpose
+    c = col_of(5, EObject.line(), EObject.line(-1, 1))
     out = exchange(c, 0)
-    assert out.pure_objects() == [EObject.line(0, -1), EObject.line()]
+    assert out.pure_objects() == [EObject.line(-1, 1), EObject.line()]
 
 
 def test_exchange_strict_checks_backward():
+    # forward Hom(O, O(-h)) = 0, backward Hom(O(-h), O) = C^N != 0
     c = col_of(5, EObject.line(), EObject.line(0, -1))
     with pytest.raises(VanishingFalse):
-        # backward Hom(O(-h), O) = C^N != 0
-        exchange(c, 0, strict=True)
+        exchange(c, 0)
+
+
+def test_exchange_bounded_backward_is_not_established(monkeypatch):
+    zero = ExtResult("zero", GradedDims(), GradedDims())
+    bounded = ExtResult("bounded", GradedDims(((0, 1),)), GradedDims(((1, 1),)))
+    a, b = EObject.line(), EObject.line(-1, 1)
+    monkeypatch.setattr(engine, "x_ext", lambda x, y, n: zero if x == a else bounded)
+    with pytest.raises(VanishingNotEstablished):
+        exchange(col_of(5, a, b), 0)
 
 
 def test_mutate_left_rule1():

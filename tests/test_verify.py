@@ -2,6 +2,8 @@ import pytest
 
 from flipcheck.cli import emit_report
 from flipcheck.verify import (
+    Claim,
+    Report,
     verify_chessboard,
     verify_even,
     verify_inductive_steps,
@@ -278,3 +280,9 @@ def test_claims_run_on_the_calling_thread(monkeypatch):
     got = emit_report(verify_suite(3, "odd", "all", jobs=4), "json")
     assert threads == {threading.get_ident()}
     assert got == base
+
+
+def test_summary_rejects_unknown_status():
+    r = Report(2, "odd", [Claim("x", "a claim", "pass"), Claim("y", "a claim", "passed")])
+    with pytest.raises(ValueError, match="passed"):
+        r.summary()
