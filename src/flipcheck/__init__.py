@@ -16,7 +16,6 @@ from .flagx import (
     k_class,
     push_p2,
     x_ext,
-    x_vanishes,
 )
 from .verify import (
     Claim,

@@ -236,12 +236,6 @@ def _global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
         "--format", choices=("text", "json"), default=d if suppress else "text"
     )
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=d if suppress else 1,
-        help="accepted for compatibility; claims run in order, so it has no effect",
-    )
-    p.add_argument(
         "--allow-large",
         action="store_true",
         default=d if suppress else False,
@@ -318,9 +312,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify":
             if args.n < 2:
                 print("need n >= 2", file=sys.stderr)
-                return 3
-            if args.jobs < 1:
-                print("need --jobs >= 1", file=sys.stderr)
                 return 3
             if 2 * args.n + 1 > 15 and not args.allow_large:
                 print("n > 7 needs --allow-large", file=sys.stderr)

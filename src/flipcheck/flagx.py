@@ -149,11 +149,6 @@ def x_ext(a: EObject, b: EObject, n_amb: int) -> ExtResult:
     return ExtResult("bounded", front, back)
 
 
-def x_vanishes(a: EObject, b: EObject, n_amb: int) -> bool:
-    """True iff Ext_X(j_* a, j_* b) = 0; never true on a bounded result."""
-    return x_ext(a, b, n_amb).is_zero()
-
-
 def x_euler(a: EObject, b: EObject, n_amb: int) -> int:
     """chi_X(j_* a, j_* b) = x_ext(a, b, n_amb).euler(): back minus front."""
     return e_euler(a, b, n_amb) - e_euler(a.twisted(1, 1), b, n_amb)

@@ -79,20 +79,21 @@ class Report:
         self.claims.extend(other.claims)
 
 
-Spec = tuple[str, str, Callable[[], tuple[str, Optional[dict]]]]
+Outcome = tuple[str, Optional[dict]]
 
 
-def _run_specs(report: Report, specs: list[Spec]) -> None:
-    """Evaluate claim thunks in order on the calling thread.
+def _check(
+    report: Report, cid: str, statement: str, fn: Callable[..., Outcome], *args
+) -> None:
+    """Evaluate ``fn(*args)`` and append its claim to the report.
 
-    A thunk that raises is recorded as a FAIL whose detail names the error.
+    A check that raises is recorded as a FAIL whose detail names the error.
     """
-    for cid, statement, thunk in specs:
-        try:
-            status, detail = thunk()
-        except Exception as exc:  # honest failure, never a crash
-            status, detail = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
-        report.claims.append(Claim(cid, statement, status, detail))
+    try:
+        status, detail = fn(*args)
+    except Exception as exc:  # honest failure, never a crash
+        status, detail = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
+    report.claims.append(Claim(cid, statement, status, detail))
 
 
 def _dims(g: GradedDims) -> list[list[int]]:
@@ -103,29 +104,22 @@ def _ext_detail(r: ExtResult) -> dict:
     return {"kind": r.kind, "front": _dims(r.front), "back": _dims(r.back)}
 
 
-def _vanish_thunk(a: EObject, b: EObject, n_amb: int) -> Callable[[], tuple[str, Optional[dict]]]:
-    def thunk() -> tuple[str, Optional[dict]]:
-        r = x_ext(a, b, n_amb)
-        if r.is_zero():
-            return PASS, None
-        if r.kind == "bounded":
-            return INDET, _ext_detail(r)
-        return FAIL, _ext_detail(r)
-
-    return thunk
+def _vanish(a: EObject, b: EObject, n_amb: int) -> Outcome:
+    r = x_ext(a, b, n_amb)
+    if r.is_zero():
+        return PASS, None
+    if r.kind == "bounded":
+        return INDET, _ext_detail(r)
+    return FAIL, _ext_detail(r)
 
 
-def _exceptional_thunk(pures: list[EObject], n_amb: int) -> Callable[[], tuple[str, Optional[dict]]]:
-    """Claim thunk: every pure object T has Ext_X(T, T) = C[0]."""
-
-    def thunk() -> tuple[str, Optional[dict]]:
-        for t in pures:
-            r = x_ext(t, t, n_amb)
-            if r.kind != "exact" or r.total().dims != ((0, 1),):
-                return FAIL, {"object": notation(t), "ext": _ext_detail(r)}
-        return PASS, {"objects": len(pures)}
-
-    return thunk
+def _exceptional(pures: list[EObject], n_amb: int) -> Outcome:
+    """Every pure object T has Ext_X(T, T) = C[0]."""
+    for t in pures:
+        r = x_ext(t, t, n_amb)
+        if r.kind != "exact" or r.total().dims != ((0, 1),):
+            return FAIL, {"object": notation(t), "ext": _ext_detail(r)}
+    return PASS, {"objects": len(pures)}
 
 
 def _vacuous(report: Report, cid: str, statement: str) -> None:
@@ -143,21 +137,19 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
         raise ValueError("need n >= 2")
     report = Report(n, parity)
     n_amb = report.n_amb
-    specs: list[Spec] = []
 
     if part == 1:
         ks = range(n) if parity == "odd" else range(1, n)
         for k in ks:
             for a in range(n - k):
-                specs.append(
-                    (
-                        f"van.1/k={k}/a={a}",
-                        f"RHom(S^{n-k-1}Uv(H-h), S^{a}Uv) = 0",
-                        _vanish_thunk(_S(n - k - 1, 1, -1), _S(a), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.1/k={k}/a={a}",
+                    f"RHom(S^{n-k-1}Uv(H-h), S^{a}Uv) = 0",
+                    _vanish, _S(n - k - 1, 1, -1), _S(a), n_amb,
                 )
         if parity == "even":
-            def audit() -> tuple[str, Optional[dict]]:
+            def audit() -> Outcome:
                 bad = []
                 for a in range(n):
                     r = x_ext(_S(n - 1, 1, -1), _S(a), n_amb)
@@ -170,9 +162,7 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
                     "k0_nonvanishing_instances": bad,
                 }
 
-            specs.append(
-                ("van.1/scope-audit", "even-parity scope of part (1)", audit)
-            )
+            _check(report, "van.1/scope-audit", "even-parity scope of part (1)", audit)
 
     elif part == 2:
         # Even parity: line 2 targets the even-collection analogue
@@ -181,23 +171,21 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
         b_top = (lambda k: k + 1) if parity == "odd" else (lambda k: k - 1)
         for k in range(n):
             for a in range(k + 2, n):
-                specs.append(
-                    (
-                        f"van.2a/k={k}/a={a}",
-                        f"RHom(S^{a}Uv(-h), O({k}h)) = 0",
-                        _vanish_thunk(_S(a, 0, -1), _O(0, k), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.2a/k={k}/a={a}",
+                    f"RHom(S^{a}Uv(-h), O({k}h)) = 0",
+                    _vanish, _S(a, 0, -1), _O(0, k), n_amb,
                 )
             for b in range(b_top(k)):
-                specs.append(
-                    (
-                        f"van.2b/k={k}/b={b}",
-                        f"RHom(S^{b}Uv(H-h), O({k}h)) = 0",
-                        _vanish_thunk(_S(b, 1, -1), _O(0, k), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.2b/k={k}/b={b}",
+                    f"RHom(S^{b}Uv(H-h), O({k}h)) = 0",
+                    _vanish, _S(b, 1, -1), _O(0, k), n_amb,
                 )
         if parity == "even":
-            def audit2() -> tuple[str, Optional[dict]]:
+            def audit2() -> Outcome:
                 bad = []
                 for k in range(n):
                     for b in (k - 1, k):
@@ -213,8 +201,8 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
                     "extension_nonvanishing": bad,
                 }
 
-            specs.append(
-                ("van.2/scope-audit", "even-parity scope of part (2) line 2", audit2)
+            _check(
+                report, "van.2/scope-audit", "even-parity scope of part (2) line 2", audit2
             )
 
     elif part == 3:
@@ -222,19 +210,17 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
         for k in range(1, n - 1):
             for l in range(k + 1, n - 1):
                 any_inst = True
-                specs.append(
-                    (
-                        f"van.3/k={k}/l={l}/line",
-                        f"RHom(O({l}h), S^{k-1}Uv(H-h)) = 0",
-                        _vanish_thunk(_O(0, l), _S(k - 1, 1, -1), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.3/k={k}/l={l}/line",
+                    f"RHom(O({l}h), S^{k-1}Uv(H-h)) = 0",
+                    _vanish, _O(0, l), _S(k - 1, 1, -1), n_amb,
                 )
-                specs.append(
-                    (
-                        f"van.3/k={k}/l={l}/schur",
-                        f"RHom(S^{l}Uv(H-2h), S^{k-1}Uv(H-h)) = 0",
-                        _vanish_thunk(_S(l, 1, -2), _S(k - 1, 1, -1), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.3/k={k}/l={l}/schur",
+                    f"RHom(S^{l}Uv(H-2h), S^{k-1}Uv(H-h)) = 0",
+                    _vanish, _S(l, 1, -2), _S(k - 1, 1, -1), n_amb,
                 )
         if not any_inst:
             _vacuous(report, "van.3/vacuous", "no instances for this n")
@@ -244,33 +230,30 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
         for k in range(1, n - 1):
             any_inst = True
             for l in range(n - k, n):
-                specs.append(
-                    (
-                        f"van.4a/k={k}/l={l}",
-                        f"RHom(S^{n-2-k}Uv(H-h), O({l}h)) = 0 (certified reading)",
-                        _vanish_thunk(_S(n - 2 - k, 1, -1), _O(0, l), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.4a/k={k}/l={l}",
+                    f"RHom(S^{n-2-k}Uv(H-h), O({l}h)) = 0 (certified reading)",
+                    _vanish, _S(n - 2 - k, 1, -1), _O(0, l), n_amb,
                 )
             for a in range(n - k - 1):
-                specs.append(
-                    (
-                        f"van.4b/k={k}/a={a}",
-                        f"RHom(S^{n-k}Uv(H-h), S^{a}Uv(H)) = 0",
-                        _vanish_thunk(_S(n - k, 1, -1), _S(a, 1), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.4b/k={k}/a={a}",
+                    f"RHom(S^{n-k}Uv(H-h), S^{a}Uv(H)) = 0",
+                    _vanish, _S(n - k, 1, -1), _S(a, 1), n_amb,
                 )
             for b in range(n - k - 2):
-                specs.append(
-                    (
-                        f"van.4c/k={k}/b={b}",
-                        f"RHom(O(({n-k})(H-h)-h), S^{b}Uv(H)) = 0",
-                        _vanish_thunk(_O(n - k, -(n - k + 1)), _S(b, 1), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.4c/k={k}/b={b}",
+                    f"RHom(O(({n-k})(H-h)-h), S^{b}Uv(H)) = 0",
+                    _vanish, _O(n - k, -(n - k + 1)), _S(b, 1), n_amb,
                 )
         if not any_inst:
             _vacuous(report, "van.4/vacuous", "no instances for this n")
         else:
-            def audit4() -> tuple[str, Optional[dict]]:
+            def audit4() -> Outcome:
                 ok = bad = 0
                 sample = None
                 for k in range(1, n - 1):
@@ -291,8 +274,8 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
                     "sample": sample,
                 }
 
-            specs.append(
-                ("van.4/reading-audit", "O(lH) vs O(lh) reading of line 1", audit4)
+            _check(
+                report, "van.4/reading-audit", "O(lH) vs O(lh) reading of line 1", audit4
             )
 
     elif part == 5:
@@ -313,14 +296,11 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
                     for a in range(n - 2 * l - 1, n):
                         for b in range(n - 2 * k - 1):
                             any_inst = True
-                            specs.append(
-                                (
-                                    f"van.5/l={l}/k={k}/a={a}/b={b}",
-                                    f"RHom(S^{a}Uv(({n+l})H), S^{b}Uv(({n+k})H)) = 0",
-                                    _vanish_thunk(
-                                        _S(a, n + l), _S(b, n + k), n_amb
-                                    ),
-                                )
+                            _check(
+                                report,
+                                f"van.5/l={l}/k={k}/a={a}/b={b}",
+                                f"RHom(S^{a}Uv(({n+l})H), S^{b}Uv(({n+k})H)) = 0",
+                                _vanish, _S(a, n + l), _S(b, n + k), n_amb,
                             )
             if not any_inst:
                 _vacuous(report, "van.5/vacuous", "empty range 0 <= l < k <= r")
@@ -329,24 +309,22 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
         box = 3 * n
         for b in range(1, box + 1):
             for a in range(b + 2, min(b + 2 * n - 3, box) + 1):
-                specs.append(
-                    (
-                        f"van.6i/a={a}/b={b}",
-                        f"Ext(O({a}h), O({b}H)) = 0 [condition (i)]",
-                        _vanish_thunk(_O(0, a), _O(b, 0), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.6i/a={a}/b={b}",
+                    f"Ext(O({a}h), O({b}H)) = 0 [condition (i)]",
+                    _vanish, _O(0, a), _O(b, 0), n_amb,
                 )
         for b in range(max(3 - n_amb, -box), 0):
             for a in range(-box, box + 1):
-                specs.append(
-                    (
-                        f"van.6ii/a={a}/b={b}",
-                        f"Ext(O({a}h), O({b}H)) = 0 [condition (ii), b >= 3-N]",
-                        _vanish_thunk(_O(0, a), _O(b, 0), n_amb),
-                    )
+                _check(
+                    report,
+                    f"van.6ii/a={a}/b={b}",
+                    f"Ext(O({a}h), O({b}H)) = 0 [condition (ii), b >= 3-N]",
+                    _vanish, _O(0, a), _O(b, 0), n_amb,
                 )
 
-        def audit6() -> tuple[str, Optional[dict]]:
+        def audit6() -> Outcome:
             ok = bad = 0
             sample = None
             for b in range(-box, 3 - n_amb):
@@ -366,13 +344,9 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
                 "sample": sample,
             }
 
-        specs.append(
-            ("van.6/reading-audit", "literal (ii) beyond b >= 3-N", audit6)
-        )
+        _check(report, "van.6/reading-audit", "literal (ii) beyond b >= 3-N", audit6)
     else:
         raise ValueError("part must be 1..6")
-
-    _run_specs(report, specs)
     return report
 
 
@@ -388,43 +362,43 @@ def _expected_pair(rule: int, k: int) -> tuple[list[EObject], list[EObject]]:
     return [_S(k), _S(k - 1, 0, 1)], [_S(k - 1, 0, 1), _O(k, -k)]
 
 
+def _mutation_rule(rule: int, k: int, n_amb: int) -> Outcome:
+    """Rule (rule) at degree k: RHom = C[0] and the mutation lands as stated."""
+    start, expected = _expected_pair(rule, k)
+    col = Collection(n_amb, tuple(Entry.pure(o) for o in start))
+    pair = x_ext(start[0], start[1], n_amb)
+    if pair.kind != "exact" or pair.total().dims != ((0, 1),):
+        return FAIL, {"rhom": _ext_detail(pair)}
+    col = mutate_left(col, 0) if rule == 1 else mutate_right(col, 0)
+    got = col.pure_objects()
+    if got != expected:
+        return FAIL, {
+            "got": [notation(o) for o in got],
+            "expected": [notation(o) for o in expected],
+        }
+    return PASS, {"rhom": "C[0]", "kclass": "verified"}
+
+
 def verify_mut(n: int, parity: str = "odd") -> Report:
     """Mutation rules (1)-(3): RHom = C[0], mutation executes, K-class holds."""
     report = Report(n, parity)
     n_amb = report.n_amb
-    # The claim thunks reach k_class.  Building the K-theory basis here lets
-    # a BasisValidationError (a program fault, not a refuted claim) propagate
-    # instead of being recorded as a FAIL per claim.
+    # The mutation checks reach k_class.  Building the K-theory basis here
+    # lets a BasisValidationError (a program fault, not a refuted claim)
+    # propagate instead of being recorded as a FAIL per claim.
     euler_basis(n_amb)
-    specs: list[Spec] = []
     for k in range(1, n):
         for rule in (1, 2, 3):
-            def thunk(rule: int = rule, k: int = k) -> tuple[str, Optional[dict]]:
-                start, expected = _expected_pair(rule, k)
-                col = Collection(n_amb, tuple(Entry.pure(o) for o in start))
-                pair = x_ext(start[0], start[1], n_amb)
-                if pair.kind != "exact" or pair.total().dims != ((0, 1),):
-                    return FAIL, {"rhom": _ext_detail(pair)}
-                col = mutate_left(col, 0) if rule == 1 else mutate_right(col, 0)
-                got = col.pure_objects()
-                if got != expected:
-                    return FAIL, {
-                        "got": [notation(o) for o in got],
-                        "expected": [notation(o) for o in expected],
-                    }
-                return PASS, {"rhom": "C[0]", "kclass": "verified"}
-
             side = "L" if rule == 1 else "R"
-            specs.append(
-                (
-                    f"mut.{rule}/k={k}",
-                    f"rule ({rule}) at k={k}: RHom = C[0], {side}-mutation "
-                    "lands on the stated object, [result]=[b]-[E]",
-                    thunk,
-                )
+            _check(
+                report,
+                f"mut.{rule}/k={k}",
+                f"rule ({rule}) at k={k}: RHom = C[0], {side}-mutation "
+                "lands on the stated object, [result]=[b]-[E]",
+                _mutation_rule, rule, k, n_amb,
             )
 
-    def guard() -> tuple[str, Optional[dict]]:
+    def guard() -> Outcome:
         col = Collection(n_amb, (Entry.pure(_O(1, -1)), Entry.pure(_O())))
         try:
             mutate_left(col, 0)
@@ -432,11 +406,9 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
             return PASS, {"rejected": str(exc)}
         return FAIL, {"error": "k=0 mutation was not rejected"}
 
-    specs.append(
-        ("mut.guard/k=0", "rule (1) outside 1 <= k <= n-1 is rejected", guard)
-    )
+    _check(report, "mut.guard/k=0", "rule (1) outside 1 <= k <= n-1 is rejected", guard)
 
-    def reading3() -> tuple[str, Optional[dict]]:
+    def reading3() -> Outcome:
         zero = nonzero = 0
         for k in range(1, n):
             r = x_ext(_S(k), _S(k - 1, 0, -1), n_amb)
@@ -452,11 +424,9 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
             "display_mutator_rhom_nonzero": nonzero,
         }
 
-    specs.append(
-        ("mut.3/reading-audit", "mutator twist of rule (3): -h vs +h", reading3)
-    )
+    _check(report, "mut.3/reading-audit", "mutator twist of rule (3): -h vs +h", reading3)
 
-    def euler_seqs() -> tuple[str, Optional[dict]]:
+    def euler_seqs() -> Outcome:
         display_kh_holds = []
         for k in range(1, n):
             lhs1 = k_class(_O(0, k), n_amb)
@@ -475,15 +445,13 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
             "display_kh_reading_by_k": display_kh_holds,
         }
 
-    specs.append(
-        (
-            "mut.euler/k-classes",
-            "[O(kh)] = [S^kUv] - [S^{k-1}Uv(H-h)] and "
-            "[O(k(H-h))] = [S^kUv] - [S^{k-1}Uv(h)] for all k",
-            euler_seqs,
-        )
+    _check(
+        report,
+        "mut.euler/k-classes",
+        "[O(kh)] = [S^kUv] - [S^{k-1}Uv(H-h)] and "
+        "[O(k(H-h))] = [S^kUv] - [S^{k-1}Uv(h)] for all k",
+        euler_seqs,
     )
-    _run_specs(report, specs)
     return report
 
 
@@ -509,7 +477,7 @@ def _expected_entries(
     return out
 
 
-def _layout_check(col: Collection, expected: list[tuple[str, object]]) -> tuple[str, Optional[dict]]:
+def _layout_check(col: Collection, expected: list[tuple[str, object]]) -> Outcome:
     got = [
         (e.kind, e.obj if e.kind == "pure" else e.name) for e in col.entries
     ]
@@ -695,9 +663,7 @@ def verify_sod_odd(n: int) -> Report:
         )
     )
 
-    pures = final.pure_objects()
-
-    def semiorthogonal() -> tuple[str, Optional[dict]]:
+    def semiorthogonal() -> Outcome:
         checks = check_semiorthogonal(final)
         fails = [
             {"later": c.later, "earlier": c.earlier, "detail": c.detail}
@@ -711,21 +677,18 @@ def verify_sod_odd(n: int) -> Report:
             return INDET, {"indeterminate_pairs": indet}
         return PASS, None
 
-    _run_specs(
+    _check(
         report,
-        [
-            (
-                "sod/exceptional",
-                "every pure object T of the final odd SOD has Ext_X(T,T) = C[0]",
-                _exceptional_thunk(pures, n_amb),
-            ),
-            (
-                "sod/semiorthogonal",
-                "the final odd SOD is semiorthogonal: Hom(later, earlier) = 0 for "
-                "every pure pair",
-                semiorthogonal,
-            ),
-        ],
+        "sod/exceptional",
+        "every pure object T of the final odd SOD has Ext_X(T,T) = C[0]",
+        _exceptional, final.pure_objects(), n_amb,
+    )
+    _check(
+        report,
+        "sod/semiorthogonal",
+        "the final odd SOD is semiorthogonal: Hom(later, earlier) = 0 for "
+        "every pure pair",
+        semiorthogonal,
     )
     return report
 
@@ -807,11 +770,35 @@ def _van6_condition(a: int, b: int, n: int, n_amb: int) -> str:
     return "neither"
 
 
+def _staircase_prop(k: int, n_amb: int) -> Outcome:
+    """S^kUv is resolved by the cells O(k-2l, l) with Gram coefficients 1."""
+    cells = [_O(l, k - 2 * l) for l in range(k + 1)]
+    target = _S(k)
+    # A Gram that is not unitriangular raises KClassMismatch, which _check
+    # records as FAIL with the solver's message.
+    coeff = gram_solve(cells, target, n_amb)
+    if coeff != [1] * len(cells):
+        return FAIL, {"coefficients": coeff}
+    kc = k_class(target, n_amb)
+    for c in cells:
+        kc = k_sub(kc, k_class(c, n_amb))
+    if any(kc):
+        return FAIL, {"kclass_residual_nonzero": True}
+    return PASS, {"coefficients": coeff}
+
+
+def _region_member(obj: EObject, n: int) -> Outcome:
+    pts = _segment(obj)
+    in_i, in_ii = _in_region_i(pts, n), _in_region_ii(pts, n)
+    detail = {"segment": pts, "region_i": in_i, "region_ii": in_ii}
+    return (PASS if in_i or in_ii else FAIL), detail
+
+
 def verify_chessboard(n: int) -> Report:
     """Staircase moves, the staircase Proposition, and the region claims."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
-    # The Proposition thunks reach k_class; see verify_mut.
+    # The Proposition checks reach k_class; see verify_mut.
     euler_basis(n_amb)
 
     conditions = {"i": 0, "ii": 0, "neither": 0}
@@ -893,54 +880,28 @@ def verify_chessboard(n: int) -> Report:
         )
 
     # (b) staircase Proposition via the unitriangular Euler-Gram system.
-    specs: list[Spec] = []
     for k in range(n):
-        def prop(k: int = k) -> tuple[str, Optional[dict]]:
-            cells = [_O(l, k - 2 * l) for l in range(k + 1)]
-            target = _S(k)
-            # A Gram that is not unitriangular raises KClassMismatch, which
-            # _run_specs records as FAIL with the solver's message.
-            coeff = gram_solve(cells, target, n_amb)
-            if coeff != [1] * len(cells):
-                return FAIL, {"coefficients": coeff}
-            kc = k_class(target, n_amb)
-            for c in cells:
-                kc = k_sub(kc, k_class(c, n_amb))
-            if any(kc):
-                return FAIL, {"kclass_residual_nonzero": True}
-            return PASS, {"coefficients": coeff}
-
-        specs.append(
-            (
-                f"chess/prop/k={k}",
-                f"S^{k}Uv lies in <O(k-2l, l)>_{{0<=l<={k}}} with all "
-                "Gram-system coefficients 1",
-                prop,
-            )
+        _check(
+            report,
+            f"chess/prop/k={k}",
+            f"S^{k}Uv lies in <O(k-2l, l)>_{{0<=l<={k}}} with all "
+            "Gram-system coefficients 1",
+            _staircase_prop, k, n_amb,
         )
-    _run_specs(report, specs)
 
     # (c) region membership of the two groups of perp(D2).
     _replay_claims(report, "chess/regions", "odd", "regions", _expected_regions(n))
     group1, group2 = _region_groups(n)
-    specs = []
     for tag, group in (("group1", group1), ("group2", group2)):
         for obj in group:
-            def member(obj: EObject = obj) -> tuple[str, Optional[dict]]:
-                pts = _segment(obj)
-                in_i, in_ii = _in_region_i(pts, n), _in_region_ii(pts, n)
-                detail = {"segment": pts, "region_i": in_i, "region_ii": in_ii}
-                return (PASS if in_i or in_ii else FAIL), detail
-
-            specs.append(
-                (
-                    f"chess/region/{tag}/{notation(obj)}",
-                    f"{notation(obj)} lies in region (i) or (ii)",
-                    member,
-                )
+            _check(
+                report,
+                f"chess/region/{tag}/{notation(obj)}",
+                f"{notation(obj)} lies in region (i) or (ii)",
+                _region_member, obj, n,
             )
 
-    def assignment() -> tuple[str, Optional[dict]]:
+    def assignment() -> Outcome:
         g1_ii = all(_in_region_ii(_segment(o), n) for o in group1)
         g1_i = all(_in_region_i(_segment(o), n) for o in group1)
         g2_i = all(_in_region_i(_segment(o), n) for o in group2)
@@ -956,14 +917,12 @@ def verify_chessboard(n: int) -> Report:
             "oracle certifies group1->(ii), group2->(i)",
         }
 
-    specs.append(
-        (
-            "chess/region/assignment-audit",
-            "which group lies in which region (documenting the label swap)",
-            assignment,
-        )
+    _check(
+        report,
+        "chess/region/assignment-audit",
+        "which group lies in which region (documenting the label swap)",
+        assignment,
     )
-    _run_specs(report, specs)
     return report
 
 
@@ -1014,7 +973,7 @@ def verify_even(n: int) -> Report:
     report = Report(n, "even")
     n_amb = 2 * n
 
-    def gr_collection_reading() -> tuple[str, Optional[dict]]:
+    def gr_collection_reading() -> Outcome:
         from .bwb import gr_ext
         from .flagx import gr_collection
 
@@ -1040,15 +999,11 @@ def verify_even(n: int) -> Report:
             "is exceptional and count-exact",
         }
 
-    _run_specs(
+    _check(
         report,
-        [
-            (
-                "even/gr-collection/reading-audit",
-                "even Grassmannian collection ranges: display vs count-consistent reading",
-                gr_collection_reading,
-            )
-        ],
+        "even/gr-collection/reading-audit",
+        "even Grassmannian collection ranges: display vs count-consistent reading",
+        gr_collection_reading,
     )
 
     _replay_claims(report, "even/step2", "even", "step2", _expected_even_step2(n))
@@ -1080,9 +1035,7 @@ def verify_even(n: int) -> Report:
         )
     )
 
-    pures = final.pure_objects()
-
-    def pairs() -> tuple[str, Optional[dict]]:
+    def pairs() -> Outcome:
         checks = check_semiorthogonal(final)
         fails = [c for c in checks if c.status == FAIL]
         indet = [c for c in checks if c.status == INDET]
@@ -1092,23 +1045,20 @@ def verify_even(n: int) -> Report:
             return INDET, {"indeterminate_pairs": len(indet)}
         return PASS, {"pure_pairs": sum(1 for c in checks if c.status == PASS)}
 
-    claims: list[Spec] = [
-        (
-            "even/exceptional",
-            "every pure object T of the final even SOD has Ext_X(T,T) = C[0]",
-            _exceptional_thunk(pures, n_amb),
-        )
-    ]
+    _check(
+        report,
+        "even/exceptional",
+        "every pure object T of the final even SOD has Ext_X(T,T) = C[0]",
+        _exceptional, final.pure_objects(), n_amb,
+    )
     if n == 2:
-        claims.append(
-            (
-                "even/remark/pairs",
-                "the six pure objects of the N=4 Remark list are pairwise "
-                "semiorthogonal",
-                pairs,
-            )
+        _check(
+            report,
+            "even/remark/pairs",
+            "the six pure objects of the N=4 Remark list are pairwise "
+            "semiorthogonal",
+            pairs,
         )
-    _run_specs(report, claims)
     return report
 
 
@@ -1134,8 +1084,8 @@ LEMMAS = (
 def verify_suite(n: int, parity: str, lemma: str = "all", jobs: int = 1) -> Report:
     """One report for (n, parity) covering the requested lemma suite.
 
-    Claims are evaluated in order on the calling thread.  ``jobs`` is
-    accepted for compatibility with existing callers and has no effect.
+    ``jobs`` has no effect.  It stays in the signature because the
+    benchmark worker (``perfbench/worker.py``) passes it by position.
     """
     report = Report(n, parity)
 

@@ -116,9 +116,11 @@ def test_cli_large_n_cap():
     assert run(["--allow-large", "cohom", "--N", "20", "O"]) == 0
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1", "-100"])
-def test_cli_verify_rejects_jobs_below_one(jobs, capsys):
+@pytest.mark.parametrize("jobs", ["2", "1", "0", "-1", "-100"])
+def test_cli_verify_rejects_jobs(jobs, capsys):
+    # Claims run in order on one thread; --jobs is an unknown option.
     assert run(["verify", "--n", "2", "--lemma", "mut", "--jobs", jobs]) == 3
+    assert run(["--jobs", jobs, "verify", "--n", "2", "--lemma", "mut"]) == 3
     assert capsys.readouterr().out == ""
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from flipcheck.cli import emit_report
@@ -14,8 +16,31 @@ from flipcheck.verify import (
 )
 
 
+# sha256 of emit_report(verify_suite(n, parity, "all"), "json") for n = 2..5.
+REPORT_PINS = {
+    (2, "odd"): "de8bc3b4bee03d6494d175650e9e9f06b22b9dd46178363d3e5eb4c7d65c95c8",
+    (2, "even"): "92a325116188e564afdd9b98c6325c205769efb32209c3f112456682a9e90278",
+    (3, "odd"): "dde7a53b23e1a897ff26f418ed06e5d1a170f14b530ae05917fb2019210c9286",
+    (3, "even"): "b579cd2d6c8f5f9a61b7b2c1e6e9db417ef713795e2be4313d40bc4deeeb05ac",
+    (4, "odd"): "5484cadeeefc4a0d448ab3bcf3ff7adbc5d973c19f5549691f7496b35d156675",
+    (4, "even"): "fe575a3f692818206c737340ed42e6399f8d30a905cacaeb053f4c810be434e4",
+    (5, "odd"): "e95ff34ddf572fc98d766f2c668cb35d7457f3ff0013796736ad86d46067025a",
+    (5, "even"): "b36e0dc4e11f0d5a12bb40181e869ac522dd141b98a70d8cf93b0c6451f202ce",
+}
+
+
 def claims_by_id(report):
     return {c.id: c for c in report.claims}
+
+
+@pytest.mark.parametrize("n,parity", sorted(REPORT_PINS))
+def test_report_bytes_pinned(n, parity):
+    # The report is the product: a refactor must not move one byte of it.
+    text = emit_report(verify_suite(n, parity, "all"), "json")
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == REPORT_PINS[(n, parity)], (
+        f"report (n={n}, {parity}) changed; new sha256 {digest}"
+    )
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
@@ -286,3 +311,27 @@ def test_summary_rejects_unknown_status():
     r = Report(2, "odd", [Claim("x", "a claim", "pass"), Claim("y", "a claim", "passed")])
     with pytest.raises(ValueError, match="passed"):
         r.summary()
+
+
+def test_raising_check_fails_in_place(monkeypatch):
+    # A check that raises something other than an EngineError is recorded as
+    # FAIL naming the error, in its declared position; no other claim moves.
+    import flipcheck.verify as fv
+    from flipcheck.collections.scriptgen import _S
+
+    base = verify_suite(3, "odd", "all").claims
+    orig = fv.x_ext
+    pair = (_S(1, 1, -1), _S(0))  # the one pair of van.1/k=1/a=0 at N = 7
+
+    def faulty(a, b, n_amb):
+        if (a, b) == pair:
+            raise TypeError("injected fault")
+        return orig(a, b, n_amb)
+
+    monkeypatch.setattr(fv, "x_ext", faulty)
+    got = verify_suite(3, "odd", "all").claims
+    [i] = [i for i, c in enumerate(base) if c.id == "van.1/k=1/a=0"]
+    assert got[i] == Claim(
+        base[i].id, base[i].statement, "fail", {"error": "TypeError: injected fault"}
+    )
+    assert got[:i] + got[i + 1 :] == base[:i] + base[i + 1 :]
