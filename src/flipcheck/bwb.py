@@ -12,9 +12,16 @@ this *unsorted* vector::
 It vanishes exactly when lambda + rho has a repeated entry.  Otherwise the
 cohomology is concentrated in one degree, the inversion count of
 lambda + rho, which is #{k in [0, N-3] : k > x} + #{k : k > y} (x > y since
-a >= b), and its dimension is |chi|.  Both take O(N) steps.  ``weyl_dim`` is
-the textbook formula on the sorted weight; the tests check the closed form
-against it.
+a >= b), and its dimension is |chi|.  Each product over k is (N-2)! times a
+binomial coefficient, C(x, N-2) for x >= N-2 and C(N-3-x, N-2) up to sign
+for x < 0, so::
+
+    |chi| = (x-y) * C(X, N-2) * C(Y, N-2) / (N-1)
+
+with X = x if x >= 0 else N-3-x, and Y likewise.  ``math.comb`` evaluates
+it without building (N-1)! (N-2)!, so a huge N with a small dimension is
+fast.  ``weyl_dim`` is the textbook formula on the sorted weight; the tests
+check the closed form against it.
 
 All arithmetic is Python-int exact; dimensions grow combinatorially in N and
 must never wrap.  Results are memoized by (N, a, b); the cache is
@@ -102,8 +109,8 @@ def cohomology(w: Weight, n_amb: int) -> GradedDims:
     y = b+N-2 lies in [0, N-3]; in particular zero on the bands
     1-N <= a <= -2 and 2-N <= b <= -1.  Otherwise concentrated in degree
     (N-2)[x < 0] + (N-2)[y < 0], the inversion count of lambda + rho, with
-    dimension |chi| from the unsorted Weyl product (see the module
-    docstring).
+    dimension |chi| from the binomial form of the unsorted Weyl product (see
+    the module docstring).
     """
     if n_amb < 3:
         raise ValueError("need N >= 3")
@@ -117,10 +124,11 @@ def cohomology(w: Weight, n_amb: int) -> GradedDims:
     if 0 <= x <= top or 0 <= y <= top:
         result = ZERO
     else:
-        chi = x - y
-        for k in range(top + 1):
-            chi *= (x - k) * (y - k)
-        dim, r = divmod(abs(chi), math.factorial(n_amb - 1) * math.factorial(n_amb - 2))
+        xx = x if x >= 0 else top - x
+        yy = y if y >= 0 else top - y
+        dim, r = divmod(
+            (x - y) * math.comb(xx, top + 1) * math.comb(yy, top + 1), n_amb - 1
+        )
         if r:
             raise ArithmeticError("Weyl dimension formula produced a non-integer")
         degree = (top + 1) * ((x < 0) + (y < 0))

@@ -116,6 +116,25 @@ def test_cli_large_n_cap():
     assert run(["--allow-large", "cohom", "--N", "20", "O"]) == 0
 
 
+def test_cli_cohom_huge_n_is_fast_in_process(capsys, monkeypatch):
+    # The closed form takes binomials, not (N-1)!(N-2)!, so N = 100000 is
+    # quick.  Runs in this interpreter and may start no other process.
+    import os
+    import subprocess
+    import time
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "posix_spawn", refuse)
+    t0 = time.perf_counter()
+    assert run(["cohom", "--N", "100000", "--allow-large", "O"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert capsys.readouterr().out.strip() == "H^0 = 1"
+
+
 @pytest.mark.parametrize("jobs", ["2", "1", "0", "-1", "-100"])
 def test_cli_verify_rejects_jobs(jobs, capsys):
     # Claims run in order on one thread; --jobs is an unknown option.

@@ -3,8 +3,11 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from flipcheck.bwb import GradedDims, gr_euler, gr_ext, sum_cohomology
+import flipcheck.flagx as fx
 from flipcheck.flagx import (
+    BasisValidationError,
     EObject,
+    _lower_gram,
     e_ext,
     e_euler,
     euler_basis,
@@ -167,6 +170,82 @@ def test_euler_basis_unitriangular_and_full():
         assert len(basis) == n_amb * (n_amb - 1)  # rank K0(Fl(1,2,N))
 
 
+def test_lower_gram_matches_full_route():
+    # Differential oracle for the shape table: every entry the basis check
+    # reads equals the one e_euler call per entry of the obvious route, and
+    # the check reads each entry on and below the diagonal once, row by row.
+    for n_amb in range(3, 14):
+        basis = euler_basis(n_amb)
+        m = len(basis)
+        got = list(_lower_gram(basis, n_amb))
+        assert [(i, j) for i, j, _ in got] == [
+            (i, j) for i in range(m) for j in range(i + 1)
+        ]
+        for i, j, chi in got:
+            assert chi == e_euler(basis[i], basis[j], n_amb), (n_amb, i, j)
+
+
+def _counting_e_euler(monkeypatch, corrupt=None):
+    """Route flagx's e_euler through a counter on cold caches; ``corrupt``
+    is a pair (A, B): every pair with the same twist shape gets chi + 1."""
+    calls = []
+    e_euler_ = fx.e_euler
+
+    def same_shape(a, b):
+        # a = A (x) L and b = B (x) L for one line bundle L = O(cH + eh)
+        (wa, da), (wA, dA) = a.single_term(), corrupt[0].single_term()
+        c, e = wA.b - wa.b, dA - da
+        return a.twisted(c, e) == corrupt[0] and b.twisted(c, e) == corrupt[1]
+
+    def counted(a, b, n_amb):
+        calls.append((a, b))
+        chi = e_euler_(a, b, n_amb)
+        return chi + 1 if corrupt is not None and same_shape(a, b) else chi
+
+    monkeypatch.setattr(fx, "_basis_cache", {})
+    monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "e_euler", counted)
+    return calls
+
+
+def test_euler_basis_computes_one_pairing_per_shape(monkeypatch):
+    # n^2 (2N-1) 3 bounds the shapes (p, q, l-k, d-e); the full check would
+    # make m^2 = 44,100 calls at N = 15.
+    calls = _counting_e_euler(monkeypatch)
+    basis = euler_basis(15)
+    assert len(basis) == 210
+    assert 0 < len(calls) <= 7 * 7 * 29 * 3
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (7, 7), (1, 0), (9, 4), (30, 2)])
+def test_wrong_chi_on_one_shape_fails_validation(monkeypatch, i, j):
+    # A wrong chi_E on one shape, on or below the diagonal, must be caught
+    # whichever pair of that shape the table computes it from.
+    basis = euler_basis(7)
+    _counting_e_euler(monkeypatch, corrupt=(basis[i], basis[j]))
+    with pytest.raises(BasisValidationError):
+        euler_basis(7)
+
+
+def test_basis_error_names_first_failing_entry(monkeypatch):
+    # Rows are checked in order, so the error names the first bad entry of
+    # the full matrix read row by row, on and below the diagonal.
+    gr_collection = fx.gr_collection
+    monkeypatch.setattr(fx, "_basis_cache", {})
+    monkeypatch.setattr(fx, "gr_collection", lambda n_amb: gr_collection(n_amb)[::-1])
+    objs = list(fx.gr_collection(5))
+    basis = objs + [o.twisted(0, 1) for o in objs]
+    first = next(
+        (i, j, chi)
+        for i in range(len(basis))
+        for j in range(i + 1)
+        if (chi := e_euler(basis[i], basis[j], 5)) != (i == j)
+    )
+    i, j, chi = first
+    with pytest.raises(BasisValidationError, match=rf"^chi\(b_{i}, b_{j}\) = {chi} "):
+        euler_basis(5)
+
+
 def test_k_class_euler_sequences():
     for n_amb in (5, 6, 7):
         n = n_amb // 2
@@ -207,6 +286,20 @@ def test_e_euler_against_x_euler_same_twist(n_amb, a):
 
 _BOUNDED_A = EObject.of_weight(Weight(-3, -6), -2)
 _BOUNDED_B = EObject.of_weight(Weight(-2, -6), 0)
+
+
+@given(st.integers(min_value=3, max_value=11), multi_eobjects(), multi_eobjects())
+@example(4, _BOUNDED_A, _BOUNDED_B)
+@example(5, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_x_ext_front_matches_twisted_route(n_amb, a, b):
+    # The front term is computed with the twist O(H+h) of a folded into the
+    # term enumerator; the obvious route twists a and shifts the Ext.
+    a1 = a.twisted(1, 1)
+    r = x_ext(a, b, n_amb)
+    assert r.front == e_ext(a1, b, n_amb).shifted(1)
+    assert r.back == e_ext(a, b, n_amb)
+    assert x_euler(a, b, n_amb) == e_euler(a, b, n_amb) - e_euler(a1, b, n_amb)
 
 
 @given(st.integers(min_value=3, max_value=11), multi_eobjects(), multi_eobjects())
