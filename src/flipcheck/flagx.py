@@ -231,9 +231,8 @@ def euler_basis(n_amb: int) -> tuple[EObject, ...]:
     Validated once per N: the chi_E pairing matrix must be unitriangular
     (ones on the diagonal, zeros below), which makes pairing against it an
     injective K_0(E) fingerprint.  Every entry on and below the diagonal is
-    checked, row by row; the entries above it are never computed.  The
-    entries come from ``_lower_gram``, which computes one chi_E per twist
-    shape instead of one per entry.
+    checked, row by row, as ``_lower_gram`` yields it (one chi_E per twist
+    shape); the entries above it are never computed.
     """
     hit = _basis_cache.get(n_amb)
     if hit is not None:
