@@ -28,6 +28,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional
 
 from .bwb import GradedDims, gr_ext, sum_cohomology
@@ -150,9 +151,38 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
+def _report_json(report: Report) -> str:
+    """json.dumps(report_to_dict(report), indent=2, sort_keys=True), claim
+    by claim.
+
+    With an indent, ``json`` always runs its pure-Python encoder.  Here the
+    fixed claim keys (sorted: detail, id, statement, status) are written
+    with the C string encoder, and only a detail is dumped on its own and
+    indented to its depth.  JSON strings hold no raw newline, so the
+    indenting ``replace`` touches only the layout.
+    """
+    run = {"N": report.n_amb, "parity": report.parity}
+    rest = json.dumps({"run": run, "summary": report.summary()}, indent=2, sort_keys=True)
+    claims = []
+    for c in report.claims:
+        detail = ""
+        if c.detail is not None:
+            dumped = json.dumps(c.detail, indent=2, sort_keys=True)
+            detail = '      "detail": ' + dumped.replace("\n", "\n      ") + ",\n"
+        claims.append(
+            f"    {{\n{detail}"
+            f'      "id": {_encode(c.id)},\n'
+            f'      "statement": {_encode(c.statement)},\n'
+            f'      "status": {_encode(c.status)}\n'
+            "    }"
+        )
+    body = "[\n" + ",\n".join(claims) + "\n  ]" if claims else "[]"
+    return f'{{\n  "claims": {body},\n{rest[2:]}'
+
+
 def emit_report(report: Report, fmt: str = "text") -> str:
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+        return _report_json(report)
     lines = []
     for c in report.claims:
         lines.append(f"{c.status.upper():<15} {c.id}  --  {c.statement}")

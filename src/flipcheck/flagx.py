@@ -38,6 +38,12 @@ invariant under twisting both arguments by one line bundle, so the entry for
 S^p U^vee (kH)(eh) against S^q U^vee (lH)(dh) depends only on the shape
 (p, q, l-k, d-e).  A table local to the build, keyed by those ints, computes
 one chi_E per shape: 2,135 instead of 44,100 at N = 15.
+
+``k_class`` uses the same invariance.  By bilinearity a K-class is a signed
+sum, over the terms of the object, of the pairings of each basis object with
+one twisted Schur bundle, and each such pairing is read from a table per N
+keyed by its shape packed into one int.  Only the first pair of a shape runs
+``e_euler``: 16,392 calls instead of 36,454 for both suites at n = 7.
 """
 
 from __future__ import annotations
@@ -201,6 +207,15 @@ class BasisValidationError(RuntimeError):
     """The Euler pairing matrix of the K-theory basis failed unitriangularity."""
 
 
+def _shapes(objs: tuple[EObject, ...]) -> list[tuple[int, int, int]]:
+    """(p, k, e) of each single-term object S^p U^vee (kH)(eh), as ints."""
+    out = []
+    for o in objs:
+        w, dh = o.single_term()
+        out.append((w.a - w.b, w.b, dh))
+    return out
+
+
 def _lower_gram(basis: tuple[EObject, ...], n_amb: int) -> Iterator[tuple[int, int, int]]:
     """(i, j, chi_E(b_i, b_j)) for every i >= j, row by row.
 
@@ -210,10 +225,7 @@ def _lower_gram(basis: tuple[EObject, ...], n_amb: int) -> Iterator[tuple[int, i
     ``e_euler`` runs once per shape, on the first pair that has it; the
     table is read by ints and dropped with the generator.
     """
-    shapes = []
-    for o in basis:
-        w, dh = o.single_term()
-        shapes.append((w.a - w.b, w.b, dh))
+    shapes = _shapes(basis)
     table: dict[tuple[int, int, int, int], int] = {}
     for i, (p, k, e) in enumerate(shapes):
         for j in range(i + 1):
@@ -250,14 +262,53 @@ def euler_basis(n_amb: int) -> tuple[EObject, ...]:
 
 _kclass_cache: dict[tuple[int, EObject], tuple[int, ...]] = {}
 
+# Per N: (basis offsets, shape table) of k_class.  A key packs the shape
+# (q, p, k-l, e-d) into one int, ((p R + k-l) R + e-d) N + q with balanced
+# radix-R digits k-l and e-d, so it splits into a term part plus a basis
+# part and the inner loop adds two ints.
+_kchi_tables: dict[int, tuple[list[int], dict[int, int]]] = {}
+_RADIX = 1 << 32
+_TWIST_LIMIT = 1 << 30  # |k|, |e| below this keep both digits balanced
+
 
 def k_class(a: EObject, n_amb: int) -> tuple[int, ...]:
-    """K_0(E) class of ``a`` as the vector of chi_E(basis_j, a)."""
+    """K_0(E) class of ``a`` as the vector of chi_E(basis_j, a).
+
+    chi_E is bilinear, so entry j is the sum over the terms (w, e, s, mult)
+    of ``a`` of (-1)^s mult chi_E(b_j, S^p U^vee (kH)(eh)) with p = w.a - w.b
+    and k = w.b.  For b_j = S^q U^vee (lH)(dh) that chi depends only on the
+    shape (q, p, k-l, e-d): a table per N, keyed by ints, computes one
+    ``e_euler`` per shape, on the first pair that has it.  Vectors are
+    memoized per object.
+    """
     key = (n_amb, a)
     hit = _kclass_cache.get(key)
-    if hit is None:
-        hit = tuple(e_euler(b, a, n_amb) for b in euler_basis(n_amb))
-        _kclass_cache[key] = hit
+    if hit is not None:
+        return hit
+    basis = euler_basis(n_amb)
+    tables = _kchi_tables.get(n_amb)
+    if tables is None:
+        tables = _kchi_tables[n_amb] = (
+            [q - (l * _RADIX + d) * n_amb for q, l, d in _shapes(basis)],
+            {},
+        )
+    offsets, table = tables
+    vec = [0] * len(basis)
+    for w, e, s, mult in a.terms:
+        p, k = w.a - w.b, w.b
+        if abs(k) >= _TWIST_LIMIT or abs(e) >= _TWIST_LIMIT:
+            raise ValueError(f"twist ({k}H, {e}h) too large for a K-class")
+        base = ((p * _RADIX + k) * _RADIX + e) * n_amb
+        sign = -mult if s % 2 else mult
+        term = None
+        for j, off in enumerate(offsets):
+            chi = table.get(base + off)
+            if chi is None:
+                if term is None:
+                    term = EObject.of_weight(w, e)
+                chi = table[base + off] = e_euler(basis[j], term, n_amb)
+            vec[j] += sign * chi
+    hit = _kclass_cache[key] = tuple(vec)
     return hit
 
 

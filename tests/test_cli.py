@@ -174,6 +174,41 @@ def test_report_json_roundtrip():
     assert report_to_dict(back) == report_to_dict(r)
 
 
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+_CLAIMS = st.lists(
+    st.builds(
+        Claim,
+        st.text(),
+        st.text(),
+        st.sampled_from(["pass", "fail", "indeterminate", "skipped-opaque"]),
+        st.none() | st.dictionaries(st.text(max_size=6), _JSON, max_size=4),
+    ),
+    max_size=4,
+)
+
+
+@given(_CLAIMS, st.integers(2, 9), st.sampled_from(["odd", "even"]))
+def test_report_json_matches_indented_dumps(claims, n, parity):
+    # The claim-by-claim emitter must give the bytes of the one-call dump,
+    # also for details with nested containers and strings with newlines,
+    # quotes and non-ASCII characters.
+    r = Report(n, parity, list(claims))
+    expected = json.dumps(report_to_dict(r), indent=2, sort_keys=True)
+    assert emit_report(r, "json") == expected
+
+
+def test_report_json_rejects_unknown_status():
+    r = Report(2, "odd", [Claim("a", "s", "passed")])
+    with pytest.raises(ValueError, match="passed"):
+        emit_report(r, "json")
+
+
 def test_empty_report_schema():
     data = report_to_dict(Report(2, "odd"))
     assert data["claims"] == []

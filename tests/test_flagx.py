@@ -204,6 +204,7 @@ def _counting_e_euler(monkeypatch, corrupt=None):
 
     monkeypatch.setattr(fx, "_basis_cache", {})
     monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "_kchi_tables", {})
     monkeypatch.setattr(fx, "e_euler", counted)
     return calls
 
@@ -257,6 +258,70 @@ def test_k_class_euler_sequences():
             assert k_class(EObject.line(k, -k), n_amb) == k_sub(
                 sku, k_class(EObject.schur(k - 1, 0, 1), n_amb)
             )
+
+
+@given(st.integers(min_value=3, max_value=13), multi_eobjects())
+@example(5, EObject.schur(1, 2, -3).shifted(1) + EObject.line(-4, 4).shifted(-2))
+@settings(max_examples=60, deadline=None)
+def test_k_class_matches_full_route(n_amb, a):
+    # Differential oracle for the shape table: the K-class of a multi-term
+    # object with shifts, multiplicities and h-twists is one e_euler call
+    # per basis object.
+    assert k_class(a, n_amb) == tuple(e_euler(b, a, n_amb) for b in euler_basis(n_amb))
+
+
+def test_wrong_chi_on_one_shape_changes_every_k_class_of_that_shape(monkeypatch):
+    # chi + 1 on one shape must reach every object twist-equivalent to the
+    # corrupted pair, at the basis object twisted the same way, and nowhere
+    # else; a shift flips the sign.  S^4 Uv (2H)(3h) is no basis shape, so
+    # the basis itself stays valid.
+    n_amb = 7
+    basis = euler_basis(n_amb)
+    index = {b: j for j, b in enumerate(basis)}
+    a0, b0 = basis[9], EObject.schur(4, 2, 3)
+    twists = [(c, e) for c in range(-3, 5) for e in range(-2, 3)]
+    objs = [b0.twisted(c, e) for c, e in twists]
+    honest = [k_class(o, n_amb) for o in objs]
+    _counting_e_euler(monkeypatch, corrupt=(a0, b0))
+    hit = 0
+    for (c, e), o, before in zip(twists, objs, honest):
+        j = index.get(a0.twisted(c, e))
+        hit += j is not None
+        unit = tuple(int(i == j) for i in range(len(basis)))
+        assert k_sub(k_class(o, n_amb), before) == unit, (c, e)
+        flipped = tuple(-x - u for x, u in zip(before, unit))
+        assert k_class(o.shifted(1), n_amb) == flipped, (c, e)
+    assert hit >= 10
+
+
+def test_k_class_computes_one_pairing_per_shape(monkeypatch):
+    # Over verify_mut(7) (N = 15) k_class runs e_euler exactly once per
+    # shape (q, p, k-l, e-d) of a (basis object, object term) pair; the
+    # per-object route makes 33 x 210 = 6,930 calls.
+    from flipcheck.verify import verify_mut
+
+    calls = _counting_e_euler(monkeypatch)
+    basis = euler_basis(15)
+    del calls[:]
+    verify_mut(7)
+    objs = [a for n_amb, a in fx._kclass_cache if n_amb == 15]
+    shapes = {
+        (q, w.a - w.b, w.b - l, dh - d)
+        for a in objs
+        for w, dh, _, _ in a.terms
+        for q, l, d in fx._shapes(basis)
+    }
+    assert len(objs) == 33
+    assert len(calls) == len(shapes) < 5_000
+
+
+def test_k_class_rejects_twists_beyond_the_packed_key():
+    # The shape key packs k-l and e-d as balanced digits; a twist that
+    # would overflow them is refused, not read from another shape.
+    with pytest.raises(ValueError, match="too large"):
+        k_class(EObject.line(1 << 30), 5)
+    with pytest.raises(ValueError, match="too large"):
+        k_class(EObject.line(0, -(1 << 30)), 5)
 
 
 def test_k_class_zero_object():

@@ -2,8 +2,13 @@ import hashlib
 
 import pytest
 
+import flipcheck.verify as fv
+from flipcheck.bwb import ZERO, GradedDims, gr_ext
 from flipcheck.cli import emit_report
+from flipcheck.flagx import e_ext, gr_collection
 from flipcheck.verify import (
+    FAIL,
+    PASS,
     Claim,
     Report,
     verify_chessboard,
@@ -160,6 +165,73 @@ def test_even_collection_reading_audit():
     assert audit.detail["display_count"] != audit.detail["rank_K0"]
 
 
+def _all_pairs_reading(n, ext):
+    """Exceptionality of gr_collection(2n) checked on every pair in order,
+    as the formal-sum route did it; the shape table must reproduce it."""
+    n_amb = 2 * n
+    coll = gr_collection(n_amb)
+    for j in range(len(coll)):
+        if ext(coll[j], coll[j], n_amb).dims != ((0, 1),):
+            return FAIL, {"not_exceptional_at": j}
+        for i in range(j):
+            if ext(coll[j], coll[i], n_amb):
+                return FAIL, {"backward_ext_at": [j, i]}
+    return PASS, None
+
+
+def _corrupt_shape(ext, n, j0, i0, value):
+    """``ext``, but ``value`` on every pair (A(cH), B(cH)) for the pair
+    (A, B) = (coll[j0], coll[i0]) of gr_collection(2n)."""
+    coll = gr_collection(2 * n)
+    base = coll[j0].single_term()[0].b
+
+    def corrupted(a, b, n_amb):
+        c = a.single_term()[0].b - base
+        if a == coll[j0].twisted(c) and b == coll[i0].twisted(c):
+            return value
+        return ext(a, b, n_amb)
+
+    return corrupted
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gr_reading_shape_table_matches_all_pairs(n):
+    # Even N = 4..16: one e_ext per shape (i, j, l-k) gives the outcome of
+    # the formal-sum gr_ext route on all pairs.
+    status, detail = fv._gr_collection_reading(n)
+    assert (status, None) == _all_pairs_reading(n, gr_ext) == (PASS, None)
+    assert detail["corrected_count"] == n * (2 * n - 1)
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (2, [(3, 1)]),
+        (3, [(5, 2)]),
+        (3, [(14, 0)]),
+        (3, [(9, 8)]),
+        (4, [(20, 3)]),
+        (4, [(7, 7)]),
+        (3, [(12, 12)]),
+        (3, [(2, 2), (2, 1)]),
+    ],
+)
+def test_injected_ext_on_a_shape_matches_all_pairs(monkeypatch, n, pairs):
+    # A nonzero backward Ext (or a wrong diagonal) on a shape must give the
+    # FAIL detail of the full route: the first failing pair in the all-pairs
+    # order, with the diagonal of a row read before its backward pairs.
+    full, table = gr_ext, e_ext
+    for j0, i0 in pairs:
+        value = ZERO if i0 == j0 else GradedDims(((1, 1),))
+        full = _corrupt_shape(full, n, j0, i0, value)
+        table = _corrupt_shape(table, n, j0, i0, value)
+    expected = _all_pairs_reading(n, full)
+    monkeypatch.setattr(fv, "e_ext", table)
+    got = fv._gr_collection_reading(n)
+    assert got[0] == FAIL
+    assert got == expected
+
+
 def test_even_n2_remark():
     r = verify_even(2)
     by = claims_by_id(r)
@@ -251,6 +323,7 @@ def test_euler_basis_built_once_per_n(monkeypatch):
 
     monkeypatch.setattr(fx, "_basis_cache", {})
     monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "_kchi_tables", {})
     monkeypatch.setattr(fx, "gr_collection", counted)
     verify_mut(3, "odd")
     assert builds == [7]
@@ -265,6 +338,7 @@ def test_basis_fault_propagates(monkeypatch):
     gr_collection = fx.gr_collection
     monkeypatch.setattr(fx, "_basis_cache", {})
     monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "_kchi_tables", {})
     monkeypatch.setattr(fx, "gr_collection", lambda n_amb: gr_collection(n_amb)[::-1])
     with pytest.raises(BasisValidationError):
         verify_mut(3)
