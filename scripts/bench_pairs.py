@@ -2,23 +2,25 @@
 """Benchmark two commits against each other in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --label NAME \\
-        [--workload suite_n7:8 --workload van_sweep:10 ...] [--pairs 10] \\
         [--seed 41] [--trace-seed 1] [--claim suite_n7:wall_s] [--what TEXT]
 
 Run it inside a git checkout.  Each commit's committed files are extracted
 with ``git archive`` into a fresh temporary directory, so the working tree,
-the index and untracked files play no part.  For every workload, pair i runs
+the index and untracked files play no part.  For every workload of the
+change's BENCHMARK.json, pair i of 10 runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
-each directory with the same seed S = --seed + running pair number; the
-parent runs first in even pairs and the change in odd ones.  With
---trace-seed, one traced run (``--trace 1 --seconds 1``) per side and
-workload follows.
+each directory, with T its ``run_seconds`` and the same seed
+S = --seed + running pair number; the parent runs first in even pairs and
+the change in odd ones.  With --trace-seed, one traced run
+(``--trace 1 --seconds 1``) per side and workload follows.
 
 The result goes to BENCH_<label>.json in the current directory: both
-SHAs, the commands, the machine, the last JSON line of every run, and per
-end-to-end metric of BENCHMARK.json the median and quartiles of each side
-and the number of pairs the change won.  The exit
-code is 1 if any run did not exit 0 (a digest mismatch, for one).
+SHAs, the commands, the machine, the exit code and last JSON line of every
+run, and per end-to-end metric of BENCHMARK.json the median and quartiles
+of each side and the number of pairs the change won.  A pair enters these
+figures only if both of its runs exited 0 with ``correct`` true; the number
+of pairs left out is recorded.  The exit code is 1 if any run did not exit
+0 (a digest mismatch or a timeout, for one).
 Standard library only.
 """
 
@@ -37,7 +39,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-DEFAULT_WORKLOADS = ("suite_n7:8", "suite_n7_jobs2:8", "van_sweep:10")
+PAIRS = 10
 RUN_TIMEOUT_S = 600
 
 
@@ -55,31 +57,49 @@ def extract(sha: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench/run.py run in ``tree``: its exit code and last JSON line."""
+    """One perfbench/run.py run in ``tree``: its exit code and last JSON line.
+
+    A run that outlives RUN_TIMEOUT_S is killed and recorded with exit
+    code None and no last line.
+    """
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(
-        cmd, cwd=tree, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S
-    )
+    try:
+        proc = subprocess.run(
+            cmd, cwd=tree, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return {"exit": None, "last_line": None}
     lines = proc.stdout.strip().splitlines()
     last = json.loads(lines[-1]) if lines else None
     return {"exit": proc.returncode, "last_line": last}
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+def good_pairs(runs: list[dict]) -> dict[int, dict[str, dict]]:
+    """pair -> side -> run, for the pairs whose two runs both exited 0 with
+    every digest correct."""
+    sides: dict[int, dict[str, dict]] = {}
+    for r in runs:
+        sides.setdefault(r["pair"], {})[r["side"]] = r
+    return {
+        p: s for p, s in sides.items()
+        if all(r["exit"] == 0 and r["last_line"] and r["last_line"]["correct"]
+               for r in s.values())
+    }
+
+
+def summarize(pairs: dict[int, dict[str, dict]], metrics: list[dict]) -> dict:
     """Medians, quartiles and change wins per end-to-end metric."""
     out = {}
-    for m in metrics:
+    for m in metrics if pairs else ():
         name = m["name"]
-        value = {}
-        for r in runs:
-            if r["last_line"]:
-                value[r["pair"], r["side"]] = r["last_line"]["metrics"][name]["value"]
-        pairs = sorted(p for p, s in value if s == "parent" and (p, "change") in value)
-        if not pairs:
-            continue
+        value = {
+            (p, side): run["last_line"]["metrics"][name]["value"]
+            for p, runs in pairs.items()
+            for side, run in runs.items()
+        }
         sign = 1 if m["better"] == "lower" else -1
         entry = {"pairs": len(pairs)}
         for side in ("parent", "change"):
@@ -101,22 +121,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--label", required=True)
-    ap.add_argument(
-        "--workload", action="append", metavar="NAME:SECONDS",
-        help=f"repeatable; default {' '.join(DEFAULT_WORKLOADS)}",
-    )
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=41)
     ap.add_argument("--trace-seed", type=int)
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--what", default="")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("need --pairs >= 1")
-    workloads = []
-    for item in args.workload or DEFAULT_WORKLOADS:
-        name, _, seconds = item.partition(":")
-        workloads.append((name, float(seconds or 8)))
 
     shas = {
         side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
@@ -129,6 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         for side, sha in shas.items():
             extract(sha, trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
         result = {
             "label": args.label,
             "what": args.what,
@@ -136,10 +147,11 @@ def main(argv: list[str] | None = None) -> int:
             "change": shas["change"],
             "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
             "--seconds SECONDS --trace 0|1",
+            "run_seconds": seconds,
             "conditions": f"{platform.platform()}, Python {platform.python_version()}, "
             f"{os.cpu_count()} CPUs; each side from `git archive` of its commit; "
-            f"{args.pairs} pairs per workload, parent first in even pairs; "
-            f"seeds {args.seed}..{args.seed + args.pairs * len(workloads) - 1}",
+            f"{PAIRS} pairs per workload of {seconds} s runs, parent first in "
+            f"even pairs; seeds {args.seed}..{args.seed + PAIRS * len(workloads) - 1}",
             "claim": None,
             "workloads": {},
             "traced": {},
@@ -148,9 +160,9 @@ def main(argv: list[str] | None = None) -> int:
             w, _, metric = args.claim.partition(":")
             result["claim"] = {"workload": w, "metric": metric}
         seed = args.seed
-        for name, seconds in workloads:
+        for name in workloads:
             runs = []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
                     r = run_once(trees[side], name, seed, seconds, 0)
@@ -158,9 +170,10 @@ def main(argv: list[str] | None = None) -> int:
                     runs.append({"pair": pair, "seed": seed, "side": side, **r})
                     print(f"{name} pair {pair} {side}: exit {r['exit']}", file=sys.stderr)
                 seed += 1
+            pairs = good_pairs(runs)
             result["workloads"][name] = {
-                "seconds": seconds,
-                "summary": summarize(runs, spec["end_to_end"]),
+                "pairs_left_out": PAIRS - len(pairs),
+                "summary": summarize(pairs, spec["end_to_end"]),
                 "runs": runs,
             }
             if args.trace_seed is not None:

@@ -152,32 +152,30 @@ def report_to_dict(report: Report) -> dict:
 
 
 def _report_json(report: Report) -> str:
-    """json.dumps(report_to_dict(report), indent=2, sort_keys=True), claim
-    by claim.
+    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``,
+    claim by claim.
 
     With an indent, ``json`` always runs its pure-Python encoder.  Here the
-    fixed claim keys (sorted: detail, id, statement, status) are written
-    with the C string encoder, and only a detail is dumped on its own and
-    indented to its depth.  JSON strings hold no raw newline, so the
-    indenting ``replace`` touches only the layout.
+    string fields of each claim entry are written with the C string encoder,
+    and only other values (a detail) are dumped on their own and indented to
+    their depth.  JSON strings hold no raw newline, so the indenting
+    ``replace`` touches only the layout.
     """
-    run = {"N": report.n_amb, "parity": report.parity}
-    rest = json.dumps({"run": run, "summary": report.summary()}, indent=2, sort_keys=True)
+    data = report_to_dict(report)
     claims = []
-    for c in report.claims:
-        detail = ""
-        if c.detail is not None:
-            dumped = json.dumps(c.detail, indent=2, sort_keys=True)
-            detail = '      "detail": ' + dumped.replace("\n", "\n      ") + ",\n"
-        claims.append(
-            f"    {{\n{detail}"
-            f'      "id": {_encode(c.id)},\n'
-            f'      "statement": {_encode(c.statement)},\n'
-            f'      "status": {_encode(c.status)}\n'
-            "    }"
-        )
+    for entry in data["claims"]:
+        fields = []
+        for key in sorted(entry):
+            value = entry[key]
+            if isinstance(value, str):
+                text = _encode(value)
+            else:
+                text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
+            fields.append(f"      {_encode(key)}: {text}")
+        claims.append("    {\n" + ",\n".join(fields) + "\n    }")
     body = "[\n" + ",\n".join(claims) + "\n  ]" if claims else "[]"
-    return f'{{\n  "claims": {body},\n{rest[2:]}'
+    rest = json.dumps({**data, "claims": []}, indent=2, sort_keys=True)
+    return rest.replace('\n  "claims": []', '\n  "claims": ' + body, 1)
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:

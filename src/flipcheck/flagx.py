@@ -42,7 +42,7 @@ one chi_E per shape: 2,135 instead of 44,100 at N = 15.
 ``k_class`` uses the same invariance.  By bilinearity a K-class is a signed
 sum, over the terms of the object, of the pairings of each basis object with
 one twisted Schur bundle, and each such pairing is read from a table per N
-keyed by its shape packed into one int.  Only the first pair of a shape runs
+keyed by its shape (q, p, k-l, e-d).  Only the first pair of a shape runs
 ``e_euler``: 16,392 calls instead of 36,454 for both suites at n = 7.
 """
 
@@ -262,13 +262,8 @@ def euler_basis(n_amb: int) -> tuple[EObject, ...]:
 
 _kclass_cache: dict[tuple[int, EObject], tuple[int, ...]] = {}
 
-# Per N: (basis offsets, shape table) of k_class.  A key packs the shape
-# (q, p, k-l, e-d) into one int, ((p R + k-l) R + e-d) N + q with balanced
-# radix-R digits k-l and e-d, so it splits into a term part plus a basis
-# part and the inner loop adds two ints.
-_kchi_tables: dict[int, tuple[list[int], dict[int, int]]] = {}
-_RADIX = 1 << 32
-_TWIST_LIMIT = 1 << 30  # |k|, |e| below this keep both digits balanced
+# Per N: the basis shapes and the shape table (q, p, k-l, e-d) -> chi of k_class.
+_kchi_tables: dict[int, tuple[list[tuple[int, int, int]], dict[tuple[int, int, int, int], int]]] = {}
 
 
 def k_class(a: EObject, n_amb: int) -> tuple[int, ...]:
@@ -277,7 +272,7 @@ def k_class(a: EObject, n_amb: int) -> tuple[int, ...]:
     chi_E is bilinear, so entry j is the sum over the terms (w, e, s, mult)
     of ``a`` of (-1)^s mult chi_E(b_j, S^p U^vee (kH)(eh)) with p = w.a - w.b
     and k = w.b.  For b_j = S^q U^vee (lH)(dh) that chi depends only on the
-    shape (q, p, k-l, e-d): a table per N, keyed by ints, computes one
+    shape (q, p, k-l, e-d): a table per N, keyed by those ints, computes one
     ``e_euler`` per shape, on the first pair that has it.  Vectors are
     memoized per object.
     """
@@ -288,25 +283,20 @@ def k_class(a: EObject, n_amb: int) -> tuple[int, ...]:
     basis = euler_basis(n_amb)
     tables = _kchi_tables.get(n_amb)
     if tables is None:
-        tables = _kchi_tables[n_amb] = (
-            [q - (l * _RADIX + d) * n_amb for q, l, d in _shapes(basis)],
-            {},
-        )
-    offsets, table = tables
+        tables = _kchi_tables[n_amb] = (_shapes(basis), {})
+    shapes, table = tables
     vec = [0] * len(basis)
     for w, e, s, mult in a.terms:
         p, k = w.a - w.b, w.b
-        if abs(k) >= _TWIST_LIMIT or abs(e) >= _TWIST_LIMIT:
-            raise ValueError(f"twist ({k}H, {e}h) too large for a K-class")
-        base = ((p * _RADIX + k) * _RADIX + e) * n_amb
         sign = -mult if s % 2 else mult
         term = None
-        for j, off in enumerate(offsets):
-            chi = table.get(base + off)
+        for j, (q, l, d) in enumerate(shapes):
+            shape = (q, p, k - l, e - d)
+            chi = table.get(shape)
             if chi is None:
                 if term is None:
                     term = EObject.of_weight(w, e)
-                chi = table[base + off] = e_euler(basis[j], term, n_amb)
+                chi = table[shape] = e_euler(basis[j], term, n_amb)
             vec[j] += sign * chi
     hit = _kclass_cache[key] = tuple(vec)
     return hit

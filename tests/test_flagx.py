@@ -315,15 +315,6 @@ def test_k_class_computes_one_pairing_per_shape(monkeypatch):
     assert len(calls) == len(shapes) < 5_000
 
 
-def test_k_class_rejects_twists_beyond_the_packed_key():
-    # The shape key packs k-l and e-d as balanced digits; a twist that
-    # would overflow them is refused, not read from another shape.
-    with pytest.raises(ValueError, match="too large"):
-        k_class(EObject.line(1 << 30), 5)
-    with pytest.raises(ValueError, match="too large"):
-        k_class(EObject.line(0, -(1 << 30)), 5)
-
-
 def test_k_class_zero_object():
     assert not any(k_class(EObject(), 5))
 
