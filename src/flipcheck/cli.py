@@ -337,20 +337,18 @@ def run(argv: Optional[list[str]] = None) -> int:
                 return 2
             print(_render_dims(r.total()))
             return 0
-        if args.command == "verify":
+        if args.command in ("verify", "chessboard"):
             if args.n < 2:
                 print("need n >= 2", file=sys.stderr)
                 return 3
             if 2 * args.n + 1 > 15 and not args.allow_large:
                 print("n > 7 needs --allow-large", file=sys.stderr)
                 return 3
+        if args.command == "verify":
             report = verify_suite(args.n, args.parity, args.lemma)
             print(emit_report(report, args.format))
             return _exit_code(report)
         if args.command == "chessboard":
-            if args.n < 2:
-                print("need n >= 2", file=sys.stderr)
-                return 3
             print(render_chessboard(args.n, args.render))
             return 0
     except ParseError as exc:

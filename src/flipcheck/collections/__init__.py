@@ -10,7 +10,6 @@ from .engine import (
     NotSimple,
     OpaqueEntryError,
     PairCheck,
-    ReplayResult,
     ScriptError,
     VanishingFalse,
     VanishingNotEstablished,
@@ -25,15 +24,9 @@ from .engine import (
     mutate_left,
     mutate_right,
     promote,
-    replay,
     serre_tail,
     serre_twist,
 )
-from .scriptgen import GENERATORS, generate
+from .scriptgen import GENERATORS, ReplayResult, load_script, replay, run_script
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-
-
-def load_script(parity: str, step: str, n: int) -> list[str]:
-    """Move script for (parity, step, n), generated on demand."""
-    return generate(parity, step, n)

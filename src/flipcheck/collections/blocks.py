@@ -183,7 +183,7 @@ def _parse_twist(text: str) -> tuple[int, int]:
             c += int(m.group(1))
         else:
             d += int(m.group(1))
-    if pos != len(text):
+    if pos != len(text) or not text:
         raise BlockRangeError(f"bad twist {text!r}")
     return c, d
 

@@ -35,8 +35,8 @@ rule-table pairs.  Rule (3) carries the corrected mutator twist (+h); see
 verify_mut's reading audit for the displayed (-h) variant, which the oracle
 refutes.
 
-Every checked mutation demands an Exact one-dimensional RHom concentrated in
-a single degree and verifies the K-class identity
+Every mutation demands an Exact one-dimensional RHom concentrated in a
+single degree and verifies the K-class identity
 [result] = [b] - (-1)^deg [E].
 """
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..flagx import (
     EObject,
@@ -55,7 +55,7 @@ from ..flagx import (
     x_euler,
 )
 from ..weights import Weight
-from .blocks import make_block, notation, parse_block_spec
+from .blocks import BlockRangeError, make_block, notation, parse_block_spec
 
 
 class EngineError(Exception):
@@ -165,15 +165,14 @@ def _require_vanishing(a: EObject, b: EObject, n_amb: int, i: int) -> None:
         )
 
 
-def exchange(col: Collection, i: int, check: bool = True) -> Collection:
+def exchange(col: Collection, i: int) -> Collection:
     """Swap entries i, i+1; legal when the pair is mutually semiorthogonal,
     Hom_X(e_i, e_{i+1}) = 0 = Hom_X(e_{i+1}, e_i).  A bounded Hom in either
     direction is not a vanishing (VanishingNotEstablished)."""
     a = _require_pure(col, i, "exchange")
     b = _require_pure(col, i + 1, "exchange")
-    if check:
-        _require_vanishing(a, b, col.n_amb, i)
-        _require_vanishing(b, a, col.n_amb, i)
+    _require_vanishing(a, b, col.n_amb, i)
+    _require_vanishing(b, a, col.n_amb, i)
     ent = list(col.entries)
     ent[i], ent[i + 1] = ent[i + 1], ent[i]
     return col._with(ent)
@@ -268,31 +267,25 @@ def _check_kclass(
         )
 
 
-def mutate_left(col: Collection, i: int, check: bool = True) -> Collection:
+def mutate_left(col: Collection, i: int) -> Collection:
     """(E, b) at (i, i+1) becomes (L_E b, E)."""
     mutator = _require_pure(col, i, "mutl")
     target = _require_pure(col, i + 1, "mutl")
-    degree = 0
-    if check:
-        degree = _simple_degree(x_ext(mutator, target, col.n_amb), f"mutl {i}")
+    degree = _simple_degree(x_ext(mutator, target, col.n_amb), f"mutl {i}")
     result = _match_rule(mutator, target, col.n_amb, right=False)
-    if check:
-        _check_kclass(result, target, mutator, degree, col.n_amb)
+    _check_kclass(result, target, mutator, degree, col.n_amb)
     ent = list(col.entries)
     ent[i], ent[i + 1] = Entry.pure(result), Entry.pure(mutator)
     return col._with(ent)
 
 
-def mutate_right(col: Collection, i: int, check: bool = True) -> Collection:
+def mutate_right(col: Collection, i: int) -> Collection:
     """(b, E) at (i, i+1) becomes (E, R_E b)."""
     target = _require_pure(col, i, "mutr")
     mutator = _require_pure(col, i + 1, "mutr")
-    degree = 0
-    if check:
-        degree = _simple_degree(x_ext(target, mutator, col.n_amb), f"mutr {i}")
+    degree = _simple_degree(x_ext(target, mutator, col.n_amb), f"mutr {i}")
     result = _match_rule(mutator, target, col.n_amb, right=True)
-    if check:
-        _check_kclass(result, target, mutator, degree, col.n_amb)
+    _check_kclass(result, target, mutator, degree, col.n_amb)
     ent = list(col.entries)
     ent[i], ent[i + 1] = Entry.pure(mutator), Entry.pure(result)
     return col._with(ent)
@@ -306,8 +299,8 @@ def serre_twist(objs: list[EObject], n_amb: int) -> list[EObject]:
 
 def serre_tail(col: Collection, i: int, j: int) -> Collection:
     """Mutate the tail i..j (j = last index) through its whole complement."""
-    if j != len(col) - 1:
-        raise ScriptError(f"serre {i}..{j}: tail must end the collection")
+    if j != len(col) - 1 or i > j:
+        raise ScriptError(f"serre {i}..{j}: not a nonempty tail of the collection")
     tail = [_require_pure(col, t, "serre") for t in range(i, j + 1)]
     twisted = [Entry.pure(o) for o in serre_twist(tail, col.n_amb)]
     ent = twisted + list(col.entries[:i])
@@ -315,14 +308,21 @@ def serre_tail(col: Collection, i: int, j: int) -> Collection:
 
 
 def expand_block(col: Collection, spec: str, at: int) -> Collection:
-    name, params, twist = parse_block_spec(spec)
-    objs = make_block(name, params, col.n_amb, twist)
+    if not 0 <= at <= len(col):
+        raise ScriptError(f"expand: position {at} out of range")
+    try:
+        name, params, twist = parse_block_spec(spec)
+        objs = make_block(name, params, col.n_amb, twist)
+    except BlockRangeError as exc:
+        raise ScriptError(f"expand {spec}: {exc}") from exc
     ent = list(col.entries)
     ent[at:at] = [Entry.pure(o) for o in objs]
     return col._with(ent)
 
 
 def insert_opaque(col: Collection, name: str, at: int) -> Collection:
+    if not 0 <= at <= len(col):
+        raise ScriptError(f"opaque: position {at} out of range")
     ent = list(col.entries)
     ent.insert(at, Entry.opaque(name))
     return col._with(ent)
@@ -330,6 +330,8 @@ def insert_opaque(col: Collection, name: str, at: int) -> Collection:
 
 def promote(col: Collection, i: int, name: str) -> Collection:
     """Move the opaque entry i to the front under a new name."""
+    if not 0 <= i < len(col):
+        raise ScriptError(f"promote: index {i} out of range")
     e = col.entries[i]
     if e.kind != "opaque":
         raise OpaqueEntryError(f"promote {i}: entry is {e.kind}, not opaque")
@@ -361,7 +363,7 @@ def gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
     return coeff
 
 
-def mutate_block_left(col: Collection, i: int, j: int, check: bool = True) -> Collection:
+def mutate_block_left(col: Collection, i: int, j: int) -> Collection:
     """Left-mutate entry j+1 through the pure block i..j; result is a cone.
 
     The cone is not materialized (no rule pattern applies); its K-class
@@ -370,13 +372,10 @@ def mutate_block_left(col: Collection, i: int, j: int, check: bool = True) -> Co
     """
     block = [_require_pure(col, t, "mutlblock") for t in range(i, j + 1)]
     target = _require_pure(col, j + 1, "mutlblock")
-    kclass = None
-    if check:
-        coeff = gram_solve(block, target, col.n_amb)
-        kc = k_class(target, col.n_amb)
-        for c, s in zip(coeff, block):
-            kc = k_sub(kc, tuple(c * v for v in k_class(s, col.n_amb)))
-        kclass = kc
+    coeff = gram_solve(block, target, col.n_amb)
+    kclass = k_class(target, col.n_amb)
+    for c, s in zip(coeff, block):
+        kclass = k_sub(kclass, tuple(c * v for v in k_class(s, col.n_amb)))
     cone = Entry(
         "cone",
         name=f"L[{j - i + 1}]({notation(target)})",
@@ -436,7 +435,7 @@ _MOVE_RES: list[tuple[re.Pattern, str]] = [
 ]
 
 
-def apply_move(col: Collection, line: str, check: bool = True) -> Collection:
+def apply_move(col: Collection, line: str) -> Collection:
     """Apply one script line to the collection."""
     line = line.strip()
     for rx, kind in _MOVE_RES:
@@ -444,11 +443,11 @@ def apply_move(col: Collection, line: str, check: bool = True) -> Collection:
         if not m:
             continue
         if kind == "exchange":
-            return exchange(col, int(m.group(1)), check=check)
+            return exchange(col, int(m.group(1)))
         if kind == "mutl":
-            return mutate_left(col, int(m.group(1)), check=check)
+            return mutate_left(col, int(m.group(1)))
         if kind == "mutr":
-            return mutate_right(col, int(m.group(1)), check=check)
+            return mutate_right(col, int(m.group(1)))
         if kind == "serre":
             return serre_tail(col, int(m.group(1)), int(m.group(2)))
         if kind == "expand":
@@ -458,40 +457,5 @@ def apply_move(col: Collection, line: str, check: bool = True) -> Collection:
         if kind == "promote":
             return promote(col, int(m.group(1)), m.group(2))
         if kind == "mutlblock":
-            return mutate_block_left(col, int(m.group(1)), int(m.group(2)), check=check)
+            return mutate_block_left(col, int(m.group(1)), int(m.group(2)))
     raise ScriptError(f"unparseable move {line!r}")
-
-
-@dataclass
-class ReplayResult:
-    final: Collection
-    moves_applied: int
-    failed_line: Optional[str] = None
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def replay(
-    col: Collection,
-    lines: Iterable[str],
-    on_move: Optional[Callable[[str, Collection, Collection], None]] = None,
-) -> ReplayResult:
-    """Execute a move script with every move certified, failing fast on the
-    first refused move."""
-    applied = 0
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        before = col
-        try:
-            col = apply_move(col, line)
-        except EngineError as exc:
-            return ReplayResult(col, applied, failed_line=line, error=str(exc))
-        applied += 1
-        if on_move is not None:
-            on_move(line, before, col)
-    return ReplayResult(col, applied)

@@ -1,9 +1,8 @@
-"""Generators for the mutation move scripts.
+"""Move scripts: generated and certified in one pass, or replayed from text.
 
-Each generator simulates the collection structurally (oracle checks off) and
-emits concrete index-based moves.  ``load_script`` calls them on demand; the
-test suite pins each script's sha256 for n = 2..5 and one digest per
-generator over n = 6..9.
+Each generator drives a ``Sim``, which applies every move through the
+engine's checked ``apply_move`` and records its line.  The test suite pins
+each script's sha256 for n = 2..5 and one digest per generator over n = 6..9.
 
 Objects are located by value during generation, which is safe because every
 collection in the replay is multiplicity-free.  A run of exchanges looks its
@@ -12,8 +11,11 @@ object up once: each exchange moves it by exactly one place.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
 from ..flagx import EObject
-from .engine import Collection, ScriptError, apply_move
+from .engine import Collection, EngineError, ScriptError, apply_move
 
 
 # Object shorthands, shared with the verifiers.
@@ -27,16 +29,47 @@ def _O(c: int = 0, d: int = 0) -> EObject:
     return EObject.line(c, d)
 
 
-class Sim:
-    """Structural simulator that records the lines it applies."""
+@dataclass
+class ReplayResult:
+    final: Collection
+    moves_applied: int
+    failed_line: Optional[str] = None
+    error: Optional[str] = None
 
-    def __init__(self, n_amb: int):
-        self.col = Collection.empty(n_amb)
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+
+class _Refused(ScriptError):
+    """The engine refused a move; carries the failing ``ReplayResult``."""
+
+    def __init__(self, result: ReplayResult):
+        super().__init__(f"{result.failed_line!r} refused: {result.error}")
+        self.result = result
+
+
+class Sim:
+    """Applies moves through the checked ``apply_move``, records their lines
+    and calls ``on_move(line, before, after)`` after each."""
+
+    def __init__(self, col: Collection, on_move=None):
+        self.col = col
         self.lines: list[str] = []
+        self.applied = 0
+        self.on_move = on_move
 
     def do(self, line: str) -> None:
-        self.col = apply_move(self.col, line, check=False)
+        before = self.col
+        try:
+            self.col = apply_move(before, line)
+        except EngineError as exc:
+            res = ReplayResult(before, self.applied, failed_line=line, error=str(exc))
+            raise _Refused(res) from exc
         self.lines.append(line)
+        self.applied += 1
+        if self.on_move is not None:
+            self.on_move(line, before, self.col)
 
     def note(self, text: str) -> None:
         self.lines.append(f"# {text}")
@@ -189,60 +222,49 @@ def _collect_tail(sim: Sim, tail: list[EObject]) -> None:
 # ---------------------------------------------------------------- odd scripts
 
 
-def gen_odd_step1(n: int) -> list[str]:
-    sim = Sim(2 * n + 1)
+def gen_odd_step1(sim: Sim, n: int) -> None:
     sim.expand(f"Aseg(0,{n-1})@(1H-1h)")
     sim.expand("A")
     _step1_moves(sim, n, odd=True)
-    return sim.lines
 
 
-def gen_odd_step2(n: int) -> list[str]:
-    sim = Sim(2 * n + 1)
+def gen_odd_step2(sim: Sim, n: int) -> None:
     sim.expand(f"Aseg(1,{n-1})@(-1h)")
     sim.expand("O")
     for l in range(n - 1):
         sim.expand(f"B({l})")
     _step2_moves(sim, n, odd=True)
-    return sim.lines
 
 
-def gen_odd_step3(n: int) -> list[str]:
-    sim = Sim(2 * n + 1)
+def gen_odd_step3(sim: Sim, n: int) -> None:
     if n < 3:
         sim.note("vacuous for n=2 (empty C-range)")
-        return sim.lines
+        return
     for l in range(1, n - 1):
         sim.expand(f"C({l})")
     sim.expand(f"Aseg(0,{n-3})@(1H-1h)")
     _step3_moves(sim, n, odd=True)
-    return sim.lines
 
 
-def gen_odd_step3b(n: int) -> list[str]:
-    sim = Sim(2 * n + 1)
+def gen_odd_step3b(sim: Sim, n: int) -> None:
     sim.expand(f"Aseg({n-1},{n-1})@(1H-1h)")
     sim.expand(f"Aseg(0,{n-2})@(1H)")
     _step3b_moves(sim, n)
-    return sim.lines
 
 
-def gen_odd_step4(n: int) -> list[str]:
-    sim = Sim(2 * n + 1)
+def gen_odd_step4(sim: Sim, n: int) -> None:
     if n < 3:
         sim.note("vacuous for n=2 (empty E-range)")
-        return sim.lines
+        return
     for l in range(1, n - 1):
         sim.expand(f"E({l})")
     sim.expand(f"B({n-2})")
     sim.expand(f"Aseg(0,{n-3})@(1H)")
     _step4_moves_odd(sim, n)
-    return sim.lines
 
 
-def gen_odd_full(n: int) -> list[str]:
+def gen_odd_full(sim: Sim, n: int) -> None:
     """Grassmannian-side SOD, expanded, through to its mutated form."""
-    sim = Sim(2 * n + 1)
     sim.do("opaque pi2*D(X2) at 0")
     for k in range(2 * n + 1):
         sim.expand(f"A@({k}H)" if k else "A")
@@ -255,12 +277,10 @@ def gen_odd_full(n: int) -> list[str]:
     _step3b_moves(sim, n)
     _step4_moves_odd(sim, n)
     _regroup_moves(sim, n)
-    return sim.lines
 
 
-def gen_odd_regions(n: int) -> list[str]:
+def gen_odd_regions(sim: Sim, n: int) -> None:
     """From the mutated Gr-side SOD to <D_2, group (1), group (2)>."""
-    sim = Sim(2 * n + 1)
     sim.do("opaque D at 0")
     for l in range(-1, n):
         sim.expand(f"cell({l},0)")
@@ -279,12 +299,10 @@ def gen_odd_regions(n: int) -> list[str]:
     _collect_tail(sim, tail)
     sim.do(f"serre {len(sim.col) - len(tail)}..{len(sim.col) - 1}")
     sim.do(f"promote {sim.opaque_idx()} as D2")
-    return sim.lines
 
 
-def gen_odd_chessboard(n: int) -> list[str]:
+def gen_odd_chessboard(sim: Sim, n: int) -> None:
     """Projective-side row layout through the staircase moves to the final SOD."""
-    sim = Sim(2 * n + 1)
     sim.do("opaque pi1*D(X1) at 0")
     for y in range(2 * n - 1):
         sim.expand(f"row({y})")
@@ -300,15 +318,13 @@ def gen_odd_chessboard(n: int) -> list[str]:
             sim.move_left(_O(n + k, a), k * k)
     sim.do(f"serre {sim.idx(corner)}..{len(sim.col) - 1}")
     sim.do(f"promote {sim.opaque_idx()} as D1")
-    return sim.lines
 
 
 # ---------------------------------------------------------------- even scripts
 
 
-def gen_even_step2(n: int) -> list[str]:
+def gen_even_step2(sim: Sim, n: int) -> None:
     """Standalone even step 2: <A^1(-h), A^1(H-h), A, A(H)> -> its stated RHS."""
-    sim = Sim(2 * n)
     sim.expand(f"Aseg(0,{n-2})@(-1h)")
     sim.expand(f"Aseg(0,{n-2})@(1H-1h)")
     sim.expand("A")
@@ -318,12 +334,10 @@ def gen_even_step2(n: int) -> list[str]:
     _step3_moves(sim, n, odd=False)
     _step4_moves_even(sim, n)
     _regroup_moves(sim, n)
-    return sim.lines
 
 
-def gen_even_full(n: int) -> list[str]:
+def gen_even_full(sim: Sim, n: int) -> None:
     """Even pipeline: setup plus steps 1-3, ending at the mutated SOD."""
-    sim = Sim(2 * n)
     sim.do("opaque pi2*D(X2) at 0")
     for k in range(n):
         sim.expand(f"A@({k}H)" if k else "A")
@@ -347,7 +361,6 @@ def gen_even_full(n: int) -> list[str]:
     _collect_tail(sim, tail)
     sim.do(f"serre {len(sim.col) - len(tail)}..{len(sim.col) - 1}")
     sim.do(f"promote {sim.opaque_idx()} as D2'")
-    return sim.lines
 
 
 GENERATORS = {
@@ -364,9 +377,41 @@ GENERATORS = {
 }
 
 
-def generate(parity: str, step: str, n: int) -> list[str]:
+def _generate(parity: str, step: str, n: int, on_move=None) -> Sim:
     try:
         gen = GENERATORS[(parity, step)]
     except KeyError:
         raise ScriptError(f"no generator for ({parity}, {step})")
-    return gen(n)
+    sim = Sim(Collection.empty(2 * n + (parity == "odd")), on_move)
+    gen(sim, n)
+    return sim
+
+
+def run_script(parity: str, step: str, n: int, on_move=None) -> ReplayResult:
+    """Generate the (parity, step, n) script with every move certified,
+    stopping at the first refused move as ``replay`` does."""
+    try:
+        sim = _generate(parity, step, n, on_move)
+    except _Refused as exc:
+        return exc.result
+    return ReplayResult(sim.col, sim.applied)
+
+
+def load_script(parity: str, step: str, n: int) -> list[str]:
+    """Lines of the certified (parity, step, n) script; a refused move
+    raises ``ScriptError``."""
+    return _generate(parity, step, n).lines
+
+
+def replay(col: Collection, lines: Iterable[str], on_move=None) -> ReplayResult:
+    """Execute a move script given as text with every move certified,
+    failing fast on the first refused move."""
+    sim = Sim(col, on_move)
+    try:
+        for raw in lines:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                sim.do(line)
+    except _Refused as exc:
+        return exc.result
+    return ReplayResult(sim.col, sim.applied)

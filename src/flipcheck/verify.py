@@ -37,12 +37,11 @@ from .collections import (
     count_objects,
     count_tracked,
     check_semiorthogonal,
-    load_script,
     make_block,
     mutate_left,
     mutate_right,
     notation,
-    replay,
+    run_script,
 )
 from .collections.engine import Entry, gram_solve
 from .collections.scriptgen import _O, _S
@@ -526,8 +525,7 @@ def _replay_claims(
         if on_move is not None:
             on_move(line, before, after)
 
-    lines = load_script(parity, step, report.n)
-    res = replay(Collection.empty(report.n_amb), lines, on_move=counter)
+    res = run_script(parity, step, report.n, on_move=counter)
     report.claims.append(
         Claim(
             f"{prefix}/replay",

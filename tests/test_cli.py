@@ -135,6 +135,30 @@ def test_cli_cohom_huge_n_is_fast_in_process(capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "H^0 = 1"
 
 
+def test_cli_chessboard_huge_n_is_refused_at_once(capsys, monkeypatch):
+    # n > 7 needs --allow-large, as for verify; the board is never built.
+    import os
+
+    from flipcheck import cli
+    import subprocess
+    import threading
+    import time
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process or thread")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "posix_spawn", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(cli, "chessboard_cells", refuse)
+    t0 = time.perf_counter()
+    assert run(["chessboard", "--n", "1000000000"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "n > 7 needs --allow-large\n"
+
+
 @pytest.mark.parametrize("jobs", ["2", "1", "0", "-1", "-100"])
 def test_cli_verify_rejects_jobs(jobs, capsys):
     # Claims run in order on one thread; --jobs is an unknown option.

@@ -198,8 +198,6 @@ def test_mutate_block_left_rejects_non_unitriangular_gram():
     c = col_of(5, EObject.line(), EObject.line(), EObject.schur(1))
     with pytest.raises(KClassMismatch, match=r"not unitriangular at \(1,0\)"):
         mutate_block_left(c, 0, 1)
-    # unchecked, the block is not validated and the cone has no K-class
-    assert mutate_block_left(c, 0, 1, check=False).entries[0].kclass is None
 
 
 def _valid_blocks(n: int, parity: str):

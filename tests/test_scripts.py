@@ -4,16 +4,22 @@ import hashlib
 
 import pytest
 
+import flipcheck.collections.engine as engine
+from flipcheck.bwb import GradedDims
 from flipcheck.collections import (
     Collection,
+    ScriptError,
+    VanishingFalse,
     apply_move,
     count_objects,
     count_tracked,
     load_script,
     replay,
+    run_script,
 )
 from flipcheck.collections.scriptgen import GENERATORS, Sim
-from flipcheck.flagx import x_ext
+from flipcheck.flagx import ExtResult, x_ext
+from flipcheck.verify import verify_inductive_steps
 
 SCRIPTS = sorted(GENERATORS)
 N_RANGE = (2, 3, 4, 5)
@@ -111,7 +117,9 @@ def test_script_generation_looks_up_each_run_once(monkeypatch):
 
     monkeypatch.setattr(Sim, "idx", counting_idx)
     exchanges = sum(
-        line.startswith("exchange") for gen in GENERATORS.values() for line in gen(8)
+        line.startswith("exchange")
+        for parity, step in GENERATORS
+        for line in load_script(parity, step, 8)
     )
     assert calls < exchanges / 2
 
@@ -127,17 +135,17 @@ def test_scripts_replay_with_oracle(parity, step, n):
 @pytest.mark.parametrize("parity,step", SCRIPTS)
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_scripts_replay_strict(parity, step, n):
-    # Walk the script structurally and ask x_ext directly, outside the engine,
-    # that every exchanged pair is mutually semiorthogonal.
+    # Ask x_ext directly, outside the engine, that every exchanged pair of the
+    # generated script is mutually semiorthogonal.
     n_amb = 2 * n + (1 if parity == "odd" else 0)
-    col = Collection.empty(n_amb)
-    for line in load_script(parity, step, n):
+
+    def strict(line, before, after):
         if line.startswith("exchange"):
             i = int(line.split()[1])
-            a, b = col.entries[i].obj, col.entries[i + 1].obj
+            a, b = before.entries[i].obj, before.entries[i + 1].obj
             assert x_ext(a, b, n_amb).is_zero() and x_ext(b, a, n_amb).is_zero(), line
-        if not line.startswith("#"):
-            col = apply_move(col, line, check=False)
+
+    assert run_script(parity, step, n, on_move=strict).ok
 
 
 def test_full_replay_counts():
@@ -156,8 +164,65 @@ def test_empty_script_is_identity():
     assert res.ok and res.final == col and res.moves_applied == 0
 
 
-def test_replay_fails_fast_and_reports():
-    res = replay(Collection.empty(5), ["expand A at 0", "exchange 0"])
+@pytest.mark.parametrize(
+    "lines,error",
+    [
+        (["expand A at 0", "exchange 0"], VanishingFalse),
+        (["opaque D at 0", "promote 5 as X"], ScriptError),
+        (["expand A at 0", "expand A at 7"], ScriptError),
+        (["expand A at 0", "opaque D at 9"], ScriptError),
+        (["expand A at 0", "serre 5..1"], ScriptError),
+        (["opaque D at 0", "expand A@() at 0"], ScriptError),
+    ],
+    ids=["exchange", "promote", "expand", "opaque", "serre", "empty-twist"],
+)
+def test_replay_fails_fast_and_reports(lines, error):
+    res = replay(Collection.empty(5), lines + ["exchange 0"])
     assert not res.ok
-    assert res.failed_line == "exchange 0"
+    assert res.failed_line == lines[1]
     assert res.moves_applied == 1
+    assert res.final == apply_move(Collection.empty(5), lines[0])
+    with pytest.raises(error):
+        apply_move(res.final, lines[1])
+
+
+def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
+    # One exchange of the pinned (odd, step1, 3) script sees a nonzero Hom:
+    # the certified generation, a replay of the script text, and the
+    # verifier's claim all report the same failing line.
+    lines = load_script("odd", "step1", 3)
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == PINS[
+        ("odd", "step1", 3)
+    ]
+    pairs = []
+
+    def record(line, before, after):
+        if line.startswith("exchange"):
+            i = int(line.split()[1])
+            pairs.append((before.entries[i + 1].obj, before.entries[i].obj))
+
+    replay(Collection.empty(7), lines, on_move=record)
+    x_ext_real = engine.x_ext
+
+    def nonzero_hom(a, b, n_amb):
+        if (a, b) == pairs[1]:
+            return ExtResult("exact", GradedDims(), GradedDims(((0, 1),)))
+        return x_ext_real(a, b, n_amb)
+
+    monkeypatch.setattr(engine, "x_ext", nonzero_hom)
+    generated = run_script("odd", "step1", 3)
+    replayed = replay(Collection.empty(7), lines)
+    assert (generated.moves_applied, generated.failed_line, generated.error) == (
+        replayed.moves_applied,
+        replayed.failed_line,
+        replayed.error,
+    )
+    assert generated.final == replayed.final
+    assert (generated.moves_applied, generated.failed_line) == (3, "exchange 3")
+    with pytest.raises(ScriptError, match="exchange 3"):
+        load_script("odd", "step1", 3)
+    by = {c.id: c for c in verify_inductive_steps(3).claims}
+    assert by["steps.step1/replay"].detail == {
+        "failed_move": "exchange 3",
+        "error": "exchange 3: Hom(Uv, S^2Uv(H-h)) = ((0, 1),) != 0",
+    }

@@ -241,9 +241,13 @@ def test_even_n2_remark():
 
 
 def test_replay_claims_fail_and_vacuous_paths(monkeypatch):
-    import flipcheck.verify as fv
+    from flipcheck.collections.scriptgen import GENERATORS
 
-    monkeypatch.setattr(fv, "load_script", lambda parity, step, n: ["# c", "exchange 0"])
+    def refused(sim, n):
+        sim.note("c")
+        sim.do("exchange 0")
+
+    monkeypatch.setitem(GENERATORS, ("odd", "step1"), refused)
     by = claims_by_id(verify_inductive_steps(2))
     assert by["steps.step1/replay"].status == "fail"
     assert by["steps.step1/replay"].detail == {
@@ -252,13 +256,36 @@ def test_replay_claims_fail_and_vacuous_paths(monkeypatch):
     }
     assert "steps.step1/final" not in by
 
-    monkeypatch.setattr(fv, "load_script", lambda parity, step, n: ["# c", "  "])
+    monkeypatch.setitem(GENERATORS, ("odd", "step1"), lambda sim, n: sim.note("c"))
     by = claims_by_id(verify_inductive_steps(2))
     assert by["steps.step1/replay"].status == "pass"
     assert by["steps.step1/replay"].detail == {"moves": 0}
     assert by["steps.step1/final"].detail == {
         "note": "vacuous for this n (empty blocks elided)"
     }
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_each_script_is_applied_once(monkeypatch, parity):
+    # The generator certifies every move as it applies it, so no script line
+    # is applied a second time by a separate replay.
+    import flipcheck.collections.engine as engine
+    import flipcheck.collections.scriptgen as scriptgen
+
+    calls = 0
+    apply_move = engine.apply_move
+
+    def counting(col, line, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return apply_move(col, line, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "apply_move", counting)
+    monkeypatch.setattr(scriptgen, "apply_move", counting)
+    report = verify_suite(4, parity, "all")
+    moves = sum(c.detail["moves"] for c in report.claims if c.id.endswith("/replay"))
+    assert moves > 0
+    assert calls == moves
 
 
 def test_parity_guards():
