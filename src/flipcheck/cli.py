@@ -19,7 +19,9 @@ Subcommands::
     flipcheck chessboard --n 4 --render ascii
 
 Exit codes: 0 all pass, 1 any fail, 2 any indeterminate (none fail),
-3 usage or parse error.
+3 usage or parse error, or a query over a size cap without --allow-large
+(N > 15, n > 7, or an ext/cohom that would split more than ``CG_BUDGET``
+Clebsch-Gordan terms).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional
 
 from .bwb import GradedDims, gr_ext, sum_cohomology
-from .flagx import EObject, e_ext, x_ext
+from .flagx import EObject, e_ext, pushed_term_bound, x_ext
 from .verify import LEMMAS, Claim, Report, verify_suite
 from .weights import Weight
 
@@ -120,6 +122,21 @@ def _on_gr(obj: EObject) -> EObject:
     if any(dh for _, dh, _, _ in obj):
         raise ParseError("object has h-twists; not a Gr(2,N) object", 0)
     return obj
+
+
+# Clebsch-Gordan terms an ext or cohom query may split without --allow-large:
+# about a second on the slowest route (gr), far above any everyday query.
+CG_BUDGET = 100_000
+
+
+def _over_budget(a: EObject, b: EObject, space: str) -> Optional[str]:
+    """A one-line refusal when the query's estimated Clebsch-Gordan term
+    count (``pushed_term_bound``, the front twist included on X) is over
+    ``CG_BUDGET``; None otherwise."""
+    terms = sum(pushed_term_bound(a, b, c) for c in ((0, 1) if space == "x" else (0,)))
+    if terms <= CG_BUDGET:
+        return None
+    return f"about {terms} Clebsch-Gordan terms (budget {CG_BUDGET}) needs --allow-large"
 
 
 def _render_dims(g: GradedDims) -> str:
@@ -267,7 +284,8 @@ def _global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
         "--allow-large",
         action="store_true",
         default=d if suppress else False,
-        help="lift the default N <= 15 cap (dimensions grow combinatorially)",
+        help="lift the default N <= 15 cap and the Clebsch-Gordan term budget "
+        "(dimensions grow combinatorially)",
     )
 
 
@@ -318,11 +336,19 @@ def run(argv: Optional[list[str]] = None) -> int:
                 return 3
         if args.command == "cohom":
             obj = parse_object(args.expr)
+            refusal = None if args.allow_large else _over_budget(EObject.line(), obj, "gr")
+            if refusal:
+                print(refusal, file=sys.stderr)
+                return 3
             print(_render_cohom(sum_cohomology(_on_gr(obj), args.n_amb)))
             return 0
         if args.command == "ext":
             a = parse_object(args.expr_a)
             b = parse_object(args.expr_b)
+            refusal = None if args.allow_large else _over_budget(a, b, args.space)
+            if refusal:
+                print(refusal, file=sys.stderr)
+                return 3
             if args.space == "gr":
                 print(_render_dims(gr_ext(_on_gr(a), _on_gr(b), args.n_amb)))
                 return 0

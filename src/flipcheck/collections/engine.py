@@ -38,14 +38,31 @@ refutes.
 Every mutation demands an Exact one-dimensional RHom concentrated in a
 single degree and verifies the K-class identity
 [result] = [b] - (-1)^deg [E].
+
+Ext on X is read once per twist shape.  Ext_X(a, b) and chi_X(a, b) do not
+change when both arguments are twisted by one line bundle O(cH + dh), so
+for one-term objects they depend only on the ints of ``_shape_key``: the
+Schur power of a, the weight and h-twist of b relative to a, the shift
+difference and both multiplicities.  Each collection carries a table from
+those keys to x_ext outcomes, and ``Collection._with`` hands it to the
+collection a move returns, so one table serves one script run: the
+exchange checks (both directions), the mutl/mutr degree checks and the
+final ``check_semiorthogonal`` all read it, and x_ext runs on the first
+pair of each shape only.  Zero outcomes are stored as one shared
+``_ZERO``.  Objects of several terms go to x_ext directly.  The pairs are
+still checked in the same order, so the first refused move, the first
+failing pair and every detail string are those of the unshared route.
+``gram_solve`` keeps its own table of chi_X values per call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
+from ..bwb import GradedDims
 from ..flagx import (
     EObject,
     ExtResult,
@@ -115,6 +132,9 @@ class Entry:
 class Collection:
     n_amb: int
     entries: tuple[Entry, ...] = ()
+    # x_ext outcomes by twist shape (see ``_shape_key``), shared by every
+    # collection that ``_with`` derives from this one: one table per run.
+    xt: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def empty(n_amb: int) -> "Collection":
@@ -130,17 +150,56 @@ class Collection:
         return [e.label() for e in self.entries]
 
     def _with(self, entries: Iterable[Entry]) -> "Collection":
-        return Collection(self.n_amb, tuple(entries))
+        return Collection(self.n_amb, tuple(entries), self.xt)
+
+
+_kind = attrgetter("kind")
 
 
 def count_objects(col: Collection) -> int:
     """Number of pure entries (the fullness proxy conserved by moves)."""
-    return sum(1 for e in col.entries if e.kind == "pure")
+    return list(map(_kind, col.entries)).count("pure")
 
 
 def count_tracked(col: Collection) -> int:
     """Pure entries plus cone entries: one object each, opaques excluded."""
-    return sum(1 for e in col.entries if e.kind != "opaque")
+    return len(col.entries) - list(map(_kind, col.entries)).count("opaque")
+
+
+def _shape_key(a: EObject, b: EObject) -> Optional[tuple[int, ...]]:
+    """Ints that fix Ext_X(a, b) and chi_X(a, b) for one-term objects.
+
+    Twisting a = S^p U^vee (kH)(da h)[sa] and b by O(-kH - da h) leaves
+    both as they are and takes a to S^p U^vee [sa].  What is left of b is
+    read relative to a; the shifts enter as their difference and the
+    multiplicities as they are.  None for a multi-term or zero object.
+    """
+    if len(a.terms) != 1 or len(b.terms) != 1:
+        return None
+    ((wa, da, sa, ma),) = a.terms
+    ((wb, db, sb, mb),) = b.terms
+    return (wa.a - wa.b, wb.a - wa.b, wb.b - wa.b, db - da, sb - sa, ma, mb)
+
+
+_ZERO = ExtResult("zero", GradedDims(), GradedDims())
+
+
+def _x_ext(col: Collection, a: EObject, b: EObject) -> ExtResult:
+    """x_ext(a, b) on ``col``'s ambient, one call per twist shape per run.
+
+    Zero outcomes are stored as one shared ``_ZERO``; multi-term objects go
+    to ``x_ext`` directly.
+    """
+    key = _shape_key(a, b)
+    if key is None:
+        return x_ext(a, b, col.n_amb)
+    r = col.xt.get(key)
+    if r is None:
+        r = x_ext(a, b, col.n_amb)
+        if r.is_zero():
+            r = _ZERO
+        col.xt[key] = r
+    return r
 
 
 def _require_pure(col: Collection, i: int, what: str) -> EObject:
@@ -152,8 +211,8 @@ def _require_pure(col: Collection, i: int, what: str) -> EObject:
     return e.obj
 
 
-def _require_vanishing(a: EObject, b: EObject, n_amb: int, i: int) -> None:
-    r = x_ext(a, b, n_amb)
+def _require_vanishing(col: Collection, a: EObject, b: EObject, i: int) -> None:
+    r = _x_ext(col, a, b)
     if r.kind == "bounded":
         raise VanishingNotEstablished(
             f"exchange {i}: Hom({notation(a)}, {notation(b)}) bounded"
@@ -171,8 +230,8 @@ def exchange(col: Collection, i: int) -> Collection:
     direction is not a vanishing (VanishingNotEstablished)."""
     a = _require_pure(col, i, "exchange")
     b = _require_pure(col, i + 1, "exchange")
-    _require_vanishing(a, b, col.n_amb, i)
-    _require_vanishing(b, a, col.n_amb, i)
+    _require_vanishing(col, a, b, i)
+    _require_vanishing(col, b, a, i)
     ent = list(col.entries)
     ent[i], ent[i + 1] = ent[i + 1], ent[i]
     return col._with(ent)
@@ -271,7 +330,7 @@ def mutate_left(col: Collection, i: int) -> Collection:
     """(E, b) at (i, i+1) becomes (L_E b, E)."""
     mutator = _require_pure(col, i, "mutl")
     target = _require_pure(col, i + 1, "mutl")
-    degree = _simple_degree(x_ext(mutator, target, col.n_amb), f"mutl {i}")
+    degree = _simple_degree(_x_ext(col, mutator, target), f"mutl {i}")
     result = _match_rule(mutator, target, col.n_amb, right=False)
     _check_kclass(result, target, mutator, degree, col.n_amb)
     ent = list(col.entries)
@@ -283,7 +342,7 @@ def mutate_right(col: Collection, i: int) -> Collection:
     """(b, E) at (i, i+1) becomes (E, R_E b)."""
     target = _require_pure(col, i, "mutr")
     mutator = _require_pure(col, i + 1, "mutr")
-    degree = _simple_degree(x_ext(target, mutator, col.n_amb), f"mutr {i}")
+    degree = _simple_degree(_x_ext(col, target, mutator), f"mutr {i}")
     result = _match_rule(mutator, target, col.n_amb, right=True)
     _check_kclass(result, target, mutator, degree, col.n_amb)
     ent = list(col.entries)
@@ -346,17 +405,29 @@ def gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
 
     The chi_X Gram matrix of an exceptional sequence is upper-unitriangular
     in collection order; validated here before solving (KClassMismatch if
-    not).
+    not).  chi_X is read from a table local to the call, one ``x_euler`` per
+    twist shape.
     """
+    table: dict[tuple[int, ...], int] = {}
+
+    def chi(a: EObject, b: EObject) -> int:
+        key = _shape_key(a, b)
+        if key is None:
+            return x_euler(a, b, n_amb)
+        v = table.get(key)
+        if v is None:
+            v = table[key] = x_euler(a, b, n_amb)
+        return v
+
     m = len(block)
-    gram = [[x_euler(block[i], block[j], n_amb) for j in range(m)] for i in range(m)]
+    gram = [[chi(block[i], block[j]) for j in range(m)] for i in range(m)]
     for i in range(m):
         if gram[i][i] != 1:
             raise KClassMismatch(f"Gram diagonal chi = {gram[i][i]} != 1 at {i}")
         for j in range(i):
             if gram[i][j] != 0:
                 raise KClassMismatch(f"Gram not unitriangular at ({i},{j})")
-    rhs = [x_euler(block[j], target, n_amb) for j in range(m)]
+    rhs = [chi(block[j], target) for j in range(m)]
     coeff = [0] * m
     for i in range(m - 1, -1, -1):
         coeff[i] = rhs[i] - sum(gram[i][j] * coeff[j] for j in range(i + 1, m))
@@ -387,8 +458,11 @@ def mutate_block_left(col: Collection, i: int, j: int) -> Collection:
     return col._with(ent)
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
+    """Outcome of one ordered pair.  A named tuple: the final check builds
+    one per pair (139,128 at n = 16), and a tuple is quicker to build than a
+    frozen dataclass."""
+
     later: int
     earlier: int
     status: str  # "pass" | "fail" | "indeterminate" | "skipped-opaque"
@@ -396,7 +470,12 @@ class PairCheck:
 
 
 def check_semiorthogonal(col: Collection) -> list[PairCheck]:
-    """Hom_X(entry_j, entry_i) for every j > i must vanish."""
+    """Hom_X(entry_j, entry_i) for every j > i must vanish.
+
+    Pairs are checked in order, each through ``_x_ext``: the pairs that the
+    run's moves certified cost a table read, and one ``x_ext`` covers every
+    pair of a twist shape.
+    """
     out = []
     for j in range(len(col)):
         for i in range(j):
@@ -404,7 +483,7 @@ def check_semiorthogonal(col: Collection) -> list[PairCheck]:
             if ej.kind != "pure" or ei.kind != "pure":
                 out.append(PairCheck(j, i, "skipped-opaque"))
                 continue
-            r = x_ext(ej.obj, ei.obj, col.n_amb)
+            r = _x_ext(col, ej.obj, ei.obj)
             if r.is_zero():
                 out.append(PairCheck(j, i, "pass"))
             elif r.kind == "bounded":

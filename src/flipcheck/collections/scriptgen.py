@@ -5,8 +5,14 @@ engine's checked ``apply_move`` and records its line.  The test suite pins
 each script's sha256 for n = 2..5 and one digest per generator over n = 6..9.
 
 Objects are located by value during generation, which is safe because every
-collection in the replay is multiplicity-free.  A run of exchanges looks its
-object up once: each exchange moves it by exactly one place.
+collection in the replay is multiplicity-free.  ``Sim`` keeps a position
+index that each exchange and mutation updates in two slots, so a lookup
+costs one dict read instead of a scan of the collection; only the other
+moves (expand, serre, promote, ...) make the next lookup rebuild it.  A
+lookup that finds zero copies or two still raises ``ScriptError``.
+
+Every move of one run shares its collection's x_ext table (see
+``engine._x_ext``), so the exchanges of a run read one Ext per twist shape.
 """
 
 from __future__ import annotations
@@ -51,13 +57,19 @@ class _Refused(ScriptError):
 
 class Sim:
     """Applies moves through the checked ``apply_move``, records their lines
-    and calls ``on_move(line, before, after)`` after each."""
+    and calls ``on_move(line, before, after)`` after each.
+
+    ``idx`` reads a position index of the pure objects.  An exchange swaps
+    two of its slots and ``mutl``/``mutr`` replace two; any other move, or a
+    duplicate, drops it, and the next lookup rebuilds it with one scan.
+    """
 
     def __init__(self, col: Collection, on_move=None):
         self.col = col
         self.lines: list[str] = []
         self.applied = 0
         self.on_move = on_move
+        self._pos: Optional[dict[EObject, int]] = None
 
     def do(self, line: str) -> None:
         before = self.col
@@ -68,8 +80,36 @@ class Sim:
             raise _Refused(res) from exc
         self.lines.append(line)
         self.applied += 1
+        self._update_index(line, before)
         if self.on_move is not None:
             self.on_move(line, before, self.col)
+
+    def _update_index(self, line: str, before: Collection) -> None:
+        pos = self._pos
+        kind, _, arg = line.partition(" ")
+        if pos is None or kind not in ("exchange", "mutl", "mutr"):
+            self._pos = None
+            return
+        i = int(arg)
+        old = before.entries[i].obj, before.entries[i + 1].obj
+        new = self.col.entries[i].obj, self.col.entries[i + 1].obj
+        for o in old:
+            del pos[o]
+        for k, o in enumerate(new):
+            if o in pos:
+                self._pos = None  # a second copy: rebuild, and find both
+                return
+            pos[o] = i + k
+
+    def _index(self) -> dict[EObject, int]:
+        """Position of each pure object; -1 for an object held twice or more."""
+        pos: dict[EObject, int] = {}
+        for i, e in enumerate(self.col.entries):
+            if e.kind == "pure":
+                pos[e.obj] = -1 if e.obj in pos else i
+        if -1 not in pos.values():
+            self._pos = pos
+        return pos
 
     def note(self, text: str) -> None:
         self.lines.append(f"# {text}")
@@ -80,14 +120,14 @@ class Sim:
         self.do(f"expand {spec} at {at}")
 
     def idx(self, obj: EObject) -> int:
-        hits = [
-            i
-            for i, e in enumerate(self.col.entries)
-            if e.kind == "pure" and e.obj == obj
-        ]
-        if len(hits) != 1:
-            raise ScriptError(f"object lookup found {len(hits)} copies")
-        return hits[0]
+        pos = self._pos if self._pos is not None else self._index()
+        i = pos.get(obj)
+        if i is None or i < 0:
+            copies = sum(
+                1 for e in self.col.entries if e.kind == "pure" and e.obj == obj
+            )
+            raise ScriptError(f"object lookup found {copies} copies")
+        return i
 
     def opaque_idx(self) -> int:
         hits = [i for i, e in enumerate(self.col.entries) if e.kind == "opaque"]

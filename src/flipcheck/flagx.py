@@ -90,6 +90,25 @@ def _pushed_terms(a: EObject, b: EObject, c: int) -> Iterator[tuple[int, int, in
                     yield ca + pa - u, cb + pb + u, shift, mult
 
 
+def pushed_term_bound(a: EObject, b: EObject, c: int) -> int:
+    """Upper bound on the number of terms ``_pushed_terms(a, b, c)`` yields.
+
+    Per pair of terms, the product of the two ``min(...)`` ranges, with the
+    inner one taken at its widest (t = 0).  Read from the weights alone, so
+    a caller can refuse a huge query before it starts.
+    """
+    total = 0
+    for wa, da, _, _ in a.terms:
+        for wb, db, _, _ in b.terms:
+            d = db - da - c
+            if d == -1:
+                continue
+            outer = min(wa.a - wa.b, wb.a - wb.b) + 1
+            inner = min(wa.a - wa.b + wb.a - wb.b, d if d >= 0 else -d - 2) + 1
+            total += outer * inner
+    return total
+
+
 def _ext(a: EObject, b: EObject, n_amb: int, c: int) -> GradedDims:
     """Ext_E(a (x) O(cH + ch), b) with every degree raised by c.
 

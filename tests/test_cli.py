@@ -135,6 +135,72 @@ def test_cli_cohom_huge_n_is_fast_in_process(capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "H^0 = 1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext", "--N", "5", "--space", "e", "S{3000000}Uv", "S{3000000}Uv"],
+        ["ext", "--N", "5", "--space", "x", "S{3000000}Uv", "S{3000000}Uv(1h)"],
+        ["ext", "--N", "5", "--space", "gr", "S{3000000}Uv", "S{3000000}Uv"],
+    ],
+    ids=["e", "x", "gr"],
+)
+def test_cli_huge_clebsch_gordan_count_is_refused_at_once(argv, capsys, monkeypatch):
+    # The term count is estimated from the weights before anything is
+    # computed; over the budget the query needs --allow-large.  Runs in this
+    # interpreter and may start no other process.
+    import os
+    import subprocess
+    import time
+
+    from flipcheck import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process or computed")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "posix_spawn", refuse)
+    for name in ("e_ext", "x_ext", "gr_ext", "sum_cohomology"):
+        monkeypatch.setattr(cli, name, refuse)
+    t0 = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert "Clebsch-Gordan terms" in line and "--allow-large" in line
+
+
+def test_cli_cohom_counts_one_term_per_summand(capsys, monkeypatch):
+    # H*(Gr, F) = Ext(O, F) splits one term per summand of F, so only a sum
+    # with more summands than the budget is refused.
+    from flipcheck import cli
+
+    monkeypatch.setattr(cli, "CG_BUDGET", 2)
+    assert run(["cohom", "--N", "5", "O+O(1H)"]) == 0
+    capsys.readouterr()
+    assert run(["cohom", "--N", "5", "O+O(1H)+O(2H)"]) == 3
+    assert "Clebsch-Gordan" in capsys.readouterr().err
+    assert run(["--allow-large", "cohom", "--N", "5", "O+O(1H)+O(2H)"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohom", "--N", "5", "S{2}Uv(1H)"],
+        ["cohom", "--N", "4", "Sigma{-2,-2}Uv"],
+        ["ext", "--N", "5", "--space", "e", "S{1}Uv(1H-1h)", "S{2}Uv"],
+        ["ext", "--N", "5", "--space", "x", "O(2h)", "S{1}Uv(1H-1h)"],
+        ["ext", "--N", "5", "--space", "gr", "S{1}Uv(1H)", "S{2}Uv+S{1}Uv(1H)"],
+        ["ext", "--N", "5", "--space", "e", "S{100}Uv", "S{100}Uv(100h)"],
+    ],
+)
+def test_cli_budget_admits_everyday_queries(argv):
+    # The README examples, and a pair that splits into 10,201 terms, stay
+    # under the budget.
+    assert run(argv) in (0, 2)
+
+
 def test_cli_chessboard_huge_n_is_refused_at_once(capsys, monkeypatch):
     # n > 7 needs --allow-large, as for verify; the board is never built.
     import os

@@ -17,7 +17,7 @@ from flipcheck.collections import (
     replay,
     run_script,
 )
-from flipcheck.collections.scriptgen import GENERATORS, Sim
+from flipcheck.collections.scriptgen import GENERATORS, Sim, _O, _S
 from flipcheck.flagx import ExtResult, x_ext
 from flipcheck.verify import verify_inductive_steps
 
@@ -226,3 +226,87 @@ def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
         "failed_move": "exchange 3",
         "error": "exchange 3: Hom(Uv, S^2Uv(H-h)) = ((0, 1),) != 0",
     }
+
+
+# ------------------------------------------------------------ position index
+
+
+def _scan(col: Collection) -> dict:
+    """Position of each pure object by a full scan of the collection."""
+    return {e.obj: i for i, e in enumerate(col.entries) if e.kind == "pure"}
+
+
+@pytest.mark.parametrize("parity,step", SCRIPTS)
+def test_sim_index_agrees_with_a_full_scan_after_every_move(parity, step):
+    for n in range(2, 7):
+        n_amb = 2 * n + (parity == "odd")
+        checked = 0
+
+        def check(line, before, after):
+            nonlocal checked
+            scan = _scan(after)
+            assert len(scan) == sum(e.kind == "pure" for e in after.entries), line
+            if line.split()[0] in ("exchange", "mutl", "mutr"):
+                # updated in place from the index the last check built
+                assert sim._pos == scan, (n, line)
+            for obj, i in scan.items():
+                assert sim.idx(obj) == i, (n, line)
+            assert sim._pos == (scan if scan else None), (n, line)
+            checked += 1
+
+        sim = Sim(Collection.empty(n_amb), check)
+        GENERATORS[(parity, step)](sim, n)
+        assert checked == sim.applied
+
+
+def test_sim_index_raises_on_a_duplicate_and_a_missing_object():
+    sim = Sim(Collection.empty(7))
+    sim.do("expand A at 0")
+    sim.do("expand A at 3")
+    with pytest.raises(ScriptError, match="found 2 copies"):
+        sim.idx(_O())
+    with pytest.raises(ScriptError, match="found 0 copies"):
+        sim.idx(_O(5))
+    assert [sim.col.entries[i].obj for i in range(6)] == [_S(0), _S(1), _S(2)] * 2
+
+
+def test_sim_index_sees_a_duplicate_made_by_a_mutation():
+    # mutl 0 turns (O(H-h), S^1 Uv) into (O(h), O(H-h)): with O(h) already
+    # present the collection holds two copies, and the lookup says so.
+    sim = Sim(Collection.empty(7))
+    sim.do("expand Aseg(0,0)@(1H-1h) at 0")  # O(H-h)
+    sim.do("expand Aseg(1,1) at 1")  # S^1 Uv
+    sim.do("expand Aseg(0,0)@(1h) at 2")  # O(h)
+    assert sim.idx(_O(0, 1)) == 2  # builds the index
+    sim.do("mutl 0")
+    assert sim.col.entries[0].obj == _O(0, 1)
+    with pytest.raises(ScriptError, match="found 2 copies"):
+        sim.idx(_O(0, 1))
+    assert sim.idx(_O(1, -1)) == 1
+
+
+def _slow_counts(col: Collection) -> tuple[int, int]:
+    pure = tracked = 0
+    for e in col.entries:
+        if e.kind == "pure":
+            pure += 1
+        if e.kind in ("pure", "cone"):
+            tracked += 1
+    return pure, tracked
+
+
+def test_counts_match_a_slow_count_with_opaque_and_cone_entries():
+    cols = []
+    for n in (2, 3, 4):
+        cols.append(run_script("odd", "chessboard", n).final)
+        cols.append(run_script("odd", "regions", n).final)
+        cols.append(run_script("even", "full", n).final)
+
+    def record(line, before, after):
+        cols.append(after)
+
+    run_script("odd", "chessboard", 3, on_move=record)
+    assert any(e.kind == "cone" for c in cols for e in c.entries)
+    assert any(e.kind == "opaque" for c in cols for e in c.entries)
+    for col in cols:
+        assert (count_objects(col), count_tracked(col)) == _slow_counts(col)

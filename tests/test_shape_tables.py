@@ -1,0 +1,217 @@
+"""The move engine reads Ext_X and chi_X once per twist shape.
+
+Each fast path is checked against an unshared route that calls ``x_ext``
+(or ``x_euler``) on every pair; a wrong answer on one shape must surface at
+the same first pair with the same detail either way.
+"""
+
+import random
+
+import pytest
+
+import flipcheck.collections.engine as engine
+from flipcheck.bwb import GradedDims
+from flipcheck.collections import (
+    Collection,
+    make_block,
+    EngineError,
+    PairCheck,
+    check_semiorthogonal,
+    exchange,
+    run_script,
+)
+from flipcheck.collections.engine import Entry, gram_solve
+from flipcheck.flagx import EObject, ExtResult, x_ext
+from flipcheck.weights import Weight
+
+
+def _obj(p, k, d, s=0, m=1) -> EObject:
+    """m copies of S^p U^vee (kH)(dh)[s], one term."""
+    return EObject(((Weight(p + k, k), d, s, m),))
+
+
+# Shifts and multiplicities vary too, so every component of the key matters.
+MIXED = [
+    _obj(p, k, d, s, m)
+    for p in range(3)
+    for k in range(2)
+    for d in (-1, 0, 1)
+    for s in (0, 1)
+    for m in (1, 2)
+]
+
+
+def _mixed_collection(n_amb: int, size: int = 22) -> Collection:
+    """A seeded sample of MIXED with an opaque entry and a two-term object."""
+    rng = random.Random(n_amb)
+    entries = [Entry.pure(o) for o in rng.sample(MIXED, size)]
+    entries.insert(rng.randrange(size), Entry.opaque("D"))
+    two_term = EObject.line() + EObject.schur(1, 0, 1).shifted(1)
+    entries.insert(rng.randrange(size), Entry.pure(two_term))
+    return Collection(n_amb, tuple(entries))
+
+
+def _twist_normal(a: EObject, b: EObject) -> tuple:
+    """Both objects twisted so that a's one term sits at H- and h-twist 0:
+    a key built from the objects, not from the engine's ints."""
+    ((w, d, _, _),) = a.terms
+    return a.twisted(-w.b, -d), b.twisted(-w.b, -d)
+
+
+def _unshared_pairs(col: Collection, ext=x_ext) -> list[PairCheck]:
+    """check_semiorthogonal by the obvious route: x_ext on every pair."""
+    out = []
+    for j, ej in enumerate(col.entries):
+        for i, ei in enumerate(col.entries[:j]):
+            if ej.kind != "pure" or ei.kind != "pure":
+                out.append(PairCheck(j, i, "skipped-opaque"))
+                continue
+            r = ext(ej.obj, ei.obj, col.n_amb)
+            if r.is_zero():
+                out.append(PairCheck(j, i, "pass"))
+            elif r.kind == "bounded":
+                detail = f"front={r.front.dims} back={r.back.dims}"
+                out.append(PairCheck(j, i, "indeterminate", detail))
+            else:
+                detail = f"Hom({ej.label()}, {ei.label()}) = {r.total().dims}"
+                out.append(PairCheck(j, i, "fail", detail))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EngineError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n_amb", range(3, 18))
+def test_check_semiorthogonal_matches_the_unshared_route(n_amb):
+    col = _mixed_collection(n_amb)
+    got = check_semiorthogonal(col)
+    assert got == _unshared_pairs(col)
+    assert {c.status for c in got} >= {"pass", "fail", "skipped-opaque"}
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_final_sod_check_matches_the_unshared_route(n, parity):
+    # The final collection keeps the table its own replay filled.
+    res = run_script(parity, "full", n)
+    assert res.ok and res.final.xt
+    assert check_semiorthogonal(res.final) == _unshared_pairs(res.final)
+
+
+def test_x_ext_table_matches_x_ext_on_every_pair():
+    # One table for all ordered pairs of MIXED: a key that dropped or mixed
+    # up a component would hand one pair the Ext of another.
+    n_amb = 5
+    col = Collection(n_amb)
+    for a in MIXED:
+        for b in MIXED:
+            assert engine._x_ext(col, a, b) == x_ext(a, b, n_amb), (a, b)
+    assert len(col.xt) < len(MIXED) ** 2
+
+
+@pytest.mark.parametrize("n_amb", range(3, 18))
+def test_exchange_and_gram_solve_match_the_unshared_route(n_amb, monkeypatch):
+    rng = random.Random(-n_amb)
+    pure = rng.sample(MIXED, 16)
+    blocks = [(rng.sample(pure, rng.randint(1, 4)), rng.choice(pure)) for _ in range(12)]
+    blocks.append((pure[:1] * 2, pure[1]))  # equal shapes, not unitriangular
+    a_block = list(make_block("A", (), n_amb))  # an exceptional sequence
+    blocks += [(a_block, t) for t in pure[:4] + a_block]
+
+    def run_all():
+        table: dict = {}  # shared by every exchange, as within one run
+        return [
+            _outcome(exchange, Collection(n_amb, (Entry.pure(a), Entry.pure(b)), table), 0)
+            for a in pure
+            for b in pure
+        ], [_outcome(gram_solve, block, target, n_amb) for block, target in blocks]
+
+    shared = run_all()
+    monkeypatch.setattr(engine, "_shape_key", lambda a, b: None)
+    assert run_all() == shared
+    assert any(isinstance(o, Collection) for o in shared[0])
+    assert any(isinstance(o, tuple) for o in shared[0])
+    assert any(isinstance(o, list) for o in shared[1])
+
+
+def _faulty_on(shape):
+    """x_ext with a nonzero Hom on every pair of one twist shape."""
+    wrong = ExtResult("exact", GradedDims(), GradedDims(((0, 1),)))
+
+    def faulty(a, b, n_amb):
+        if len(a.terms) == len(b.terms) == 1 and _twist_normal(a, b) == shape:
+            return wrong
+        return x_ext(a, b, n_amb)
+
+    return faulty
+
+
+def _pure_pair_shapes(col: Collection) -> list[tuple]:
+    pure = [e.obj for e in col.entries if e.kind == "pure"]
+    shapes = [_twist_normal(b, a) for i, a in enumerate(pure) for b in pure[i + 1 :]]
+    return list(dict.fromkeys(shapes))
+
+
+def _first_fail(checks):
+    return next((c for c in checks if c.status == "fail"), None)
+
+
+@pytest.mark.parametrize("pick", [0, 1, 7, -1])
+def test_a_wrong_ext_on_one_shape_fails_the_same_first_pair(pick, monkeypatch):
+    final = run_script("odd", "full", 3).final
+    shape = _pure_pair_shapes(final)[pick]
+    faulty = _faulty_on(shape)
+    expected = _unshared_pairs(final, faulty)
+    monkeypatch.setattr(engine, "x_ext", faulty)
+    col = Collection(final.n_amb, final.entries)
+    got = check_semiorthogonal(col)
+    assert got == expected
+    first = _first_fail(got)
+    assert first is not None and first == _first_fail(expected)
+
+
+@pytest.mark.parametrize("step", ["step1", "step4", "full"])
+def test_a_wrong_ext_on_an_exchanged_shape_refuses_the_same_move(step, monkeypatch):
+    shapes = []
+
+    def record(line, before, after):
+        if line.startswith("exchange"):
+            i = int(line.split()[1])
+            a, b = before.entries[i].obj, before.entries[i + 1].obj
+            shapes.append(_twist_normal(b, a))
+
+    assert run_script("odd", step, 4, on_move=record).ok
+    for shape in (shapes[0], shapes[len(shapes) // 2], shapes[-1]):
+        monkeypatch.setattr(engine, "x_ext", _faulty_on(shape))
+        shared = run_script("odd", step, 4)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_shape_key", lambda a, b: None)
+            unshared = run_script("odd", step, 4)
+        assert not shared.ok
+        assert (shared.moves_applied, shared.failed_line, shared.error) == (
+            unshared.moves_applied,
+            unshared.failed_line,
+            unshared.error,
+        )
+        assert shared.final == unshared.final
+
+
+@pytest.mark.parametrize("parity,step", [("odd", "full"), ("even", "full"), ("odd", "chessboard")])
+def test_x_ext_runs_once_per_shape_in_a_run(parity, step, monkeypatch):
+    seen = []
+
+    def counted(a, b, n_amb):
+        seen.append(_twist_normal(a, b))
+        return x_ext(a, b, n_amb)
+
+    monkeypatch.setattr(engine, "x_ext", counted)
+    res = run_script(parity, step, 4)
+    assert res.ok
+    after_moves = len(seen)
+    check_semiorthogonal(res.final)
+    assert len(seen) == len(set(seen))
+    assert after_moves > 0 and len(seen) > after_moves
