@@ -129,14 +129,20 @@ def _on_gr(obj: EObject) -> EObject:
 CG_BUDGET = 100_000
 
 
-def _over_budget(a: EObject, b: EObject, space: str) -> Optional[str]:
-    """A one-line refusal when the query's estimated Clebsch-Gordan term
-    count (``pushed_term_bound``, the front twist included on X) is over
-    ``CG_BUDGET``; None otherwise."""
+def _too_large(args: argparse.Namespace, a: EObject, b: EObject, space: str) -> bool:
+    """Without --allow-large, refuse (one line on stderr) a query whose
+    estimated Clebsch-Gordan term count (``pushed_term_bound``, the front
+    twist included on X) is over ``CG_BUDGET``."""
+    if args.allow_large:
+        return False
     terms = sum(pushed_term_bound(a, b, c) for c in ((0, 1) if space == "x" else (0,)))
     if terms <= CG_BUDGET:
-        return None
-    return f"about {terms} Clebsch-Gordan terms (budget {CG_BUDGET}) needs --allow-large"
+        return False
+    print(
+        f"about {terms} Clebsch-Gordan terms (budget {CG_BUDGET}) needs --allow-large",
+        file=sys.stderr,
+    )
+    return True
 
 
 def _render_dims(g: GradedDims) -> str:
@@ -336,18 +342,14 @@ def run(argv: Optional[list[str]] = None) -> int:
                 return 3
         if args.command == "cohom":
             obj = parse_object(args.expr)
-            refusal = None if args.allow_large else _over_budget(EObject.line(), obj, "gr")
-            if refusal:
-                print(refusal, file=sys.stderr)
+            if _too_large(args, EObject.line(), obj, "gr"):
                 return 3
             print(_render_cohom(sum_cohomology(_on_gr(obj), args.n_amb)))
             return 0
         if args.command == "ext":
             a = parse_object(args.expr_a)
             b = parse_object(args.expr_b)
-            refusal = None if args.allow_large else _over_budget(a, b, args.space)
-            if refusal:
-                print(refusal, file=sys.stderr)
+            if _too_large(args, a, b, args.space):
                 return 3
             if args.space == "gr":
                 print(_render_dims(gr_ext(_on_gr(a), _on_gr(b), args.n_amb)))

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from ..bwb import GradedDims
@@ -153,17 +152,35 @@ class Collection:
         return Collection(self.n_amb, tuple(entries), self.xt)
 
 
-_kind = attrgetter("kind")
-
-
 def count_objects(col: Collection) -> int:
     """Number of pure entries (the fullness proxy conserved by moves)."""
-    return list(map(_kind, col.entries)).count("pure")
+    return sum(1 for e in col.entries if e.kind == "pure")
+
+
+def _tracked(entries: tuple[Entry, ...]) -> int:
+    return sum(1 for e in entries if e.kind != "opaque")
 
 
 def count_tracked(col: Collection) -> int:
     """Pure entries plus cone entries: one object each, opaques excluded."""
-    return len(col.entries) - list(map(_kind, col.entries)).count("opaque")
+    return _tracked(col.entries)
+
+
+def count_tracked_after(
+    before: Collection, count: int, after: Collection, i: int
+) -> int:
+    """count_tracked(after), given count = count_tracked(before) and a move
+    meant to change only the slots i, i+1.
+
+    The entries before slot i and after slot i+1 must be those of
+    ``before``; tuple comparison checks that at C speed (identical objects
+    compare equal without a call), so only the two slots are read in
+    Python.  If anything else changed, ``after`` is counted in full.
+    """
+    a, b = before.entries, after.entries
+    if a[:i] != b[:i] or a[i + 2 :] != b[i + 2 :]:
+        return count_tracked(after)
+    return count - _tracked(a[i : i + 2]) + _tracked(b[i : i + 2])
 
 
 def _shape_key(a: EObject, b: EObject) -> Optional[tuple[int, ...]]:

@@ -36,6 +36,7 @@ from .collections import (
     EngineError,
     count_objects,
     count_tracked,
+    count_tracked_after,
     check_semiorthogonal,
     make_block,
     mutate_left,
@@ -518,10 +519,18 @@ def _replay_claims(
 ) -> Optional[Collection]:
     """Replay a move script and emit replay/final/count claims."""
     start_counts: list[int] = []
+    counted: Optional[Collection] = None  # the collection start_counts[-1] counts
 
     def counter(line: str, before: Collection, after: Collection) -> None:
+        nonlocal counted
         if not line.startswith(("expand", "opaque")):
-            start_counts.append(count_tracked(after))
+            kind, _, arg = line.partition(" ")
+            if counted is before and kind in ("exchange", "mutl", "mutr"):
+                count = count_tracked_after(before, start_counts[-1], after, int(arg))
+            else:
+                count = count_tracked(after)
+            start_counts.append(count)
+            counted = after
         if on_move is not None:
             on_move(line, before, after)
 

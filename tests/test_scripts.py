@@ -13,6 +13,7 @@ from flipcheck.collections import (
     apply_move,
     count_objects,
     count_tracked,
+    count_tracked_after,
     load_script,
     replay,
     run_script,
@@ -310,3 +311,38 @@ def test_counts_match_a_slow_count_with_opaque_and_cone_entries():
     assert any(e.kind == "opaque" for c in cols for e in c.entries)
     for col in cols:
         assert (count_objects(col), count_tracked(col)) == _slow_counts(col)
+
+
+@pytest.mark.parametrize("parity,step", [("odd", "chessboard"), ("odd", "full"), ("even", "full")])
+def test_windowed_count_matches_a_full_count_after_every_move(parity, step):
+    windowed = 0
+
+    def check(line, before, after):
+        nonlocal windowed
+        kind, _, arg = line.partition(" ")
+        if kind in ("exchange", "mutl", "mutr"):
+            got = count_tracked_after(before, count_tracked(before), after, int(arg))
+            assert got == _slow_counts(after)[1], line
+            windowed += 1
+
+    assert run_script(parity, step, 4, on_move=check).ok
+    assert windowed > 0
+
+
+def test_windowed_count_sees_a_change_outside_the_window():
+    from flipcheck.collections.engine import Entry
+
+    before = run_script("odd", "chessboard", 3).final
+    count = count_tracked(before)
+    swapped = list(before.entries)
+    swapped[4], swapped[5] = swapped[5], swapped[4]
+    # a move at 4 that also turned entry 1 or 9 into an opaque placeholder,
+    # or dropped the last entry
+    assert before.entries[1].kind == before.entries[9].kind == "pure"
+    broken = []
+    for k in (1, 9):
+        broken.append(list(swapped))
+        broken[-1][k] = Entry.opaque("lost")
+    for entries in [swapped, swapped[:-1]] + broken:
+        after = Collection(before.n_amb, tuple(entries))
+        assert count_tracked_after(before, count, after, 4) == _slow_counts(after)[1]
