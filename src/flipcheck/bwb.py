@@ -25,9 +25,8 @@ check the closed form against it.
 
 All arithmetic is Python-int exact; dimensions grow combinatorially in N and
 must never wrap.  Results are memoized by (N, a, b); the cache is
-observationally pure.
-``cohomology_at`` reads the memo by plain ints, for the Ext and
-Euler-pairing kernels on E.
+observationally pure.  ``flagx``'s Ext kernel reads it by those ints and
+calls ``cohomology`` on a miss only.
 """
 
 from __future__ import annotations
@@ -135,15 +134,6 @@ def cohomology(w: Weight, n_amb: int) -> GradedDims:
         result = GradedDims(((degree, dim),))
     _cohomology_cache[key] = result
     return result
-
-
-def cohomology_at(a: int, b: int, n_amb: int) -> GradedDims:
-    """cohomology(Weight(a, b), n_amb) for a >= b, read from the memo by ints.
-
-    Only a miss enters ``cohomology``; a hit builds no ``Weight``.
-    """
-    g = _cohomology_cache.get((n_amb, a, b))
-    return cohomology(Weight(a, b), n_amb) if g is None else g
 
 
 def sum_cohomology(s: EObject, n_amb: int) -> GradedDims:

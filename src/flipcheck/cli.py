@@ -30,6 +30,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional
 
@@ -53,6 +54,15 @@ _TERM_RE = re.compile(
 _TWIST_PART = re.compile(r"([+-]?\d*)([Hh])")
 
 
+def _int(numeral: str, pos: int) -> int:
+    """``int(numeral)``; one past Python's int-to-str digit limit
+    (``sys.get_int_max_str_digits``) is a ParseError at ``pos``."""
+    try:
+        return int(numeral)
+    except ValueError:
+        raise ParseError(f"{len(numeral)}-character numeral is too long", pos) from None
+
+
 def _parse_twist(text: str, base: int) -> tuple[int, int]:
     c = d = 0
     pos = 0
@@ -61,7 +71,8 @@ def _parse_twist(text: str, base: int) -> tuple[int, int]:
             raise ParseError(f"bad twist {text!r}", base + pos)
         pos = m.end()
         coeff = m.group(1)
-        value = int(coeff) if coeff not in ("", "+", "-") else (-1 if coeff == "-" else 1)
+        # A bare sign or none stands for the coefficient 1.
+        value = _int(coeff + "1" if coeff in "+-" else coeff, base + m.start())
         if m.group(2) == "H":
             c += value
         else:
@@ -83,18 +94,18 @@ def parse_object(text: str) -> EObject:
         if m.group("schur") == "O":
             a = b = 0
         elif m.group("k") is not None:
-            k = int(m.group("k"))
+            k = _int(m.group("k"), m.start("k"))
             if k < 0:
                 raise ParseError(f"negative symmetric power S{{{k}}}", pos)
             a, b = (k, 0) if m.group("uv") == "Uv" else (0, -k)
         else:
-            a, b = int(m.group("a")), int(m.group("b"))
+            a, b = _int(m.group("a"), m.start("a")), _int(m.group("b"), m.start("b"))
             if a < b:
                 raise ParseError(f"weight violation: ({a},{b}) needs a >= b", pos)
         c = d = 0
         if m.group("twist") is not None:
-            c, d = _parse_twist(m.group("twist"), pos)
-        shift = int(m.group("shift")) if m.group("shift") else 0
+            c, d = _parse_twist(m.group("twist"), m.start("twist"))
+        shift = _int(m.group("shift"), m.start("shift")) if m.group("shift") else 0
         terms.append((Weight(a + c, b + c), d, shift, 1))
         pos = m.end()
         if pos == len(src):
@@ -139,22 +150,22 @@ def _too_large(args: argparse.Namespace, a: EObject, b: EObject, space: str) -> 
     if terms <= CG_BUDGET:
         return False
     print(
-        f"about {terms} Clebsch-Gordan terms (budget {CG_BUDGET}) needs --allow-large",
+        f"about {Decimal(terms)} Clebsch-Gordan terms (budget {CG_BUDGET}) "
+        "needs --allow-large",
         file=sys.stderr,
     )
     return True
 
 
-def _render_dims(g: GradedDims) -> str:
+def _render(g: GradedDims, group: str = "Ext") -> str:
+    """One ``group^degree = dimension`` line per degree, or "0".
+
+    ``Decimal`` prints an int of any length; ``str`` refuses one past
+    ``sys.get_int_max_str_digits()``, which a short twist can reach.
+    """
     if not g:
         return "0"
-    return "\n".join(f"Ext^{d} = {v}" for d, v in g.dims)
-
-
-def _render_cohom(g: GradedDims) -> str:
-    if not g:
-        return "0"
-    return "\n".join(f"H^{d} = {v}" for d, v in g.dims)
+    return "\n".join(f"{group}^{Decimal(d)} = {Decimal(v)}" for d, v in g.dims)
 
 
 # ------------------------------------------------------------------ reports
@@ -178,26 +189,28 @@ def _report_json(report: Report) -> str:
     """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``,
     claim by claim.
 
-    With an indent, ``json`` always runs its pure-Python encoder.  Here the
-    string fields of each claim entry are written with the C string encoder,
-    and only other values (a detail) are dumped on their own and indented to
-    their depth.  JSON strings hold no raw newline, so the indenting
-    ``replace`` touches only the layout.
+    With an indent, ``json`` always runs its pure-Python encoder.  Here each
+    claim's fields are written straight from the ``Claim`` in sorted key
+    order (detail, id, statement, status): the string fields with the C
+    string encoder, and only a detail dumped on its own and indented to its
+    depth.  JSON strings hold no raw newline, so the indenting ``replace``
+    touches only the layout.
     """
-    data = report_to_dict(report)
     claims = []
-    for entry in data["claims"]:
-        fields = []
-        for key in sorted(entry):
-            value = entry[key]
-            if isinstance(value, str):
-                text = _encode(value)
-            else:
-                text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ")
-            fields.append(f"      {_encode(key)}: {text}")
-        claims.append("    {\n" + ",\n".join(fields) + "\n    }")
+    for c in report.claims:
+        head = "    {\n"
+        if c.detail is not None:
+            detail = json.dumps(c.detail, indent=2, sort_keys=True)
+            head += '      "detail": ' + detail.replace("\n", "\n      ") + ",\n"
+        claims.append(
+            f'{head}      "id": {_encode(c.id)},\n'
+            f'      "statement": {_encode(c.statement)},\n'
+            f'      "status": {_encode(c.status)}\n    }}'
+        )
     body = "[\n" + ",\n".join(claims) + "\n  ]" if claims else "[]"
-    rest = json.dumps({**data, "claims": []}, indent=2, sort_keys=True)
+    run = {"N": report.n_amb, "parity": report.parity}
+    frame = {"run": run, "claims": [], "summary": report.summary()}
+    rest = json.dumps(frame, indent=2, sort_keys=True)
     return rest.replace('\n  "claims": []', '\n  "claims": ' + body, 1)
 
 
@@ -344,7 +357,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             obj = parse_object(args.expr)
             if _too_large(args, EObject.line(), obj, "gr"):
                 return 3
-            print(_render_cohom(sum_cohomology(_on_gr(obj), args.n_amb)))
+            print(_render(sum_cohomology(_on_gr(obj), args.n_amb), "H"))
             return 0
         if args.command == "ext":
             a = parse_object(args.expr_a)
@@ -352,18 +365,18 @@ def run(argv: Optional[list[str]] = None) -> int:
             if _too_large(args, a, b, args.space):
                 return 3
             if args.space == "gr":
-                print(_render_dims(gr_ext(_on_gr(a), _on_gr(b), args.n_amb)))
+                print(_render(gr_ext(_on_gr(a), _on_gr(b), args.n_amb)))
                 return 0
             if args.space == "e":
-                print(_render_dims(e_ext(a, b, args.n_amb)))
+                print(_render(e_ext(a, b, args.n_amb)))
                 return 0
             r = x_ext(a, b, args.n_amb)
             if r.kind == "bounded":
                 print("bounded (connecting maps unresolved):")
-                print("  front:", _render_dims(r.front).replace("\n", "; "))
-                print("  back: ", _render_dims(r.back).replace("\n", "; "))
+                print("  front:", _render(r.front).replace("\n", "; "))
+                print("  back: ", _render(r.back).replace("\n", "; "))
                 return 2
-            print(_render_dims(r.total()))
+            print(_render(r.total()))
             return 0
         if args.command in ("verify", "chessboard"):
             if args.n < 2:

@@ -48,10 +48,10 @@ those keys to x_ext outcomes, and ``Collection._with`` hands it to the
 collection a move returns, so one table serves one script run: the
 exchange checks (both directions), the mutl/mutr degree checks and the
 final ``check_semiorthogonal`` all read it, and x_ext runs on the first
-pair of each shape only.  Zero outcomes are stored as one shared
-``_ZERO``.  Objects of several terms go to x_ext directly.  The pairs are
-still checked in the same order, so the first refused move, the first
-failing pair and every detail string are those of the unshared route.
+pair of each shape only; a zero outcome is x_ext's one shared zero.
+Objects of several terms go to x_ext directly.  The pairs are still
+checked in the same order, so the first refused move, the first failing
+pair and every detail string are those of the unshared route.
 ``gram_solve`` keeps its own table of chi_X values per call.
 """
 
@@ -61,7 +61,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-from ..bwb import GradedDims
 from ..flagx import (
     EObject,
     ExtResult,
@@ -198,24 +197,17 @@ def _shape_key(a: EObject, b: EObject) -> Optional[tuple[int, ...]]:
     return (wa.a - wa.b, wb.a - wa.b, wb.b - wa.b, db - da, sb - sa, ma, mb)
 
 
-_ZERO = ExtResult("zero", GradedDims(), GradedDims())
-
-
 def _x_ext(col: Collection, a: EObject, b: EObject) -> ExtResult:
     """x_ext(a, b) on ``col``'s ambient, one call per twist shape per run.
 
-    Zero outcomes are stored as one shared ``_ZERO``; multi-term objects go
-    to ``x_ext`` directly.
+    Multi-term objects go to ``x_ext`` directly.
     """
     key = _shape_key(a, b)
     if key is None:
         return x_ext(a, b, col.n_amb)
     r = col.xt.get(key)
     if r is None:
-        r = x_ext(a, b, col.n_amb)
-        if r.is_zero():
-            r = _ZERO
-        col.xt[key] = r
+        r = col.xt[key] = x_ext(a, b, col.n_amb)
     return r
 
 

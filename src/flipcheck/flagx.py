@@ -11,13 +11,15 @@ Ext groups on E reduce to Gr(2,N) through the pushforward of powers of O(h)::
                 = 0                      d = -1
                 = S^{-d-2} U (x) O(-H) [-1]   d <= -2
 
-One enumerator, ``_pushed_terms``, lists the terms of Rp2* RHom_E(a, b) as
-plain ints: the Clebsch-Gordan split of a^vee (x) b, times this trichotomy,
-split again.  ``e_ext`` adds the BWB dimension of each term into a
-degree -> dimension map; ``e_euler`` adds the same dimensions signed by
-degree parity.  Neither builds a formal sum or merges and sorts terms.
-``bwb.gr_ext`` takes the formal-sum route (``weights.hom_object``, then
-cohomology term by term) for objects with h-twist 0, i.e. on Gr(2,N).
+One kernel, ``_degrees``, computes Ext on E as a degree -> dimension map.
+It runs the Clebsch-Gordan split of a^vee (x) b, times this trichotomy,
+split again, as plain int loops, and adds the BWB dimension of each pushed
+term, read from ``bwb``'s memo by ints, into its degree.  ``e_ext`` sorts
+that map into a ``GradedDims``; ``e_euler`` sums it signed by degree parity.
+Every dim and mult is positive, so nothing cancels and both are exact.
+Neither builds a formal sum or merges and sorts terms.  ``bwb.gr_ext`` takes
+the formal-sum route (``weights.hom_object``, then cohomology term by term)
+for objects with h-twist 0, i.e. on Gr(2,N).
 
 For pushforwards to X (total space of O(-H-h) over E, where E sits as the
 exceptional divisor) the restriction triangle
@@ -26,9 +28,18 @@ exceptional divisor) the restriction triangle
 
 gives a two-term long exact sequence; ``x_ext`` reports the outcome as
 Zero, Exact (connecting maps forced to vanish by degree support), or
-Bounded (both contributions recorded, dimensions not resolved).  The twist
-of the front term enters ``_pushed_terms`` as the int c = 1; no twisted
-object or shifted degree map is built for it.
+Bounded (both contributions recorded, dimensions not resolved).  It runs
+the kernel twice, for the back term and, with the twist O(H+h) entering as
+the int c = 1, for the front term; no twisted object or shifted degree map
+is built.  Every zero outcome is one shared ``ExtResult``: it and its
+``GradedDims`` are frozen, and a zero outcome carries nothing but its kind,
+so no caller can tell it from a fresh one except by identity.
+
+The Hom-vanishing lemma's part 6 asks x_ext for many pairs of line bundles
+(O(ah), O(bH)), each with one pushed term on either side.  A twist-shape
+table, as below and in the move engine, would not help there: no two of
+those pairs differ by a common twist, so each has a shape of its own.  What
+such a query costs is the Python overhead of the kernel itself.
 
 K-theory classes are fingerprinted by Euler pairing against the full
 exceptional collection <p2^* T_i, p2^* T_i (x) O(h)> of D(E); the pairing
@@ -51,7 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bwb import GradedDims, cohomology_at
+from . import bwb
+from .bwb import ZERO, GradedDims
 from .weights import EObject, Weight
 
 
@@ -64,38 +76,13 @@ def push_p2(d_h: int) -> EObject:
     return EObject.of_weight(Weight(-1, d_h + 1)).shifted(-1)
 
 
-def _pushed_terms(a: EObject, b: EObject, c: int) -> Iterator[tuple[int, int, int, int]]:
-    """Terms of Rp2* RHom_E(a (x) O(cH + ch), b) as ints (x, y, shift, mult).
-
-    Each stands for mult copies of Sigma^{x,y} U^vee [shift].  For each pair
-    of terms, a^vee (x) b is split by Clebsch-Gordan, tensored with push_p2
-    of the relative h-twist and split again.  Terms are not merged, so one
-    (x, y, shift) may occur more than once.  The twist ``c`` of ``a`` enters
-    as ints: it lowers the dual weight and the relative h-twist by c.
-    """
-    for wa, da, sa, ma in a.terms:
-        a1, b1 = -wa.b - c, -wa.a - c  # weight of the dual
-        for wb, db, sb, mb in b.terms:
-            d = db - da - c
-            if d == -1:
-                continue
-            # push_p2(d) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1] for d <= -2.
-            pa, pb, sp = (d, 0, 0) if d >= 0 else (-1, d + 1, -1)
-            shift = sb - sa + sp
-            mult = ma * mb
-            a2, b2 = wb.a, wb.b
-            for t in range(min(a1 - b1, a2 - b2) + 1):
-                ca, cb = a1 + a2 - t, b1 + b2 + t
-                for u in range(min(ca - cb, pa - pb) + 1):
-                    yield ca + pa - u, cb + pb + u, shift, mult
-
-
 def pushed_term_bound(a: EObject, b: EObject, c: int) -> int:
-    """Upper bound on the number of terms ``_pushed_terms(a, b, c)`` yields.
+    """Upper bound on the number of pushed terms ``_degrees(a, b, n, c)`` reads.
 
-    Per pair of terms, the product of the two ``min(...)`` ranges, with the
-    inner one taken at its widest (t = 0).  Read from the weights alone, so
-    a caller can refuse a huge query before it starts.
+    Per pair of terms, the product of the two ``min(...)`` ranges of its
+    Clebsch-Gordan loops, with the inner one taken at its widest (t = 0).
+    Read from the weights alone, so a caller can refuse a huge query before
+    it starts.
     """
     total = 0
     for wa, da, _, _ in a.terms:
@@ -109,35 +96,57 @@ def pushed_term_bound(a: EObject, b: EObject, c: int) -> int:
     return total
 
 
-def _ext(a: EObject, b: EObject, n_amb: int, c: int) -> GradedDims:
-    """Ext_E(a (x) O(cH + ch), b) with every degree raised by c.
+def _degrees(a: EObject, b: EObject, n_amb: int, c: int) -> dict[int, int]:
+    """Ext_E(a (x) O(cH + ch), b) with every degree raised by c, as a
+    degree -> dimension map in no particular order.
 
-    A term Sigma^{x,y}[shift] with multiplicity mult adds mult * dim to degree
-    deg - shift + c for each H^deg of Sigma^{x,y} U^vee.  Every dim and mult
-    is positive, so nothing cancels and the sorted degree map is the normal
-    form.
+    For each pair of terms, a^vee (x) b is split by Clebsch-Gordan, tensored
+    with push_p2 of the relative h-twist and split again; the twist c of a
+    lowers the dual weight and the relative h-twist by c.  A pushed term
+    Sigma^{x,y} U^vee [shift] of multiplicity mult adds mult * dim to degree
+    deg - shift + c for each H^deg of it, read from the BWB memo by ints
+    (``bwb.cohomology`` runs on a miss only).
     """
+    memo = bwb._cohomology_cache
     acc: dict[int, int] = {}
-    for x, y, shift, mult in _pushed_terms(a, b, c):
-        for deg, dim in cohomology_at(x, y, n_amb).dims:
-            k = deg - shift + c
-            acc[k] = acc.get(k, 0) + dim * mult
+    for wa, da, sa, ma in a.terms:
+        a1, b1 = -wa.b - c, -wa.a - c  # weight of the dual
+        for wb, db, sb, mb in b.terms:
+            d = db - da - c
+            if d == -1:
+                continue
+            # push_p2(d) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1] for d <= -2.
+            pa, pb, sp = (d, 0, 0) if d >= 0 else (-1, d + 1, -1)
+            off = c - (sb - sa + sp)
+            mult = ma * mb
+            for t in range(min(a1 - b1, wb.a - wb.b) + 1):
+                ca, cb = a1 + wb.a - t, b1 + wb.b + t
+                for u in range(min(ca - cb, pa - pb) + 1):
+                    x, y = ca + pa - u, cb + pb + u
+                    g = memo.get((n_amb, x, y))
+                    if g is None:
+                        g = bwb.cohomology(Weight(x, y), n_amb)
+                    for deg, dim in g.dims:
+                        k = deg + off
+                        acc[k] = acc.get(k, 0) + dim * mult
+    return acc
+
+
+def _graded(acc: dict[int, int]) -> GradedDims:
+    """A degree map of ``_degrees`` sorted into its normal form.  Every dim
+    and mult is positive, so nothing cancels."""
     return GradedDims(tuple(sorted(acc.items())))
 
 
 def _euler(a: EObject, b: EObject, n_amb: int, c: int) -> int:
-    """_ext(a, b, n_amb, c).euler(), without building the Ext: the same sum,
-    with each mult * dim signed by the parity of its degree."""
-    total = 0
-    for x, y, shift, mult in _pushed_terms(a, b, c):
-        for deg, dim in cohomology_at(x, y, n_amb).dims:
-            total += -mult * dim if (deg - shift + c) % 2 else mult * dim
-    return total
+    """The Euler characteristic of ``_degrees(a, b, n_amb, c)``: its dims
+    signed by the parity of their degree."""
+    return sum(-v if k % 2 else v for k, v in _degrees(a, b, n_amb, c).items())
 
 
 def e_ext(a: EObject, b: EObject, n_amb: int) -> GradedDims:
     """Ext^bullet_E(a, b) = H^bullet(Gr(2, N), Rp2* RHom_E(a, b))."""
-    return _ext(a, b, n_amb, 0)
+    return _graded(_degrees(a, b, n_amb, 0))
 
 
 def e_euler(a: EObject, b: EObject, n_amb: int) -> int:
@@ -177,17 +186,23 @@ class ExtResult:
         return self.back.euler() + self.front.euler()
 
 
+# The one zero outcome (see the module docstring).
+_ZERO_EXT = ExtResult("zero", ZERO, ZERO)
+
+
 def x_ext(a: EObject, b: EObject, n_amb: int) -> ExtResult:
-    """Ext^bullet_X(j_* a, j_* b) via the restriction triangle on E."""
-    back = e_ext(a, b, n_amb)
-    front = _ext(a, b, n_amb, 1)
+    """Ext^bullet_X(j_* a, j_* b) via the restriction triangle on E.
+
+    Every zero outcome is the one ``_ZERO_EXT``.
+    """
+    back = _degrees(a, b, n_amb, 0)
+    front = _degrees(a, b, n_amb, 1)
     if not front and not back:
-        return ExtResult("zero", front, back)
+        return _ZERO_EXT
     # Connecting maps run Ext^{k-1}_E(a(H+h), b) -> Ext^{k+1}_E(a, b), i.e.
     # front^k -> back^{k+1} in shifted indexing.
-    if all(back[k + 1] == 0 for k, _ in front.dims):
-        return ExtResult("exact", front, back)
-    return ExtResult("bounded", front, back)
+    kind = "exact" if all(not back.get(k + 1) for k in front) else "bounded"
+    return ExtResult(kind, _graded(front), _graded(back))
 
 
 def x_euler(a: EObject, b: EObject, n_amb: int) -> int:

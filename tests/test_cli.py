@@ -1,6 +1,6 @@
 import json
 
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pytest
 
@@ -325,3 +325,98 @@ def test_chessboard_render_staircase_upper_right():
 def test_cli_chessboard_runs(capsys):
     assert run(["chessboard", "--n", "3", "--render", "ascii"]) == 0
     assert run(["chessboard", "--n", "3", "--render", "json"]) == 0
+
+
+@pytest.fixture
+def no_processes(monkeypatch):
+    """Starting a process from the test fails it."""
+    import os
+    import subprocess
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "posix_spawn", refuse)
+
+
+_LONG = "9" * 5000  # past Python's 4,300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [f"S{{{_LONG}}}Uv", f"Sigma{{{_LONG},0}}Uv", f"O({_LONG}H)", f"O[{_LONG}]"],
+    ids=["symmetric-power", "weight", "twist", "shift"],
+)
+def test_cli_overlong_numeral_is_a_parse_error(expr, capsys, no_processes):
+    with pytest.raises(ParseError, match="5000-character numeral"):
+        parse_object(expr)
+    assert run(["ext", "--N", "5", "--space", "e", expr, "O"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert line.startswith("parse error: 5000-character numeral is too long")
+
+
+def test_cli_prints_a_dimension_past_the_int_digit_limit(capsys, no_processes):
+    # An 800-digit twist gives a dimension of about 4,800 digits at N = 5;
+    # it is printed in full.
+    from decimal import Decimal
+
+    from flipcheck.flagx import e_ext
+
+    twist = "9" * 800
+    assert run(["ext", "--N", "5", "--space", "e", f"O({twist}H)", "O"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    head, _, digits = line.partition(" = ")
+    [(deg, dim)] = e_ext(parse_object(f"O({twist}H)"), EObject.line(), 5).dims
+    assert head == f"Ext^{deg}"
+    assert len(digits) > 4300 and Decimal(digits) == Decimal(dim)
+
+
+_NUMERALS = (
+    st.integers(-(10**6), 10**6).map(str)
+    | st.integers(4290, 4400).map(lambda k: "9" * k)
+    | st.text("0123456789", min_size=1, max_size=12)
+)
+_PIECES = st.sampled_from(["O", "S{", "Sigma{", "}", "Uv", *"U,()[]Hh+- "])
+_TERMS = st.tuples(
+    st.just("O")
+    | _NUMERALS.map("S{{{}}}Uv".format)
+    | st.tuples(_NUMERALS, _NUMERALS).map(lambda ab: "Sigma{{{},{}}}Uv".format(*ab)),
+    st.just("")
+    | st.tuples(_NUMERALS, _NUMERALS).map(lambda cd: "({}H{}h)".format(*cd)),
+    st.just("") | _NUMERALS.map("[{}]".format),
+).map("".join)
+_EXPRS = st.lists(_PIECES | _NUMERALS, max_size=12).map("".join) | st.lists(
+    _TERMS, min_size=1, max_size=3
+).map("+".join)
+
+
+@given(_EXPRS, _EXPRS, st.integers(3, 7), st.sampled_from(["gr", "e", "x"]))
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzz_parse_and_run_in_process(no_processes, a, b, n_amb, space):
+    # Strings from the grammar's alphabet, with huge numerals: parsing gives
+    # an object or a ParseError, and the CLI answers 0, 2 or 3 without a
+    # traceback.
+    import contextlib
+    import io
+
+    for expr in (a, b):
+        try:
+            assert isinstance(parse_object(expr), EObject)
+        except ParseError:
+            pass
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        codes = [
+            run(["ext", "--N", str(n_amb), "--space", space, a, b]),
+            run(["cohom", "--N", str(n_amb), a]),
+        ]
+    assert set(codes) <= {0, 2, 3}, (codes, err.getvalue()[:300])
+    assert "Traceback" not in err.getvalue()

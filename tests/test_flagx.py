@@ -2,7 +2,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from flipcheck.bwb import GradedDims, gr_euler, gr_ext, sum_cohomology
+from flipcheck.bwb import GradedDims, cohomology, gr_euler, gr_ext, sum_cohomology
 import flipcheck.flagx as fx
 from flipcheck.flagx import (
     BasisValidationError,
@@ -344,18 +344,67 @@ _BOUNDED_A = EObject.of_weight(Weight(-3, -6), -2)
 _BOUNDED_B = EObject.of_weight(Weight(-2, -6), 0)
 
 
-@given(st.integers(min_value=3, max_value=11), multi_eobjects(), multi_eobjects())
+@given(st.integers(min_value=3, max_value=17), multi_eobjects(), multi_eobjects())
+@example(4, _BOUNDED_A, _BOUNDED_B)
+@example(5, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
+@example(7, EObject.line(0, 3), EObject.line(1, 0))
+@settings(max_examples=150, deadline=None)
+def test_x_ext_matches_reference_route(n_amb, a, b):
+    # The kernel folds the twist O(H+h) of a into its int loops; the obvious
+    # route twists a, takes the formal-sum Ext on E and shifts it.
+    a1 = a.twisted(1, 1)
+    front = _reference_e_ext(a1, b, n_amb).shifted(1)
+    back = _reference_e_ext(a, b, n_amb)
+    if not front and not back:
+        kind = "zero"
+    elif all(back[k + 1] == 0 for k in front.degrees()):
+        kind = "exact"
+    else:
+        kind = "bounded"
+    r = x_ext(a, b, n_amb)
+    assert (r.kind, r.front, r.back) == (kind, front, back)
+    assert x_euler(a, b, n_amb) == back.euler() - _reference_e_ext(a1, b, n_amb).euler()
+
+
+def test_zero_outcomes_are_one_shared_object():
+    # Two van.6 pairs of different shape, both zero at N = 7.
+    r = x_ext(EObject.line(0, 3), EObject.line(1, 0), 7)
+    assert r.is_zero() and not r.front and not r.back
+    assert x_ext(EObject.line(0, 4), EObject.line(1, 0), 7) is r
+
+
+def _reference_pushed_terms(a, b, c):
+    """Terms of Rp2* RHom_E(a (x) O(cH + ch), b) as ints (x, y, shift, mult),
+    unmerged: the loops of the Ext kernel, as a generator."""
+    for wa, da, sa, ma in a.terms:
+        a1, b1 = -wa.b - c, -wa.a - c
+        for wb, db, sb, mb in b.terms:
+            d = db - da - c
+            if d == -1:
+                continue
+            pa, pb, sp = (d, 0, 0) if d >= 0 else (-1, d + 1, -1)
+            for t in range(min(a1 - b1, wb.a - wb.b) + 1):
+                ca, cb = a1 + wb.a - t, b1 + wb.b + t
+                for u in range(min(ca - cb, pa - pb) + 1):
+                    yield ca + pa - u, cb + pb + u, sb - sa + sp, ma * mb
+
+
+@given(st.integers(min_value=3, max_value=17), multi_eobjects(), multi_eobjects())
 @example(4, _BOUNDED_A, _BOUNDED_B)
 @example(5, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
 @settings(max_examples=150, deadline=None)
-def test_x_ext_front_matches_twisted_route(n_amb, a, b):
-    # The front term is computed with the twist O(H+h) of a folded into the
-    # term enumerator; the obvious route twists a and shifts the Ext.
-    a1 = a.twisted(1, 1)
-    r = x_ext(a, b, n_amb)
-    assert r.front == e_ext(a1, b, n_amb).shifted(1)
-    assert r.back == e_ext(a, b, n_amb)
-    assert x_euler(a, b, n_amb) == e_euler(a, b, n_amb) - e_euler(a1, b, n_amb)
+def test_kernel_matches_term_enumerator_and_bound(n_amb, a, b):
+    # The kernel's degree map is the enumerator's terms, each adding
+    # mult * dim to degree deg - shift + c; pushed_term_bound, which the CLI
+    # refuses huge queries by, never undercounts the terms.
+    for c in (0, 1):
+        terms = list(_reference_pushed_terms(a, b, c))
+        acc = {}
+        for x, y, shift, mult in terms:
+            for deg, dim in cohomology(Weight(x, y), n_amb).dims:
+                acc[deg - shift + c] = acc.get(deg - shift + c, 0) + dim * mult
+        assert fx._degrees(a, b, n_amb, c) == acc
+        assert fx.pushed_term_bound(a, b, c) >= len(terms)
 
 
 @given(st.integers(min_value=3, max_value=11), multi_eobjects(), multi_eobjects())
