@@ -30,7 +30,6 @@ import argparse
 import json
 import re
 import sys
-from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional
 
@@ -149,6 +148,8 @@ def _too_large(args: argparse.Namespace, a: EObject, b: EObject, space: str) -> 
     terms = sum(pushed_term_bound(a, b, c) for c in ((0, 1) if space == "x" else (0,)))
     if terms <= CG_BUDGET:
         return False
+    from decimal import Decimal  # see _render
+
     print(
         f"about {Decimal(terms)} Clebsch-Gordan terms (budget {CG_BUDGET}) "
         "needs --allow-large",
@@ -161,8 +162,12 @@ def _render(g: GradedDims, group: str = "Ext") -> str:
     """One ``group^degree = dimension`` line per degree, or "0".
 
     ``Decimal`` prints an int of any length; ``str`` refuses one past
-    ``sys.get_int_max_str_digits()``, which a short twist can reach.
+    ``sys.get_int_max_str_digits()``, which a short twist can reach.  It is
+    imported here, so a ``verify`` run, which prints no dimension, never
+    loads it.
     """
+    from decimal import Decimal
+
     if not g:
         return "0"
     return "\n".join(f"{group}^{Decimal(d)} = {Decimal(v)}" for d, v in g.dims)
@@ -208,9 +213,8 @@ def _report_json(report: Report) -> str:
             f'      "status": {_encode(c.status)}\n    }}'
         )
     body = "[\n" + ",\n".join(claims) + "\n  ]" if claims else "[]"
-    run = {"N": report.n_amb, "parity": report.parity}
-    frame = {"run": run, "claims": [], "summary": report.summary()}
-    rest = json.dumps(frame, indent=2, sort_keys=True)
+    frame = {"run": {"N": report.n_amb, "parity": report.parity}, "claims": []}
+    rest = json.dumps({**frame, "summary": report.summary()}, indent=2, sort_keys=True)
     return rest.replace('\n  "claims": []', '\n  "claims": ' + body, 1)
 
 

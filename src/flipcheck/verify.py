@@ -317,33 +317,32 @@ def verify_van(part: int, n: int, parity: str = "odd") -> Report:
 
     elif part == 6:
         box = 3 * n
-        oh = {a: _O(0, a) for a in range(-box, box + 1)}  # O(ah)
+        # Each line bundle is built once: lh[a] = O(ah), lH[b] = O(bH).
+        lh = {a: _O(0, a) for a in range(-box, box + 1)}
+        lH = {b: _O(b, 0) for b in range(-box, box + 1)}
         for b in range(1, box + 1):
-            o_b = _O(b, 0)
             for a in range(b + 2, min(b + 2 * n - 3, box) + 1):
                 _check(
                     report,
                     f"van.6i/a={a}/b={b}",
                     f"Ext(O({a}h), O({b}H)) = 0 [condition (i)]",
-                    _vanish, oh[a], o_b, n_amb,
+                    _vanish, lh[a], lH[b], n_amb,
                 )
         for b in range(max(3 - n_amb, -box), 0):
-            o_b = _O(b, 0)
             for a in range(-box, box + 1):
                 _check(
                     report,
                     f"van.6ii/a={a}/b={b}",
                     f"Ext(O({a}h), O({b}H)) = 0 [condition (ii), b >= 3-N]",
-                    _vanish, oh[a], o_b, n_amb,
+                    _vanish, lh[a], lH[b], n_amb,
                 )
 
         def audit6() -> Outcome:
             ok = bad = 0
             sample = None
             for b in range(-box, 3 - n_amb):
-                o_b = _O(b, 0)
                 for a in range(-box, box + 1):
-                    r = x_ext(oh[a], o_b, n_amb)
+                    r = x_ext(lh[a], lH[b], n_amb)
                     if r.is_zero():
                         ok += 1
                     else:

@@ -349,7 +349,7 @@ _BOUNDED_B = EObject.of_weight(Weight(-2, -6), 0)
 @example(5, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
 @example(7, EObject.line(0, 3), EObject.line(1, 0))
 @settings(max_examples=150, deadline=None)
-def test_x_ext_matches_reference_route(n_amb, a, b):
+def test_x_ext_front_matches_twisted_route(n_amb, a, b):
     # The kernel folds the twist O(H+h) of a into its int loops; the obvious
     # route twists a, takes the formal-sum Ext on E and shifts it.
     a1 = a.twisted(1, 1)
