@@ -6,15 +6,14 @@ roof X of the flip Tot_{Gr(2,N)}(U(-H)) -> Tot_{P^{N-1}}(Q(-2h)), for any
 rank parameter N, reporting pass/fail/indeterminate per claim.
 """
 
-from .weights import EObject, Weight, cg_tensor, hom_object
-from .bwb import GradedDims, cohomology, gr_euler, gr_ext, weyl_dim
+from .weights import EObject, Weight
+from .bwb import GradedDims, cohomology
 from .flagx import (
     ExtResult,
     e_ext,
     e_euler,
     euler_basis,
     k_class,
-    push_p2,
     x_ext,
 )
 from .verify import (

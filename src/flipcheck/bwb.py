@@ -20,22 +20,23 @@ for x < 0, so::
 
 with X = x if x >= 0 else N-3-x, and Y likewise.  ``math.comb`` evaluates
 it without building (N-1)! (N-2)!, so a huge N with a small dimension is
-fast.  ``weyl_dim`` is the textbook formula on the sorted weight; the tests
-check the closed form against it.
+fast.  The tests check it against the textbook recipe (sort lambda + rho,
+count inversions, Weyl's formula on the sorted weight).
 
 All arithmetic is Python-int exact; dimensions grow combinatorially in N and
 must never wrap.  Results are memoized by (N, a, b); the cache is
 observationally pure.  ``flagx``'s Ext kernel reads it by those ints and
-calls ``cohomology`` on a miss only.
+calls ``cohomology`` on a miss only; every Ext and every cohomology of a
+sum, on Gr(2,N) as on E, goes through that kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .weights import EObject, Weight, hom_object, normalize
+from .weights import Weight, normalize
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,8 @@ class GradedDims:
     def __bool__(self) -> bool:
         return bool(self.dims)
 
-    def __getitem__(self, deg: int) -> int:
-        for d, v in self.dims:
-            if d == deg:
-                return v
-        return 0
-
     def __add__(self, other: "GradedDims") -> "GradedDims":
         return GradedDims.of(self.dims + other.dims)
-
-    def shifted(self, k: int) -> "GradedDims":
-        """Degrees raised by k (homological shift [-k])."""
-        return GradedDims(tuple((d + k, v) for d, v in self.dims))
 
     def euler(self) -> int:
         return sum(v if d % 2 == 0 else -v for d, v in self.dims)
@@ -70,32 +61,8 @@ class GradedDims:
     def total(self) -> int:
         return sum(v for _, v in self.dims)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.dims)
-
 
 ZERO = GradedDims()
-
-
-def weyl_dim(nu: Sequence[int]) -> int:
-    """Dimension of the irreducible GL(N) representation of highest weight nu.
-
-    prod_{i<j} (nu_i - nu_j + j - i) / (j - i), evaluated exactly: the
-    numerator is always divisible by the denominator.
-    """
-    if any(nu[i] < nu[i + 1] for i in range(len(nu) - 1)):
-        raise ValueError(f"weight {tuple(nu)} is not nonincreasing")
-    num = 1
-    den = 1
-    n = len(nu)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= nu[i] - nu[j] + j - i
-            den *= j - i
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("Weyl dimension formula produced a non-integer")
-    return q
 
 
 _cohomology_cache: dict[tuple[int, int, int], GradedDims] = {}
@@ -134,28 +101,3 @@ def cohomology(w: Weight, n_amb: int) -> GradedDims:
         result = GradedDims(((degree, dim),))
     _cohomology_cache[key] = result
     return result
-
-
-def sum_cohomology(s: EObject, n_amb: int) -> GradedDims:
-    """Cohomology of an object on Gr(2, N); a term Sigma^w[k] lands in
-    degrees j - k.  A term with an h-twist is not on Gr(2, N): ValueError."""
-    out: list[tuple[int, int]] = []
-    for w, dh, shift, mult in s:
-        if dh:
-            raise ValueError(f"term {w} has h-twist {dh}; not on Gr(2,N)")
-        for deg, dim in cohomology(w, n_amb).dims:
-            out.append((deg - shift, dim * mult))
-    return GradedDims.of(out)
-
-
-def gr_ext(a: EObject, b: EObject, n_amb: int) -> GradedDims:
-    """Ext^bullet_{Gr(2,N)}(a, b) = H^bullet of the Hom object.
-
-    The Hom object must have h-twist 0 (``sum_cohomology`` raises otherwise).
-    """
-    return sum_cohomology(hom_object(a, b), n_amb)
-
-
-def gr_euler(a: EObject, b: EObject, n_amb: int) -> int:
-    """Euler pairing chi(a, b) on Gr(2, N)."""
-    return gr_ext(a, b, n_amb).euler()

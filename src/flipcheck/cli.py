@@ -8,8 +8,8 @@ Object notation (pure ASCII)::
     twist := "(" [c"H"] [d"h"] ")"     at least one part, e.g. (1H-1h), (2H), (-1h)
     shift := "[" k "]"
 
-H-twists are folded into the weight at lowering, so the canonical printed
-form of a term is ``Sigma{a,b}Uv(dh)[s]``; parse(print(x)) == x.
+H-twists are folded into the weight at lowering, so each object has one
+normal form, whose terms read ``Sigma{a,b}Uv(dh)[s]``.
 
 Subcommands::
 
@@ -33,9 +33,9 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional
 
-from .bwb import GradedDims, gr_ext, sum_cohomology
+from .bwb import GradedDims
 from .flagx import EObject, e_ext, pushed_term_bound, x_ext
-from .verify import LEMMAS, Claim, Report, verify_suite
+from .verify import LEMMAS, Report, verify_suite
 from .weights import Weight
 
 
@@ -115,19 +115,6 @@ def parse_object(text: str) -> EObject:
     return EObject.of(terms)
 
 
-def print_object(obj: EObject) -> str:
-    """Canonical form; parse(print_object(x)) == x."""
-    parts = []
-    for w, dh, s, m in obj:
-        t = f"Sigma{{{w.a},{w.b}}}Uv"
-        if dh:
-            t += f"({dh}h)"
-        if s:
-            t += f"[{s}]"
-        parts.extend([t] * m)
-    return "+".join(parts) if parts else "0"
-
-
 def _on_gr(obj: EObject) -> EObject:
     if any(dh for _, dh, _, _ in obj):
         raise ParseError("object has h-twists; not a Gr(2,N) object", 0)
@@ -135,7 +122,9 @@ def _on_gr(obj: EObject) -> EObject:
 
 
 # Clebsch-Gordan terms an ext or cohom query may split without --allow-large:
-# about a second on the slowest route (gr), far above any everyday query.
+# under a second on every space, which all run one kernel (slowest when each
+# term is a new BWB weight, as for S{k}Uv against itself), far above any
+# everyday query.
 CG_BUDGET = 100_000
 
 
@@ -230,19 +219,6 @@ def emit_report(report: Report, fmt: str = "text") -> str:
         f"{s['indeterminate']} indeterminate, {s['skipped']} skipped"
     )
     return "\n".join(lines)
-
-
-def parse_report(text: str) -> Report:
-    """Inverse of the JSON emission (round-trip helper)."""
-    data = json.loads(text)
-    n_amb = data["run"]["N"]
-    parity = data["run"]["parity"]
-    report = Report(n_amb // 2, parity)
-    for c in data["claims"]:
-        report.claims.append(
-            Claim(c["id"], c["statement"], c["status"], c.get("detail"))
-        )
-    return report
 
 
 def _exit_code(report: Report) -> int:
@@ -361,7 +337,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             obj = parse_object(args.expr)
             if _too_large(args, EObject.line(), obj, "gr"):
                 return 3
-            print(_render(sum_cohomology(_on_gr(obj), args.n_amb), "H"))
+            print(_render(e_ext(EObject.line(), _on_gr(obj), args.n_amb), "H"))
             return 0
         if args.command == "ext":
             a = parse_object(args.expr_a)
@@ -369,7 +345,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             if _too_large(args, a, b, args.space):
                 return 3
             if args.space == "gr":
-                print(_render(gr_ext(_on_gr(a), _on_gr(b), args.n_amb)))
+                print(_render(e_ext(_on_gr(a), _on_gr(b), args.n_amb)))
                 return 0
             if args.space == "e":
                 print(_render(e_ext(a, b, args.n_amb)))

@@ -28,6 +28,6 @@ from .engine import (
     serre_tail,
     serre_twist,
 )
-from .scriptgen import GENERATORS, ReplayResult, load_script, replay, run_script
+from .scriptgen import GENERATORS, ReplayResult, replay, run_script
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -437,12 +437,6 @@ def run_script(parity: str, step: str, n: int, on_move=None) -> ReplayResult:
     return ReplayResult(sim.col, sim.applied)
 
 
-def load_script(parity: str, step: str, n: int) -> list[str]:
-    """Lines of the certified (parity, step, n) script; a refused move
-    raises ``ScriptError``."""
-    return _generate(parity, step, n).lines
-
-
 def replay(col: Collection, lines: Iterable[str], on_move=None) -> ReplayResult:
     """Execute a move script given as text with every move certified,
     failing fast on the first refused move."""

@@ -17,9 +17,10 @@ split again, as plain int loops, and adds the BWB dimension of each pushed
 term, read from ``bwb``'s memo by ints, into its degree.  ``e_ext`` sorts
 that map into a ``GradedDims``; ``e_euler`` sums it signed by degree parity.
 Every dim and mult is positive, so nothing cancels and both are exact.
-Neither builds a formal sum or merges and sorts terms.  ``bwb.gr_ext`` takes
-the formal-sum route (``weights.hom_object``, then cohomology term by term)
-for objects with h-twist 0, i.e. on Gr(2,N).
+Neither builds a formal sum or merges and sorts terms.  Since Rp2* O_E = O,
+the same kernel answers Ext on Gr(2,N) for objects with h-twist 0, and
+H^bullet(Gr(2,N), F) = Ext(O, F); the CLI's ``cohom`` and ``ext --space gr``
+use it so.
 
 For pushforwards to X (total space of O(-H-h) over E, where E sits as the
 exceptional divisor) the restriction triangle
@@ -67,15 +68,6 @@ from .bwb import ZERO, GradedDims
 from .weights import EObject, Weight
 
 
-def push_p2(d_h: int) -> EObject:
-    """Rp2* O(d_h.h) on Gr(2, N), per the projection-formula trichotomy."""
-    if d_h >= 0:
-        return EObject.of_weight(Weight(d_h, 0))
-    if d_h == -1:
-        return EObject()
-    return EObject.of_weight(Weight(-1, d_h + 1)).shifted(-1)
-
-
 def pushed_term_bound(a: EObject, b: EObject, c: int) -> int:
     """Upper bound on the number of pushed terms ``_degrees(a, b, n, c)`` reads.
 
@@ -101,7 +93,7 @@ def _degrees(a: EObject, b: EObject, n_amb: int, c: int) -> dict[int, int]:
     degree -> dimension map in no particular order.
 
     For each pair of terms, a^vee (x) b is split by Clebsch-Gordan, tensored
-    with push_p2 of the relative h-twist and split again; the twist c of a
+    with Rp2* of the relative h-twist and split again; the twist c of a
     lowers the dual weight and the relative h-twist by c.  A pushed term
     Sigma^{x,y} U^vee [shift] of multiplicity mult adds mult * dim to degree
     deg - shift + c for each H^deg of it, read from the BWB memo by ints
@@ -115,7 +107,7 @@ def _degrees(a: EObject, b: EObject, n_amb: int, c: int) -> dict[int, int]:
             d = db - da - c
             if d == -1:
                 continue
-            # push_p2(d) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1] for d <= -2.
+            # Rp2* O(d.h) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1] for d <= -2.
             pa, pb, sp = (d, 0, 0) if d >= 0 else (-1, d + 1, -1)
             off = c - (sb - sa + sp)
             mult = ma * mb
@@ -152,11 +144,6 @@ def e_ext(a: EObject, b: EObject, n_amb: int) -> GradedDims:
 def e_euler(a: EObject, b: EObject, n_amb: int) -> int:
     """chi_E(a, b) = e_ext(a, b, n_amb).euler(), without building the Ext."""
     return _euler(a, b, n_amb, 0)
-
-
-def omega_e(n_amb: int) -> tuple[int, int]:
-    """Twist (c_H, d_h) of the canonical bundle omega_E = O((1-N)H - 2h)."""
-    return (1 - n_amb, -2)
 
 
 @dataclass(frozen=True)
@@ -253,8 +240,8 @@ def _shapes(objs: tuple[EObject, ...]) -> list[tuple[int, int, int]]:
 def _lower_gram(basis: tuple[EObject, ...], n_amb: int) -> Iterator[tuple[int, int, int]]:
     """(i, j, chi_E(b_i, b_j)) for every i >= j, row by row.
 
-    Twisting both arguments by one O(cH + eh) leaves every term of
-    ``_pushed_terms`` as it is, so the entry for b_i = S^p U^vee (kH)(eh)
+    Twisting both arguments by one O(cH + eh) leaves every pushed term of
+    ``_degrees`` as it is, so the entry for b_i = S^p U^vee (kH)(eh)
     and b_j = S^q U^vee (lH)(dh) depends only on the shape (p, q, l-k, d-e).
     ``e_euler`` runs once per shape, on the first pair that has it; the
     table is read by ints and dropped with the generator.

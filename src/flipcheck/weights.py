@@ -8,12 +8,12 @@ Grassmannian of planes.  Useful special cases::
     Sigma^{k,0} U^vee = S^k U^vee      (symmetric powers of the dual)
     Sigma^{0,-k} U^vee = S^k U
 
-All arithmetic here is representation-theoretic bookkeeping and is exact:
-duals, determinant twists, the rank-2 Clebsch-Gordan (Littlewood-Richardson)
-tensor decomposition, and formal Hom objects.  ``EObject`` is the one formal
-sum of shifted, h-twisted Schur bundles, for objects on E = P(U) and on
-Gr(2, N) alike (h-twist 0); ``normalize`` is the normal form it shares with
-``bwb.GradedDims``.
+All arithmetic here is exact: determinant twists of weights, and the
+normal form of formal sums.  ``EObject`` is the one formal sum of shifted,
+h-twisted Schur bundles, for objects on E = P(U) and on Gr(2, N) alike
+(h-twist 0); ``normalize`` is the normal form it shares with
+``bwb.GradedDims``.  The rank-2 Clebsch-Gordan split that Ext needs runs
+as int loops inside ``flagx``'s kernel.
 """
 
 from __future__ import annotations
@@ -32,15 +32,6 @@ class Weight:
     def __post_init__(self) -> None:
         if self.a < self.b:
             raise ValueError(f"weight ({self.a},{self.b}) violates a >= b")
-
-    @property
-    def rank(self) -> int:
-        """Rank of Sigma^{a,b} U^vee as a bundle: a - b + 1."""
-        return self.a - self.b + 1
-
-    def dual(self) -> "Weight":
-        """(Sigma^{a,b} U^vee)^vee = Sigma^{-b,-a} U^vee."""
-        return Weight(-self.b, -self.a)
 
     def twist(self, c: int) -> "Weight":
         """Tensor with O(cH) = Sigma^{c,c} U^vee."""
@@ -116,9 +107,6 @@ class EObject:
     def shifted(self, k: int) -> "EObject":
         return EObject(tuple((w, dh, s + k, m) for w, dh, s, m in self.terms))
 
-    def dual(self) -> "EObject":
-        return EObject.of((w.dual(), -dh, -s, m) for w, dh, s, m in self)
-
     def is_single(self) -> bool:
         return len(self.terms) == 1 and self.terms[0][2] == 0 and self.terms[0][3] == 1
 
@@ -127,32 +115,3 @@ class EObject:
             raise ValueError(f"not a single pure term: {self}")
         w, dh, _, _ = self.terms[0]
         return w, dh
-
-
-def cg_tensor(w1: Weight, w2: Weight) -> EObject:
-    """Clebsch-Gordan decomposition of Sigma^{w1} tensor Sigma^{w2} in rank 2.
-
-    Sigma^{a1,b1} (x) Sigma^{a2,b2} = (+)_{t=0}^{m} Sigma^{a1+a2-t, b1+b2+t}
-    with m = min(a1-b1, a2-b2); every summand occurs once.
-    """
-    m = min(w1.a - w1.b, w2.a - w2.b)
-    return EObject.of(
-        (Weight(w1.a + w2.a - t, w1.b + w2.b + t), 0, 0, 1) for t in range(m + 1)
-    )
-
-
-def tensor(x: EObject, y: EObject) -> EObject:
-    """Bilinear extension of cg_tensor; h-twists and shifts add,
-    multiplicities multiply."""
-    out: list[tuple[Weight, int, int, int]] = []
-    for w1, d1, s1, m1 in x:
-        for w2, d2, s2, m2 in y:
-            for w, _, _, _ in cg_tensor(w1, w2):
-                out.append((w, d1 + d2, s1 + s2, m1 * m2))
-    return EObject.of(out)
-
-
-def hom_object(a: EObject, b: EObject) -> EObject:
-    """Formal RHom object a^vee (x) b; term h-twists and shifts are those of
-    b minus those of a."""
-    return tensor(a.dual(), b)

@@ -1,0 +1,174 @@
+"""Reference routes that the tests check the package against.
+
+Not collected by pytest (the name has no ``test_`` prefix).  From the package
+it imports only data types and the BWB oracle ``bwb.cohomology``, never the
+Ext kernel in ``flagx`` or the CLI, so it stays an independent check: Ext on
+Gr(2, N) is built here the obvious way, as the formal Hom object
+a^vee (x) b of Clebsch-Gordan terms, whose cohomology is taken term by term.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Sequence
+
+from flipcheck.bwb import GradedDims, cohomology
+from flipcheck.verify import Claim, Report
+from flipcheck.weights import EObject, Weight
+
+
+# ------------------------------------------------------------------ weights
+
+
+def dual(w: Weight) -> Weight:
+    """(Sigma^{a,b} U^vee)^vee = Sigma^{-b,-a} U^vee."""
+    return Weight(-w.b, -w.a)
+
+
+def rank(w: Weight) -> int:
+    """Rank of Sigma^{a,b} U^vee as a bundle: a - b + 1."""
+    return w.a - w.b + 1
+
+
+def dual_object(x: EObject) -> EObject:
+    """Termwise dual; h-twists and shifts change sign."""
+    return EObject.of((dual(w), -dh, -s, m) for w, dh, s, m in x)
+
+
+def cg_tensor(w1: Weight, w2: Weight) -> EObject:
+    """Clebsch-Gordan decomposition of Sigma^{w1} tensor Sigma^{w2} in rank 2.
+
+    Sigma^{a1,b1} (x) Sigma^{a2,b2} = (+)_{t=0}^{m} Sigma^{a1+a2-t, b1+b2+t}
+    with m = min(a1-b1, a2-b2); every summand occurs once.
+    """
+    m = min(w1.a - w1.b, w2.a - w2.b)
+    return EObject.of(
+        (Weight(w1.a + w2.a - t, w1.b + w2.b + t), 0, 0, 1) for t in range(m + 1)
+    )
+
+
+def tensor(x: EObject, y: EObject) -> EObject:
+    """Bilinear extension of cg_tensor; h-twists and shifts add,
+    multiplicities multiply."""
+    out: list[tuple[Weight, int, int, int]] = []
+    for w1, d1, s1, m1 in x:
+        for w2, d2, s2, m2 in y:
+            for w, _, _, _ in cg_tensor(w1, w2):
+                out.append((w, d1 + d2, s1 + s2, m1 * m2))
+    return EObject.of(out)
+
+
+def hom_object(a: EObject, b: EObject) -> EObject:
+    """Formal RHom object a^vee (x) b; term h-twists and shifts are those of
+    b minus those of a."""
+    return tensor(dual_object(a), b)
+
+
+def push_p2(d_h: int) -> EObject:
+    """Rp2* O(d_h.h) on Gr(2, N), per the projection-formula trichotomy."""
+    if d_h >= 0:
+        return EObject.of_weight(Weight(d_h, 0))
+    if d_h == -1:
+        return EObject()
+    return EObject.of_weight(Weight(-1, d_h + 1)).shifted(-1)
+
+
+def omega_e(n_amb: int) -> tuple[int, int]:
+    """Twist (c_H, d_h) of the canonical bundle omega_E = O((1-N)H - 2h)."""
+    return (1 - n_amb, -2)
+
+
+# ---------------------------------------------------------- graded dimensions
+
+
+def dim_at(g: GradedDims, deg: int) -> int:
+    """The dimension in degree ``deg``; 0 outside the support."""
+    return dict(g.dims).get(deg, 0)
+
+
+def shifted_dims(g: GradedDims, k: int) -> GradedDims:
+    """Degrees raised by k (homological shift [-k])."""
+    return GradedDims(tuple((d + k, v) for d, v in g.dims))
+
+
+def degrees(g: GradedDims) -> tuple[int, ...]:
+    return tuple(d for d, _ in g.dims)
+
+
+# ------------------------------------------------------------- BWB on Gr(2,N)
+
+
+def weyl_dim(nu: Sequence[int]) -> int:
+    """Dimension of the irreducible GL(N) representation of highest weight nu.
+
+    prod_{i<j} (nu_i - nu_j + j - i) / (j - i), evaluated exactly: the
+    numerator is always divisible by the denominator.
+    """
+    if any(nu[i] < nu[i + 1] for i in range(len(nu) - 1)):
+        raise ValueError(f"weight {tuple(nu)} is not nonincreasing")
+    num = 1
+    den = 1
+    n = len(nu)
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= nu[i] - nu[j] + j - i
+            den *= j - i
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("Weyl dimension formula produced a non-integer")
+    return q
+
+
+def sum_cohomology(s: EObject, n_amb: int) -> GradedDims:
+    """Cohomology of an object on Gr(2, N); a term Sigma^w[k] lands in
+    degrees j - k.  A term with an h-twist is not on Gr(2, N): ValueError."""
+    out: list[tuple[int, int]] = []
+    for w, dh, shift, mult in s:
+        if dh:
+            raise ValueError(f"term {w} has h-twist {dh}; not on Gr(2,N)")
+        for deg, dim in cohomology(w, n_amb).dims:
+            out.append((deg - shift, dim * mult))
+    return GradedDims.of(out)
+
+
+def gr_ext(a: EObject, b: EObject, n_amb: int) -> GradedDims:
+    """Ext^bullet_{Gr(2,N)}(a, b) = H^bullet of the Hom object.
+
+    The Hom object must have h-twist 0 (``sum_cohomology`` raises otherwise).
+    """
+    return sum_cohomology(hom_object(a, b), n_amb)
+
+
+def gr_euler(a: EObject, b: EObject, n_amb: int) -> int:
+    """Euler pairing chi(a, b) on Gr(2, N)."""
+    return gr_ext(a, b, n_amb).euler()
+
+
+# --------------------------------------------------------------- CLI formats
+
+
+def print_object(obj: EObject) -> str:
+    """Object notation of ``obj`` in normal form; ``cli.parse_object`` reads
+    it back to ``obj``."""
+    parts = []
+    for w, dh, s, m in obj:
+        t = f"Sigma{{{w.a},{w.b}}}Uv"
+        if dh:
+            t += f"({dh}h)"
+        if s:
+            t += f"[{s}]"
+        parts.extend([t] * m)
+    return "+".join(parts) if parts else "0"
+
+
+def parse_report(text: str) -> Report:
+    """Inverse of the CLI's JSON report emission."""
+    data = json.loads(text)
+    n_amb = data["run"]["N"]
+    parity = data["run"]["parity"]
+    report = Report(n_amb // 2, parity)
+    for c in data["claims"]:
+        report.claims.append(
+            Claim(c["id"], c["statement"], c["status"], c.get("detail"))
+        )
+    return report

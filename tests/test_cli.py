@@ -8,8 +8,6 @@ from flipcheck.cli import (
     ParseError,
     emit_report,
     parse_object,
-    parse_report,
-    print_object,
     render_chessboard,
     report_to_dict,
     run,
@@ -17,6 +15,8 @@ from flipcheck.cli import (
 from flipcheck.flagx import EObject
 from flipcheck.verify import Claim, Report
 from flipcheck.weights import Weight
+
+from reference import gr_ext, parse_report, print_object, sum_cohomology
 
 
 def test_parse_folding_rule():
@@ -147,12 +147,15 @@ def test_cli_cohom_huge_n_is_fast_in_process(capsys, monkeypatch):
 def test_cli_huge_clebsch_gordan_count_is_refused_at_once(argv, capsys, monkeypatch):
     # The term count is estimated from the weights before anything is
     # computed; over the budget the query needs --allow-large.  Runs in this
-    # interpreter and may start no other process.
+    # interpreter and may start no other process.  Every Ext route of the
+    # CLI runs the one kernel ``flagx._degrees``, which e_ext and x_ext look
+    # up as a module global, so a refused query that computed anything on
+    # any route fails here.
     import os
     import subprocess
     import time
 
-    from flipcheck import cli
+    from flipcheck import flagx
 
     def refuse(*args, **kwargs):
         raise AssertionError("started a process or computed")
@@ -160,8 +163,7 @@ def test_cli_huge_clebsch_gordan_count_is_refused_at_once(argv, capsys, monkeypa
     monkeypatch.setattr(subprocess, "Popen", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(os, "posix_spawn", refuse)
-    for name in ("e_ext", "x_ext", "gr_ext", "sum_cohomology"):
-        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(flagx, "_degrees", refuse)
     t0 = time.perf_counter()
     assert run(argv) == 3
     assert time.perf_counter() - t0 < 1.0
@@ -397,13 +399,15 @@ _EXPRS = st.lists(_PIECES | _NUMERALS, max_size=12).map("".join) | st.lists(
 @given(_EXPRS, _EXPRS, st.integers(3, 7), st.sampled_from(["gr", "e", "x"]))
 @settings(
     max_examples=120,
-    deadline=None,
+    deadline=2000,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_fuzz_parse_and_run_in_process(no_processes, a, b, n_amb, space):
     # Strings from the grammar's alphabet, with huge numerals: parsing gives
     # an object or a ParseError, and the CLI answers 0, 2 or 3 without a
-    # traceback.
+    # traceback, within 2 s per example.  The slowest of 7,200 examples took
+    # 0.48 s, and a query at the Clebsch-Gordan budget takes at most 0.8 s
+    # (2-vCPU VM, Python 3.11).
     import contextlib
     import io
 
@@ -420,3 +424,78 @@ def test_fuzz_parse_and_run_in_process(no_processes, a, b, n_amb, space):
         ]
     assert set(codes) <= {0, 2, 3}, (codes, err.getvalue()[:300])
     assert "Traceback" not in err.getvalue()
+
+
+# Objects on Gr(2, N), and objects on E with h-twists; the last two on E
+# give a pair that is bounded on X at N = 4.
+_GRID_GR = [
+    "O",
+    "S{2}U(1H)[1]",
+    "Sigma{2,-1}Uv(-3H)",
+    "O(-2H)+S{1}Uv(1H)[-1]",
+    "S{3}Uv(-4H)+O[2]+O",
+]
+_GRID_E = [
+    "O",
+    "S{2}U(1H)[1]",
+    "O(-2H)+S{1}Uv(1H)[-1]",
+    "S{1}Uv(1H-1h)+O(2h)[1]",
+    "Sigma{-3,-6}Uv(-2h)",
+    "Sigma{-2,-6}Uv",
+]
+
+
+def _grid_argvs():
+    for n_amb in map(str, range(3, 10)):
+        for a in _GRID_GR + ["O(1h)"]:
+            yield ["cohom", "--N", n_amb, a]
+        pairs = {
+            "gr": [(a, b) for a in _GRID_GR for b in _GRID_GR]
+            + [("O", "O(1h)"), (_GRID_E[3], "O")],
+            "e": [(a, b) for a in _GRID_E for b in _GRID_E],
+        }
+        pairs["x"] = pairs["e"]
+        for space, ab in pairs.items():
+            for a, b in ab:
+                yield ["ext", "--N", n_amb, "--space", space, a, b]
+    for space in ("gr", "e", "x"):  # over the Clebsch-Gordan budget
+        yield ["ext", "--N", "5", "--space", space, "S{3000000}Uv", "S{3000000}Uv"]
+
+
+def test_cli_output_bytes_match_pinned_grid(no_processes):
+    # cohom and ext on Gr, E and X for N = 3..9, h-twisted refusals and
+    # refusals over the budget included.  The sha256 covers every argv, exit
+    # code, stdout and stderr; it was pinned when cohom and ext --space gr
+    # still took the formal-sum route, which the Ext kernel must reproduce.
+    import contextlib
+    import hashlib
+    import io
+
+    h = hashlib.sha256()
+    for argv in _grid_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        h.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\x00{err.getvalue()}\x00".encode())
+    assert h.hexdigest() == "6faca2ceefec6aa86c0df0892a8d0b74e8ffe38b139622eeb0eb30b1917998a3"
+
+
+_GR_TERMS = st.tuples(
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(-2, 2), st.integers(1, 3)
+).map(lambda t: (Weight(max(t[0], t[1]), min(t[0], t[1])), 0, t[2], t[3]))
+_GR_OBJECTS = st.lists(_GR_TERMS, min_size=1, max_size=3).map(EObject.of)
+
+
+@given(st.integers(3, 11), _GR_OBJECTS, _GR_OBJECTS)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_gr_answers_match_formal_sum_reference(capsys, n_amb, a, b):
+    # cohom and ext --space gr run the Ext kernel on E; the formal-sum route
+    # of tests/reference.py (Hom object, then cohomology term by term) is the
+    # independent check of their printed answers.
+    from flipcheck.cli import _render
+
+    pa, pb, n = print_object(a), print_object(b), str(n_amb)
+    assert run(["ext", "--N", n, "--space", "gr", pa, pb]) == 0
+    assert capsys.readouterr().out == _render(gr_ext(a, b, n_amb)) + "\n"
+    assert run(["cohom", "--N", n, pb]) == 0
+    assert capsys.readouterr().out == _render(sum_cohomology(b, n_amb), "H") + "\n"

@@ -2,7 +2,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from flipcheck.bwb import GradedDims, cohomology, gr_euler, gr_ext, sum_cohomology
+from flipcheck.bwb import GradedDims, cohomology
 import flipcheck.flagx as fx
 from flipcheck.flagx import (
     BasisValidationError,
@@ -13,12 +13,24 @@ from flipcheck.flagx import (
     euler_basis,
     k_class,
     k_sub,
-    omega_e,
-    push_p2,
     x_euler,
     x_ext,
 )
-from flipcheck.weights import Weight, cg_tensor
+from flipcheck.weights import Weight
+
+from reference import (
+    cg_tensor,
+    degrees,
+    dim_at,
+    dual,
+    dual_object,
+    gr_euler,
+    gr_ext,
+    omega_e,
+    push_p2,
+    shifted_dims,
+    sum_cohomology,
+)
 
 
 def eobjects(max_abs=5):
@@ -72,7 +84,7 @@ def test_push_negative_against_serre_duality(n_amb):
         lhs = e_ext(o, EObject.line(0, d), n_amb)
         rhs = e_ext(EObject.line(0, d), EObject.line(c, dh), n_amb)
         for deg in range(top + 1):
-            assert lhs[deg] == rhs[top - deg]
+            assert dim_at(lhs, deg) == dim_at(rhs, top - deg)
 
 
 def test_e_ext_mutation_rule_inputs():
@@ -92,7 +104,7 @@ def test_e_ext_trivial_and_vanishing():
 @given(st.integers(min_value=4, max_value=7), eobjects(4), eobjects(4))
 @settings(max_examples=60)
 def test_hom_object_symmetry(n_amb, a, b):
-    assert e_ext(a, b, n_amb) == e_ext(b.dual(), a.dual(), n_amb)
+    assert e_ext(a, b, n_amb) == e_ext(dual_object(b), dual_object(a), n_amb)
 
 
 @given(st.integers(min_value=4, max_value=6), eobjects(4), eobjects(4))
@@ -103,7 +115,7 @@ def test_serre_duality_on_e(n_amb, a, b):
     lhs = e_ext(a, b, n_amb)
     rhs = e_ext(b, a.twisted(c, dh), n_amb)
     for deg in range(-12, top + 13):
-        assert lhs[deg] == rhs[top - deg]
+        assert dim_at(lhs, deg) == dim_at(rhs, top - deg)
 
 
 def test_x_ext_mutation_pairs_exact():
@@ -156,7 +168,7 @@ def test_bounded_pair_is_reported_honestly():
     b = EObject.of_weight(Weight(-2, -6), 0)
     r = x_ext(a, b, 4)
     assert r.kind == "bounded"
-    assert r.front[1] == 1 and r.back[2] == 120
+    assert dim_at(r.front, 1) == 1 and dim_at(r.back, 2) == 120
     assert not x_ext(a, b, 4).is_zero()
     with pytest.raises(ValueError):
         r.total()
@@ -353,11 +365,11 @@ def test_x_ext_front_matches_twisted_route(n_amb, a, b):
     # The kernel folds the twist O(H+h) of a into its int loops; the obvious
     # route twists a, takes the formal-sum Ext on E and shifts it.
     a1 = a.twisted(1, 1)
-    front = _reference_e_ext(a1, b, n_amb).shifted(1)
+    front = shifted_dims(_reference_e_ext(a1, b, n_amb), 1)
     back = _reference_e_ext(a, b, n_amb)
     if not front and not back:
         kind = "zero"
-    elif all(back[k + 1] == 0 for k in front.degrees()):
+    elif all(dim_at(back, k + 1) == 0 for k in degrees(front)):
         kind = "exact"
     else:
         kind = "bounded"
@@ -439,7 +451,7 @@ def _reference_e_ext(a, b, n_amb):
     out = []
     for wa, da, sa, ma in a:
         for wb, db, sb, mb in b:
-            for w, _, _, _ in cg_tensor(wa.dual(), wb):
+            for w, _, _, _ in cg_tensor(dual(wa), wb):
                 for wp, _, sp, mp in push_p2(db - da):
                     for wt, _, _, _ in cg_tensor(w, wp):
                         out.append((wt, 0, sb - sa + sp, ma * mb * mp))

@@ -14,11 +14,10 @@ from flipcheck.collections import (
     count_objects,
     count_tracked,
     count_tracked_after,
-    load_script,
     replay,
     run_script,
 )
-from flipcheck.collections.scriptgen import GENERATORS, Sim, _O, _S
+from flipcheck.collections.scriptgen import GENERATORS, Sim, _O, _S, _generate
 from flipcheck.flagx import ExtResult, x_ext
 from flipcheck.verify import verify_inductive_steps
 
@@ -89,7 +88,7 @@ PINS_6_9 = {
 @pytest.mark.parametrize("n", N_RANGE)
 def test_shipped_scripts_match_generator(parity, step, n):
     # The committed digest is what ships; a generator change must update it.
-    lines = load_script(parity, step, n)
+    lines = _generate(parity, step, n).lines
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == PINS[(parity, step, n)], (
         f"script ({parity}, {step}, n={n}) changed; new sha256 {digest}"
@@ -100,7 +99,7 @@ def test_shipped_scripts_match_generator(parity, step, n):
 def test_scripts_match_generator_beyond_pins(parity, step):
     h = hashlib.sha256()
     for n in range(6, 10):
-        h.update(("\n".join(load_script(parity, step, n)) + "\n").encode())
+        h.update(("\n".join(_generate(parity, step, n).lines) + "\n").encode())
     assert h.hexdigest() == PINS_6_9[(parity, step)], (
         f"scripts ({parity}, {step}, n=6..9) changed; new sha256 {h.hexdigest()}"
     )
@@ -120,7 +119,7 @@ def test_script_generation_looks_up_each_run_once(monkeypatch):
     exchanges = sum(
         line.startswith("exchange")
         for parity, step in GENERATORS
-        for line in load_script(parity, step, 8)
+        for line in _generate(parity, step, 8).lines
     )
     assert calls < exchanges / 2
 
@@ -129,7 +128,7 @@ def test_script_generation_looks_up_each_run_once(monkeypatch):
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_scripts_replay_with_oracle(parity, step, n):
     n_amb = 2 * n + (1 if parity == "odd" else 0)
-    res = replay(Collection.empty(n_amb), load_script(parity, step, n))
+    res = replay(Collection.empty(n_amb), _generate(parity, step, n).lines)
     assert res.ok, (res.failed_line, res.error)
 
 
@@ -151,11 +150,11 @@ def test_scripts_replay_strict(parity, step, n):
 
 def test_full_replay_counts():
     for n in (2, 3):
-        res = replay(Collection.empty(2 * n + 1), load_script("odd", "full", n))
+        res = replay(Collection.empty(2 * n + 1), _generate("odd", "full", n).lines)
         assert res.ok and count_objects(res.final) == n * (2 * n + 1)
-        res = replay(Collection.empty(2 * n), load_script("even", "full", n))
+        res = replay(Collection.empty(2 * n), _generate("even", "full", n).lines)
         assert res.ok and count_objects(res.final) == n * (2 * n - 1)
-        res = replay(Collection.empty(2 * n + 1), load_script("odd", "chessboard", n))
+        res = replay(Collection.empty(2 * n + 1), _generate("odd", "chessboard", n).lines)
         assert res.ok and count_tracked(res.final) == 4 * n * n - 1
 
 
@@ -191,7 +190,7 @@ def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
     # One exchange of the pinned (odd, step1, 3) script sees a nonzero Hom:
     # the certified generation, a replay of the script text, and the
     # verifier's claim all report the same failing line.
-    lines = load_script("odd", "step1", 3)
+    lines = _generate("odd", "step1", 3).lines
     assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == PINS[
         ("odd", "step1", 3)
     ]
@@ -221,7 +220,7 @@ def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
     assert generated.final == replayed.final
     assert (generated.moves_applied, generated.failed_line) == (3, "exchange 3")
     with pytest.raises(ScriptError, match="exchange 3"):
-        load_script("odd", "step1", 3)
+        _generate("odd", "step1", 3).lines
     by = {c.id: c for c in verify_inductive_steps(3).claims}
     assert by["steps.step1/replay"].detail == {
         "failed_move": "exchange 3",

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 import flipcheck.verify as fv
-from flipcheck.bwb import ZERO, GradedDims, gr_ext
+from flipcheck.bwb import ZERO, GradedDims
 from flipcheck.cli import emit_report
 from flipcheck.flagx import e_ext, gr_collection
 from flipcheck.verify import (
@@ -19,6 +19,8 @@ from flipcheck.verify import (
     verify_suite,
     verify_van,
 )
+
+from reference import dim_at, gr_ext
 
 
 # sha256 of emit_report(verify_suite(n, parity, "all"), "json") for n = 2..5.
@@ -318,8 +320,8 @@ def test_statuses_independent_of_les_orientation(monkeypatch):
     def conservative(a, b, n_amb):
         r = orig(a, b, n_amb)
         if r.kind == "exact" and r.front and r.back:
-            fwd = all(r.back[k + 1] == 0 for k, _ in r.front.dims)
-            bwd = all(r.front[k + 1] == 0 for k, _ in r.back.dims)
+            fwd = all(dim_at(r.back, k + 1) == 0 for k, _ in r.front.dims)
+            bwd = all(dim_at(r.front, k + 1) == 0 for k, _ in r.back.dims)
             if not (fwd and bwd):
                 return ExtResult("bounded", r.front, r.back)
         return r
