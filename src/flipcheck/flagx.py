@@ -36,11 +36,19 @@ is built.  Every zero outcome is one shared ``ExtResult``: it and its
 ``GradedDims`` are frozen, and a zero outcome carries nothing but its kind,
 so no caller can tell it from a fresh one except by identity.
 
-The Hom-vanishing lemma's part 6 asks x_ext for many pairs of line bundles
-(O(ah), O(bH)), each with one pushed term on either side.  A twist-shape
-table, as below and in the move engine, would not help there: no two of
-those pairs differ by a common twist, so each has a shape of its own.  What
-such a query costs is the Python overhead of the kernel itself.
+A question that needs only "is Ext on X zero?" goes to ``x_vanishes``.  It
+runs the kernel's loops for c = 0 and c = 1 in one body but computes no
+dimension: to each pushed weight Sigma^{x,y} it applies ``bwb.cohomology``'s
+zero test, the band rule 1-N <= x <= -2 or 2-N <= y <= -1, and it returns
+False at the first pushed term outside the band.  It is exact for the same
+reason ``x_ext``'s zero test is: every dim and mult is positive, so nothing
+cancels, and Ext on X is zero iff neither pass has a pushed term with
+nonzero cohomology.  A Bounded pair has nonzero front and back, so the
+predicate never turns one into a pass.  The van claims and audits ask it
+first and run ``x_ext`` only for the pairs whose outcome they record.  A
+twist-shape table, as below and in the move engine, would not help there:
+the part 6 pairs (O(ah), O(bH)) never differ by a common twist, so each has
+a shape of its own.
 
 K-theory classes are fingerprinted by Euler pairing against the full
 exceptional collection <p2^* T_i, p2^* T_i (x) O(h)> of D(E); the pairing
@@ -190,6 +198,33 @@ def x_ext(a: EObject, b: EObject, n_amb: int) -> ExtResult:
     # front^k -> back^{k+1} in shifted indexing.
     kind = "exact" if all(not back.get(k + 1) for k in front) else "bounded"
     return ExtResult(kind, _graded(front), _graded(back))
+
+
+def x_vanishes(a: EObject, b: EObject, n_amb: int) -> bool:
+    """True iff ``x_ext(a, b, n_amb)`` is zero, without computing a dimension.
+
+    The loops of ``_degrees`` for c = 0 (back) and c = 1 (front); a pushed
+    weight Sigma^{x,y} has H* = 0 iff x+N-1 or y+N-2 lies in [0, N-3], the
+    zero test of ``bwb.cohomology``.  No memo is read and no map is built.
+    """
+    if n_amb < 3:
+        raise ValueError("need N >= 3")
+    lo_x, lo_y = 1 - n_amb, 2 - n_amb
+    for c in (0, 1):
+        for wa, da, _, _ in a.terms:
+            a1, b1 = -wa.b - c, -wa.a - c
+            for wb, db, _, _ in b.terms:
+                d = db - da - c
+                if d == -1:
+                    continue
+                pa, pb = (d, 0) if d >= 0 else (-1, d + 1)
+                for t in range(min(a1 - b1, wb.a - wb.b) + 1):
+                    ca, cb = a1 + wb.a - t, b1 + wb.b + t
+                    for u in range(min(ca - cb, pa - pb) + 1):
+                        x, y = ca + pa - u, cb + pb + u
+                        if not (lo_x <= x <= -2 or lo_y <= y <= -1):
+                            return False
+    return True
 
 
 def x_euler(a: EObject, b: EObject, n_amb: int) -> int:

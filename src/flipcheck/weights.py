@@ -95,17 +95,15 @@ class EObject:
     def __add__(self, other: "EObject") -> "EObject":
         return EObject.of(self.terms + other.terms)
 
-    # A uniform translation of (a, b, dh, shift) keeps the terms distinct and
-    # in order, so twisted and shifted need no renormalization.
-
     def twisted(self, c_h: int = 0, d_h: int = 0) -> "EObject":
-        """Tensor with the line bundle O(c_h.H + d_h.h)."""
+        """Tensor with the line bundle O(c_h.H + d_h.h).
+
+        A uniform translation of (a, b, dh) keeps the terms distinct and in
+        order, so no renormalization is needed.
+        """
         return EObject(
             tuple((w.twist(c_h), dh + d_h, s, m) for w, dh, s, m in self.terms)
         )
-
-    def shifted(self, k: int) -> "EObject":
-        return EObject(tuple((w, dh, s + k, m) for w, dh, s, m in self.terms))
 
     def is_single(self) -> bool:
         return len(self.terms) == 1 and self.terms[0][2] == 0 and self.terms[0][3] == 1

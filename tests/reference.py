@@ -30,6 +30,12 @@ def rank(w: Weight) -> int:
     return w.a - w.b + 1
 
 
+def shifted(x: EObject, k: int) -> EObject:
+    """x[k]: every term's shift raised by k.  A uniform translation keeps the
+    terms distinct and in order, so no renormalization is needed."""
+    return EObject(tuple((w, dh, s + k, m) for w, dh, s, m in x.terms))
+
+
 def dual_object(x: EObject) -> EObject:
     """Termwise dual; h-twists and shifts change sign."""
     return EObject.of((dual(w), -dh, -s, m) for w, dh, s, m in x)
@@ -70,7 +76,7 @@ def push_p2(d_h: int) -> EObject:
         return EObject.of_weight(Weight(d_h, 0))
     if d_h == -1:
         return EObject()
-    return EObject.of_weight(Weight(-1, d_h + 1)).shifted(-1)
+    return shifted(EObject.of_weight(Weight(-1, d_h + 1)), -1)
 
 
 def omega_e(n_amb: int) -> tuple[int, int]:

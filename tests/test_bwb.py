@@ -7,7 +7,16 @@ import pytest
 from flipcheck.bwb import GradedDims, cohomology
 from flipcheck.weights import EObject, Weight
 
-from reference import degrees, dim_at, dual, gr_euler, gr_ext, sum_cohomology, weyl_dim
+from reference import (
+    degrees,
+    dim_at,
+    dual,
+    gr_euler,
+    gr_ext,
+    shifted,
+    sum_cohomology,
+    weyl_dim,
+)
 
 
 def ssyt_count(shape: tuple[int, ...], n: int) -> int:
@@ -216,7 +225,7 @@ def test_gr_route_rejects_h_twists():
     with pytest.raises(ValueError):
         sum_cohomology(twisted, 5)
     with pytest.raises(ValueError):
-        sum_cohomology(o + twisted.shifted(1), 5)
+        sum_cohomology(o + shifted(twisted, 1), 5)
     with pytest.raises(ValueError):
         gr_ext(o, twisted, 5)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from flipcheck.bwb import GradedDims, cohomology
+from flipcheck.bwb import ZERO, GradedDims, cohomology
 import flipcheck.flagx as fx
 from flipcheck.flagx import (
     BasisValidationError,
@@ -15,6 +15,7 @@ from flipcheck.flagx import (
     k_sub,
     x_euler,
     x_ext,
+    x_vanishes,
 )
 from flipcheck.weights import Weight
 
@@ -28,6 +29,7 @@ from reference import (
     gr_ext,
     omega_e,
     push_p2,
+    shifted,
     shifted_dims,
     sum_cohomology,
 )
@@ -58,8 +60,8 @@ def test_push_p2_trichotomy():
     assert push_p2(0) == EObject.of_weight(Weight(0, 0))
     assert push_p2(3) == EObject.of_weight(Weight(3, 0))
     assert not push_p2(-1)
-    assert push_p2(-2) == EObject.of_weight(Weight(-1, -1)).shifted(-1)  # O(-H)[-1]
-    assert push_p2(-4) == EObject.of_weight(Weight(-1, -3)).shifted(-1)
+    assert push_p2(-2) == shifted(EObject.of_weight(Weight(-1, -1)), -1)  # O(-H)[-1]
+    assert push_p2(-4) == shifted(EObject.of_weight(Weight(-1, -3)), -1)
 
 
 @pytest.mark.parametrize("n_amb", [5, 6, 7, 8])
@@ -273,7 +275,7 @@ def test_k_class_euler_sequences():
 
 
 @given(st.integers(min_value=3, max_value=13), multi_eobjects())
-@example(5, EObject.schur(1, 2, -3).shifted(1) + EObject.line(-4, 4).shifted(-2))
+@example(5, shifted(EObject.schur(1, 2, -3), 1) + shifted(EObject.line(-4, 4), -2))
 @settings(max_examples=60, deadline=None)
 def test_k_class_matches_full_route(n_amb, a):
     # Differential oracle for the shape table: the K-class of a multi-term
@@ -302,7 +304,7 @@ def test_wrong_chi_on_one_shape_changes_every_k_class_of_that_shape(monkeypatch)
         unit = tuple(int(i == j) for i in range(len(basis)))
         assert k_sub(k_class(o, n_amb), before) == unit, (c, e)
         flipped = tuple(-x - u for x, u in zip(before, unit))
-        assert k_class(o.shifted(1), n_amb) == flipped, (c, e)
+        assert k_class(shifted(o, 1), n_amb) == flipped, (c, e)
     assert hit >= 10
 
 
@@ -358,7 +360,7 @@ _BOUNDED_B = EObject.of_weight(Weight(-2, -6), 0)
 
 @given(st.integers(min_value=3, max_value=17), multi_eobjects(), multi_eobjects())
 @example(4, _BOUNDED_A, _BOUNDED_B)
-@example(5, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
+@example(5, _BOUNDED_A + shifted(_BOUNDED_B, 1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
 @example(7, EObject.line(0, 3), EObject.line(1, 0))
 @settings(max_examples=150, deadline=None)
 def test_x_ext_front_matches_twisted_route(n_amb, a, b):
@@ -385,6 +387,37 @@ def test_zero_outcomes_are_one_shared_object():
     assert x_ext(EObject.line(0, 4), EObject.line(1, 0), 7) is r
 
 
+@given(st.integers(min_value=3, max_value=17), multi_eobjects(), multi_eobjects())
+@example(4, _BOUNDED_A, _BOUNDED_B)
+@example(5, _BOUNDED_A + shifted(_BOUNDED_B, 1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
+@example(7, EObject.line(0, 3), EObject.line(1, 0))
+@example(7, EObject.line(0, 1), EObject.line(1, 0))
+@example(7, EObject.line(0, 1), EObject.line(2, 0))
+@settings(max_examples=300, deadline=None)
+def test_x_vanishes_matches_x_ext(n_amb, a, b):
+    # Differential oracle for the predicate.  The examples: a bounded pair;
+    # van.6 pairs that are zero, one with a d = -1 back pass; a pair whose
+    # only pushed term (d = -2) lies just outside the band.
+    assert x_vanishes(a, b, n_amb) == x_ext(a, b, n_amb).is_zero()
+
+
+def test_x_vanishes_band_rule_is_cohomology_zero_test(monkeypatch):
+    # Ext_X(O, Sigma^w U^vee) has one pushed term, w itself (back pass,
+    # d = 0; the front pass has d = -1), so the predicate is the band rule
+    # applied to w.  Every weight in a box around both bands, N = 3..40.
+    import flipcheck.bwb as bwb
+
+    o = EObject.line()
+    for n_amb in range(3, 41):
+        monkeypatch.setattr(bwb, "_cohomology_cache", {})
+        r = range(-2 * n_amb - 10, 2 * n_amb + 11)
+        for wa in r:
+            for wb in range(r.start, wa + 1):
+                w = Weight(wa, wb)
+                expect = cohomology(w, n_amb) == ZERO
+                assert x_vanishes(o, EObject.of_weight(w), n_amb) == expect, (n_amb, w)
+
+
 def _reference_pushed_terms(a, b, c):
     """Terms of Rp2* RHom_E(a (x) O(cH + ch), b) as ints (x, y, shift, mult),
     unmerged: the loops of the Ext kernel, as a generator."""
@@ -403,7 +436,7 @@ def _reference_pushed_terms(a, b, c):
 
 @given(st.integers(min_value=3, max_value=17), multi_eobjects(), multi_eobjects())
 @example(4, _BOUNDED_A, _BOUNDED_B)
-@example(5, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
+@example(5, _BOUNDED_A + shifted(_BOUNDED_B, 1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_term_enumerator_and_bound(n_amb, a, b):
     # The kernel's degree map is the enumerator's terms, each adding
@@ -421,7 +454,7 @@ def test_kernel_matches_term_enumerator_and_bound(n_amb, a, b):
 
 @given(st.integers(min_value=3, max_value=11), multi_eobjects(), multi_eobjects())
 @example(4, _BOUNDED_A, _BOUNDED_B)
-@example(4, _BOUNDED_A + _BOUNDED_B.shifted(1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
+@example(4, _BOUNDED_A + shifted(_BOUNDED_B, 1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1))
 @settings(max_examples=150, deadline=None)
 def test_closed_form_euler_matches_ext(n_amb, a, b):
     # Differential oracle: the closed-form pairings equal the Euler
@@ -492,4 +525,4 @@ def test_direct_normal_forms_match_of(k, c, d, o, c2, d2, s):
     assert o.twisted(c2, d2) == EObject.of(
         (wt.twist(c2), dh + d2, sh, m) for wt, dh, sh, m in o
     )
-    assert o.shifted(s) == EObject.of((wt, dh, sh + s, m) for wt, dh, sh, m in o)
+    assert shifted(o, s) == EObject.of((wt, dh, sh + s, m) for wt, dh, sh, m in o)

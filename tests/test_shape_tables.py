@@ -24,6 +24,8 @@ from flipcheck.collections.engine import Entry, gram_solve
 from flipcheck.flagx import EObject, ExtResult, x_ext
 from flipcheck.weights import Weight
 
+from reference import shifted
+
 
 def _obj(p, k, d, s=0, m=1) -> EObject:
     """m copies of S^p U^vee (kH)(dh)[s], one term."""
@@ -46,7 +48,7 @@ def _mixed_collection(n_amb: int, size: int = 22) -> Collection:
     rng = random.Random(n_amb)
     entries = [Entry.pure(o) for o in rng.sample(MIXED, size)]
     entries.insert(rng.randrange(size), Entry.opaque("D"))
-    two_term = EObject.line() + EObject.schur(1, 0, 1).shifted(1)
+    two_term = EObject.line() + shifted(EObject.schur(1, 0, 1), 1)
     entries.insert(rng.randrange(size), Entry.pure(two_term))
     return Collection(n_amb, tuple(entries))
 

@@ -5,9 +5,10 @@ import pytest
 import flipcheck.verify as fv
 from flipcheck.bwb import ZERO, GradedDims
 from flipcheck.cli import emit_report
-from flipcheck.flagx import e_ext, gr_collection
+from flipcheck.flagx import EObject, e_ext, gr_collection, x_ext, x_vanishes
 from flipcheck.verify import (
     FAIL,
+    INDET,
     PASS,
     Claim,
     Report,
@@ -19,8 +20,9 @@ from flipcheck.verify import (
     verify_suite,
     verify_van,
 )
+from flipcheck.weights import Weight
 
-from reference import dim_at, gr_ext
+from reference import dim_at, gr_ext, shifted
 
 
 # sha256 of emit_report(verify_suite(n, parity, "all"), "json") for n = 2..5.
@@ -86,6 +88,66 @@ def test_van_part4_audit_refutes_capital_H():
     r = verify_van(4, 3, "odd")
     audit = claims_by_id(r)["van.4/reading-audit"]
     assert audit.detail["display_reading_nonvanishing"] > 0
+
+
+_BOUNDED_A = EObject.of_weight(Weight(-3, -6), -2)
+_BOUNDED_B = EObject.of_weight(Weight(-2, -6), 0)
+
+
+def test_bounded_pairs_are_indeterminate_not_pass():
+    # A bounded pair has nonzero front and back, so the predicate says "not
+    # zero" and _vanish reports the x_ext outcome as indeterminate.  Ext on X
+    # is invariant under a common twist, so every twist of a pair is bounded.
+    pairs = [
+        (_BOUNDED_A, _BOUNDED_B),
+        (_BOUNDED_A + shifted(_BOUNDED_B, 1), _BOUNDED_B + _BOUNDED_A.twisted(0, 1)),
+    ]
+    for a, b in pairs:
+        for c, d in [(0, 0), (2, -1), (-3, 4)]:
+            a1, b1 = a.twisted(c, d), b.twisted(c, d)
+            assert x_ext(a1, b1, 4).kind == "bounded"
+            assert not x_vanishes(a1, b1, 4)
+            status, detail = fv._vanish(a1, b1, 4)
+            assert status == INDET and detail["kind"] == "bounded"
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_report_bytes_same_with_x_ext_zero_test(monkeypatch, n, parity):
+    # The predicate is a fast path for x_ext(...).is_zero(): routing every
+    # van question through the slow test must not move one byte.
+    base = emit_report(verify_suite(n, parity, "all"), "json")
+
+    def slow(a, b, n_amb):
+        return x_ext(a, b, n_amb).is_zero()
+
+    monkeypatch.setattr(fv, "x_vanishes", slow)
+    assert emit_report(verify_suite(n, parity, "all"), "json") == base
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_van_runs_x_ext_only_for_recorded_pairs(monkeypatch, n, parity):
+    # Claims and audits count with x_vanishes; x_ext runs once for each Ext
+    # outcome a report records: a non-passing claim, an audit's bad entry,
+    # an audit's sample.
+    calls = []
+
+    def counting(a, b, n_amb):
+        calls.append((a, b))
+        return x_ext(a, b, n_amb)
+
+    monkeypatch.setattr(fv, "x_ext", counting)
+    for part in range(1, 7):
+        del calls[:]
+        recorded = 0
+        for c in verify_van(part, n, parity).claims:
+            detail = c.detail or {}
+            recorded += c.status in (FAIL, INDET) and "kind" in detail
+            for key in ("k0_nonvanishing_instances", "extension_nonvanishing"):
+                recorded += len(detail.get(key, ()))
+            recorded += detail.get("sample") is not None
+        assert len(calls) == recorded, (part, n, parity)
 
 
 def test_mut_rule3_reading_audit():
@@ -385,8 +447,9 @@ def test_van_suites_do_not_build_euler_basis(monkeypatch):
 
 
 def test_claims_run_on_the_calling_thread(monkeypatch):
-    # jobs is accepted but ignored: every Ext query of a suite runs on the
-    # caller's thread, even with several CPUs, and the report is unchanged.
+    # jobs is accepted but ignored: every Ext query of a suite, x_vanishes
+    # and x_ext alike, runs on the caller's thread, even with several CPUs,
+    # and the report is unchanged.
     import os
     import threading
 
@@ -396,14 +459,19 @@ def test_claims_run_on_the_calling_thread(monkeypatch):
 
     base = emit_report(verify_suite(3, "odd", "all", jobs=1), "json")
     threads = set()
-    orig = fx.x_ext
 
-    def recording(a, b, n_amb):
-        threads.add(threading.get_ident())
-        return orig(a, b, n_amb)
+    def recording(orig):
+        def run(a, b, n_amb):
+            threads.add(threading.get_ident())
+            return orig(a, b, n_amb)
 
+        return run
+
+    ext, vanishes = recording(fx.x_ext), recording(fx.x_vanishes)
     for module in (fx, fv, fe):
-        monkeypatch.setattr(module, "x_ext", recording)
+        monkeypatch.setattr(module, "x_ext", ext)
+    for module in (fx, fv):
+        monkeypatch.setattr(module, "x_vanishes", vanishes)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     got = emit_report(verify_suite(3, "odd", "all", jobs=4), "json")
     assert threads == {threading.get_ident()}
@@ -423,7 +491,7 @@ def test_raising_check_fails_in_place(monkeypatch):
     from flipcheck.collections.scriptgen import _S
 
     base = verify_suite(3, "odd", "all").claims
-    orig = fv.x_ext
+    orig = fv.x_vanishes
     pair = (_S(1, 1, -1), _S(0))  # the one pair of van.1/k=1/a=0 at N = 7
 
     def faulty(a, b, n_amb):
@@ -431,7 +499,9 @@ def test_raising_check_fails_in_place(monkeypatch):
             raise TypeError("injected fault")
         return orig(a, b, n_amb)
 
-    monkeypatch.setattr(fv, "x_ext", faulty)
+    # x_vanishes is the first call _vanish makes; a vanishing pair never
+    # reaches x_ext.
+    monkeypatch.setattr(fv, "x_vanishes", faulty)
     got = verify_suite(3, "odd", "all").claims
     [i] = [i for i, c in enumerate(base) if c.id == "van.1/k=1/a=0"]
     assert got[i] == Claim(

@@ -5,7 +5,7 @@ import pytest
 from flipcheck.bwb import GradedDims
 from flipcheck.weights import EObject, Weight
 
-from reference import cg_tensor, dual, hom_object, rank
+from reference import cg_tensor, dual, hom_object, rank, shifted
 
 
 weights = st.tuples(
@@ -83,9 +83,9 @@ def test_hom_object_trivial():
 
 
 def test_hom_object_shifts_subtract():
-    a = EObject.of_weight(Weight(0, 0)).shifted(2)
-    b = EObject.of_weight(Weight(1, 1)).shifted(-1)
-    assert hom_object(a, b) == EObject.of_weight(Weight(1, 1)).shifted(-3)
+    a = shifted(EObject.of_weight(Weight(0, 0)), 2)
+    b = shifted(EObject.of_weight(Weight(1, 1)), -1)
+    assert hom_object(a, b) == shifted(EObject.of_weight(Weight(1, 1)), -3)
 
 
 def test_hom_object_twisted_power_pairing():
