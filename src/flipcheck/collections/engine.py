@@ -4,7 +4,7 @@ A ``Collection`` is an ordered list of entries: ``pure`` entries carry a
 single object of E (regarded as its pushforward to X), ``opaque`` entries are
 inert complement placeholders (no Ext queries allowed), and ``cone`` entries
 record a left mutation whose result is not a pure object (kept only as a name
-plus its K-theory class).
+plus the torus character of its K-theory class).
 
 Moves return new collections:
 
@@ -37,7 +37,11 @@ refutes.
 
 Every mutation demands an Exact one-dimensional RHom concentrated in a
 single degree and verifies the K-class identity
-[result] = [b] - (-1)^deg [E].
+[result] = [b] - (-1)^deg [E] with ``flagx._kclass_zero``: a zero torus
+character proves it, a nonzero Euler pairing refutes it, and only a sum
+that neither settles reaches the validated K-theory basis.  A
+``BasisValidationError`` from that basis is no ``EngineError``, so it
+leaves every move and script run as the program fault it is.
 
 Ext on X is read once per twist shape.  Ext_X(a, b) and chi_X(a, b) do not
 change when both arguments are twisted by one line bundle O(cH + dh), so
@@ -64,8 +68,8 @@ from typing import Iterable, NamedTuple, Optional
 from ..flagx import (
     EObject,
     ExtResult,
-    k_class,
-    k_sub,
+    _character,
+    _kclass_zero,
     x_ext,
     x_euler,
 )
@@ -110,7 +114,9 @@ class Entry:
     kind: str  # "pure" | "opaque" | "cone"
     obj: Optional[EObject] = None
     name: str = ""
-    kclass: Optional[tuple[int, ...]] = None
+    # A cone's K-class as its sparse torus character: sorted
+    # ((i, j), coefficient) pairs of x1^i x2^j (see ``flagx._character``).
+    kclass: Optional[tuple[tuple[tuple[int, int], int], ...]] = None
 
     @staticmethod
     def pure(obj: EObject) -> "Entry":
@@ -323,12 +329,7 @@ def _check_kclass(
     result: EObject, target: EObject, mutator: EObject, degree: int, n_amb: int
 ) -> None:
     sign = -1 if degree % 2 else 1
-    expect = k_sub(
-        k_class(target, n_amb),
-        tuple(sign * v for v in k_class(mutator, n_amb)),
-    )
-    got = k_class(result, n_amb)
-    if got != expect:
+    if not _kclass_zero([(1, result), (-1, target), (sign, mutator)], n_amb):
         raise KClassMismatch(
             f"[{notation(result)}] != [{notation(target)}] - "
             f"({sign})[{notation(mutator)}]"
@@ -447,19 +448,17 @@ def mutate_block_left(col: Collection, i: int, j: int) -> Collection:
     """Left-mutate entry j+1 through the pure block i..j; result is a cone.
 
     The cone is not materialized (no rule pattern applies); its K-class
-    [b] - sum c_l [s_l] is recorded, with c the Gram-system projection
-    coefficients.
+    [b] - sum c_l [s_l] is recorded as its sparse torus character, with c
+    the Gram-system projection coefficients.
     """
     block = [_require_pure(col, t, "mutlblock") for t in range(i, j + 1)]
     target = _require_pure(col, j + 1, "mutlblock")
     coeff = gram_solve(block, target, col.n_amb)
-    kclass = k_class(target, col.n_amb)
-    for c, s in zip(coeff, block):
-        kclass = k_sub(kclass, tuple(c * v for v in k_class(s, col.n_amb)))
+    char = _character([(1, target)] + [(-c, s) for c, s in zip(coeff, block)])
     cone = Entry(
         "cone",
         name=f"L[{j - i + 1}]({notation(target)})",
-        kclass=kclass,
+        kclass=tuple(sorted(char.items())),
     )
     ent = list(col.entries)
     del ent[j + 1]

@@ -21,14 +21,13 @@ from typing import Callable, Optional
 
 from .bwb import GradedDims
 from .flagx import (
+    BasisValidationError,
     EObject,
     ExtResult,
+    _kclass_zero,
     _shapes,
     e_ext,
-    euler_basis,
     gr_collection,
-    k_class,
-    k_sub,
     x_ext,
     x_vanishes,
 )
@@ -98,10 +97,14 @@ def _check(
 ) -> None:
     """Evaluate ``fn(*args)`` and append its claim to the report.
 
-    A check that raises is recorded as a FAIL whose detail names the error.
+    A check that raises is recorded as a FAIL whose detail names the error,
+    except for a ``BasisValidationError``: a K-theory basis that fails
+    validation is a program fault, not a refuted claim, so it propagates.
     """
     try:
         status, detail = fn(*args)
+    except BasisValidationError:
+        raise
     except Exception as exc:  # honest failure, never a crash
         status, detail = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
     report.claims.append(Claim(cid, statement, status, detail))
@@ -401,10 +404,6 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
     """Mutation rules (1)-(3): RHom = C[0], mutation executes, K-class holds."""
     report = Report(n, parity)
     n_amb = report.n_amb
-    # The mutation checks reach k_class.  Building the K-theory basis here
-    # lets a BasisValidationError (a program fault, not a refuted claim)
-    # propagate instead of being recorded as a FAIL per claim.
-    euler_basis(n_amb)
     for k in range(1, n):
         for rule in (1, 2, 3):
             side = "L" if rule == 1 else "R"
@@ -447,16 +446,14 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
     def euler_seqs() -> Outcome:
         display_kh_holds = []
         for k in range(1, n):
-            lhs1 = k_class(_O(0, k), n_amb)
-            rhs1 = k_sub(k_class(_S(k), n_amb), k_class(_S(k - 1, 1, -1), n_amb))
-            if lhs1 != rhs1:
+            # [lhs] = [S^kUv] - [quotient] as lhs - S^kUv + quotient = 0
+            if not _kclass_zero([(1, _O(0, k)), (-1, _S(k)), (1, _S(k - 1, 1, -1))], n_amb):
                 return FAIL, {"sequence": 1, "k": k}
-            lhs2 = k_class(_O(k, -k), n_amb)
-            rhs2 = k_sub(k_class(_S(k), n_amb), k_class(_S(k - 1, 0, 1), n_amb))
-            if lhs2 != rhs2:
+            if not _kclass_zero([(1, _O(k, -k)), (-1, _S(k)), (1, _S(k - 1, 0, 1))], n_amb):
                 return FAIL, {"sequence": 2, "k": k}
-            rhs2kh = k_sub(k_class(_S(k), n_amb), k_class(_S(k - 1, 0, k), n_amb))
-            display_kh_holds.append(lhs2 == rhs2kh)
+            display_kh_holds.append(
+                _kclass_zero([(1, _O(k, -k)), (-1, _S(k)), (1, _S(k - 1, 0, k))], n_amb)
+            )
         return PASS, {
             "note": "K-class additivity on both Euler sequences; the display "
             "quotient S^{k-1}Uv(kh) of the second sequence is audited",
@@ -804,10 +801,7 @@ def _staircase_prop(k: int, n_amb: int) -> Outcome:
     coeff = gram_solve(cells, target, n_amb)
     if coeff != [1] * len(cells):
         return FAIL, {"coefficients": coeff}
-    kc = k_class(target, n_amb)
-    for c in cells:
-        kc = k_sub(kc, k_class(c, n_amb))
-    if any(kc):
+    if not _kclass_zero([(1, target)] + [(-1, c) for c in cells], n_amb):
         return FAIL, {"kclass_residual_nonzero": True}
     return PASS, {"coefficients": coeff}
 
@@ -823,8 +817,6 @@ def verify_chessboard(n: int) -> Report:
     """Staircase moves, the staircase Proposition, and the region claims."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
-    # The Proposition checks reach k_class; see verify_mut.
-    euler_basis(n_amb)
 
     conditions = {"i": 0, "ii": 0, "neither": 0}
     neither_samples: list[dict] = []

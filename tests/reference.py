@@ -84,6 +84,11 @@ def omega_e(n_amb: int) -> tuple[int, int]:
     return (1 - n_amb, -2)
 
 
+def k_sub(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """Entrywise difference of two K-class vectors."""
+    return tuple(p - q for p, q in zip(x, y))
+
+
 # ---------------------------------------------------------- graded dimensions
 
 

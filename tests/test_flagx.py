@@ -12,7 +12,6 @@ from flipcheck.flagx import (
     e_euler,
     euler_basis,
     k_class,
-    k_sub,
     x_euler,
     x_ext,
     x_vanishes,
@@ -27,6 +26,7 @@ from reference import (
     dual_object,
     gr_euler,
     gr_ext,
+    k_sub,
     omega_e,
     push_p2,
     shifted,
@@ -308,17 +308,35 @@ def test_wrong_chi_on_one_shape_changes_every_k_class_of_that_shape(monkeypatch)
     assert hit >= 10
 
 
-def test_k_class_computes_one_pairing_per_shape(monkeypatch):
-    # Over verify_mut(7) (N = 15) k_class runs e_euler exactly once per
-    # shape (q, p, k-l, e-d) of a (basis object, object term) pair; the
-    # per-object route makes 33 x 210 = 6,930 calls.
-    from flipcheck.verify import verify_mut
+def _mut_objects(n):
+    """The distinct objects of the mutation rules and both Euler sequences,
+    with the display quotient S^{k-1}Uv(kh), for k = 1..n-1."""
+    return list(
+        dict.fromkeys(
+            o
+            for k in range(1, n)
+            for o in (
+                EObject.schur(k),
+                EObject.schur(k - 1, 1, -1),
+                EObject.line(0, k),
+                EObject.schur(k - 1, 0, 1),
+                EObject.line(k, -k),
+                EObject.schur(k - 1, 0, k),
+            )
+        )
+    )
 
+
+def test_k_class_computes_one_pairing_per_shape(monkeypatch):
+    # Over the 33 objects of the mut claims at n = 7 (N = 15) k_class runs
+    # e_euler exactly once per shape (q, p, k-l, e-d) of a (basis object,
+    # object term) pair; the per-object route makes 33 x 210 = 6,930 calls.
     calls = _counting_e_euler(monkeypatch)
     basis = euler_basis(15)
     del calls[:]
-    verify_mut(7)
-    objs = [a for n_amb, a in fx._kclass_cache if n_amb == 15]
+    objs = _mut_objects(7)
+    for a in objs:
+        k_class(a, 15)
     shapes = {
         (q, w.a - w.b, w.b - l, dh - d)
         for a in objs
@@ -526,3 +544,184 @@ def test_direct_normal_forms_match_of(k, c, d, o, c2, d2, s):
         (wt.twist(c2), dh + d2, sh, m) for wt, dh, sh, m in o
     )
     assert shifted(o, s) == EObject.of((wt, dh, sh + s, m) for wt, dh, sh, m in o)
+
+
+# ------------------------------------------- K-class identities by character
+
+
+def _k_route_zero(terms, n_amb):
+    """Whether sum c [obj] is 0, from the validated k_class vectors alone."""
+    vecs = [(c, k_class(o, n_amb)) for c, o in terms]
+    return not any(sum(c * v[j] for c, v in vecs) for j in range(len(vecs[0][1])))
+
+
+def _euler_relation(k):
+    """[O(kh)] - [S^kUv] + [S^{k-1}Uv(H-h)], zero by the first Euler sequence."""
+    return [(1, EObject.line(0, k)), (-1, EObject.schur(k)), (1, EObject.schur(k - 1, 1, -1))]
+
+
+def _koszul(n_amb):
+    """sum_i (-1)^i C(N, i) [O(-ih)]: zero by the Koszul resolution of the
+    point on P^{N-1}, but its character (1 - x1^{-1})^N is not."""
+    from math import comb
+
+    return [((-1) ** i * comb(n_amb, i), EObject.line(0, -i)) for i in range(n_amb + 1)]
+
+
+def _twisted_terms(terms, c, d):
+    return [(k, o.twisted(c, d)) for k, o in terms]
+
+
+@given(
+    st.integers(min_value=3, max_value=11),
+    st.lists(
+        st.tuples(st.integers(-3, 3).filter(bool), multi_eobjects(max_abs=4, max_dh=3)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+    st.sampled_from([None, "euler", "koszul"]),
+    st.integers(1, 4),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+@example(5, [(1, EObject.line(0, 1))], True, "koszul", 1, 0, 0)
+@example(4, [(2, EObject.schur(2, 1, -1))], True, "euler", 2, 1, -2)
+@settings(max_examples=80, deadline=None)
+def test_kclass_zero_matches_k_class_route(n_amb, base, cancel, rel, k, c, d):
+    # Differential oracle for all three stages.  ``cancel`` subtracts each
+    # term shifted by 2 (the same class and character), so the sum is the
+    # added relation alone: zero by character (Euler sequence) or only by
+    # the fallback (Koszul).
+    terms = list(base)
+    if cancel:
+        terms += [(-m, shifted(o, 2)) for m, o in base]
+    if rel == "euler":
+        terms += _twisted_terms(_euler_relation(k), c, d)
+    elif rel == "koszul":
+        terms += _twisted_terms(_koszul(n_amb), c, d)
+    assert fx._kclass_zero(terms, n_amb) == _k_route_zero(terms, n_amb)
+
+
+def _count_k_class(monkeypatch):
+    """Cold K-theory caches and a record of every k_class call."""
+    calls = []
+    k_class_ = fx.k_class
+
+    def counted(a, n_amb):
+        calls.append((a, n_amb))
+        return k_class_(a, n_amb)
+
+    monkeypatch.setattr(fx, "_basis_cache", {})
+    monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "_kchi_tables", {})
+    monkeypatch.setattr(fx, "k_class", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_amb", range(3, 9))
+def test_koszul_sums_are_zero_only_through_the_fallback(monkeypatch, n_amb):
+    koszul = _koszul(n_amb)
+    assert fx._character(koszul)
+    assert not any(fx._witness_pairings(koszul, n_amb))
+    calls = _count_k_class(monkeypatch)
+    assert fx._kclass_zero(koszul, n_amb)
+    assert calls and n_amb in fx._basis_cache
+    # One coefficient changed adds a nonzero [O(-ih)]: a witness says so.
+    for i in range(n_amb + 1):
+        wrong = list(koszul)
+        wrong[i] = (wrong[i][0] + 1, wrong[i][1])
+        assert not fx._kclass_zero(wrong, n_amb), i
+
+
+def _mut_identities(n):
+    """The identities of the mut claims at n, as (terms, holds)."""
+    out = []
+    for k in range(1, n):
+        out.append((_euler_relation(k), True))
+        out.append(
+            ([(1, EObject.line(k, -k)), (-1, EObject.schur(k)), (1, EObject.schur(k - 1, 0, 1))], True)
+        )
+        # the display quotient S^{k-1}Uv(kh) holds for k = 1 only
+        out.append(
+            ([(1, EObject.line(k, -k)), (-1, EObject.schur(k)), (1, EObject.schur(k - 1, 0, k))], k == 1)
+        )
+    return out
+
+
+@pytest.mark.parametrize("n_amb", [5, 6, 9, 10])
+def test_one_wrong_term_is_refuted_by_a_witness(monkeypatch, n_amb):
+    # A true identity with one term's character wrong (the object twisted
+    # by O(h) or O(H), or shifted by one) is nonzero in K_0(E): the helper
+    # must say so, from a witness pairing, without the basis.
+    calls = _count_k_class(monkeypatch)
+    for terms, holds in _mut_identities(n_amb // 2):
+        if not holds:
+            continue
+        assert fx._kclass_zero(terms, n_amb)
+        for i, (m, o) in enumerate(terms):
+            for wrong in (o.twisted(0, 1), o.twisted(1, 0), shifted(o, 1)):
+                bad = terms[:i] + [(m, wrong)] + terms[i + 1 :]
+                assert not fx._kclass_zero(bad, n_amb), (terms, i, wrong)
+    assert calls == [] and fx._basis_cache == {}
+
+
+@pytest.mark.parametrize("n_amb", [7, 8, 11])
+def test_faulty_stages_fall_back_never_pass(monkeypatch, n_amb):
+    # A wrong character term makes a true identity look nonzero to stage 1,
+    # and a witness forced to 0 makes stage 2 inconclusive.  Either way the
+    # validated fallback gives the honest answer; no false identity passes.
+    cases = _mut_identities(n_amb // 2) + [(_koszul(n_amb), True)]
+    character = fx._character
+
+    def one_wrong_term(terms):
+        (m, o), rest = terms[0], list(terms[1:])
+        return character([(m, o.twisted(0, 1))] + rest)
+
+    for fault in ("character", "witness"):
+        with monkeypatch.context() as mp:
+            calls = _count_k_class(mp)
+            if fault == "character":
+                mp.setattr(fx, "_character", one_wrong_term)
+            else:
+                mp.setattr(fx, "_witness_pairings", lambda terms, n: iter([0]))
+            for terms, holds in cases:
+                del calls[:]
+                assert fx._kclass_zero(terms, n_amb) == holds, (fault, terms)
+                # The basis is reached by every true identity whose character
+                # the fault spoils, and by every nonzero character that the
+                # forced witness cannot refute.
+                reached = holds if fault == "character" else bool(character(terms))
+                assert bool(calls) == reached, (fault, terms)
+
+
+def test_suites_decide_k_classes_without_the_basis(monkeypatch):
+    # Every K-class identity of the suites holds by character or fails by a
+    # witness pairing: no k_class call and no basis build, a count.
+    from flipcheck.verify import verify_mut, verify_suite
+
+    calls = _count_k_class(monkeypatch)
+    for n in range(2, 6):
+        for parity in ("odd", "even"):
+            verify_suite(n, parity, "all")
+    verify_mut(20)
+    assert calls == []
+    assert fx._basis_cache == {}
+
+
+def test_cone_kclass_is_its_torus_character():
+    # mutlblock records [b] - sum c_l [s_l] as the sorted nonzero monomials
+    # of its character; the Gram coefficients of S^2Uv over its staircase
+    # cells are 1, so that character is 0 and the record is empty.
+    from flipcheck.collections.engine import Collection, Entry, mutate_block_left
+
+    cells = [EObject.line(l, 2 - 2 * l) for l in range(3)]
+    target = EObject.schur(2)
+    col = Collection(7, tuple(Entry.pure(o) for o in cells + [target]))
+    cone = mutate_block_left(col, 0, 2).entries[0]
+    assert cone.kind == "cone" and cone.kclass == ()
+    col = Collection(7, (Entry.pure(EObject.line()), Entry.pure(EObject.line(0, 1))))
+    cone = mutate_block_left(col, 0, 0).entries[0]
+    coeff = x_euler(EObject.line(), EObject.line(0, 1), 7)
+    expect = fx._character([(1, EObject.line(0, 1)), (-coeff, EObject.line())])
+    assert cone.kclass == tuple(sorted(expect.items()))

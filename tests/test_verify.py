@@ -400,9 +400,22 @@ def test_statuses_independent_of_les_orientation(monkeypatch):
         assert verify_suite(n, p, "all").summary() == expected
 
 
+def _force_kclass_fallback(monkeypatch):
+    """Cold K-theory caches, and every K-class identity sent to the
+    validated-basis fallback: each character reads nonzero and no witness
+    pairing is nonzero."""
+    import flipcheck.flagx as fx
+
+    monkeypatch.setattr(fx, "_basis_cache", {})
+    monkeypatch.setattr(fx, "_kclass_cache", {})
+    monkeypatch.setattr(fx, "_kchi_tables", {})
+    monkeypatch.setattr(fx, "_character", lambda terms: {(0, 0): 1})
+    monkeypatch.setattr(fx, "_witness_pairings", lambda terms, n_amb: iter(()))
+
+
 def test_euler_basis_built_once_per_n(monkeypatch):
     # The K-theory basis is shared per-N state: a suite whose claims reach
-    # k_class builds and validates it once, not once per claim.
+    # the k_class fallback builds and validates it once, not once per claim.
     import flipcheck.flagx as fx
 
     builds = []
@@ -412,9 +425,7 @@ def test_euler_basis_built_once_per_n(monkeypatch):
         builds.append(n_amb)
         return gr_collection(n_amb)
 
-    monkeypatch.setattr(fx, "_basis_cache", {})
-    monkeypatch.setattr(fx, "_kclass_cache", {})
-    monkeypatch.setattr(fx, "_kchi_tables", {})
+    _force_kclass_fallback(monkeypatch)
     monkeypatch.setattr(fx, "gr_collection", counted)
     verify_mut(3, "odd")
     assert builds == [7]
@@ -427,9 +438,7 @@ def test_basis_fault_propagates(monkeypatch):
     from flipcheck.flagx import BasisValidationError
 
     gr_collection = fx.gr_collection
-    monkeypatch.setattr(fx, "_basis_cache", {})
-    monkeypatch.setattr(fx, "_kclass_cache", {})
-    monkeypatch.setattr(fx, "_kchi_tables", {})
+    _force_kclass_fallback(monkeypatch)
     monkeypatch.setattr(fx, "gr_collection", lambda n_amb: gr_collection(n_amb)[::-1])
     with pytest.raises(BasisValidationError):
         verify_mut(3)
