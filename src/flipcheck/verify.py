@@ -446,13 +446,14 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
     def euler_seqs() -> Outcome:
         display_kh_holds = []
         for k in range(1, n):
-            # [lhs] = [S^kUv] - [quotient] as lhs - S^kUv + quotient = 0
-            if not _kclass_zero([(1, _O(0, k)), (-1, _S(k)), (1, _S(k - 1, 1, -1))], n_amb):
+            # [lhs] = [S^kUv] - [quotient] read as lhs - S^kUv + quotient = 0
+            sk = (-1, _S(k))
+            if not _kclass_zero([(1, _O(0, k)), sk, (1, _S(k - 1, 1, -1))], n_amb):
                 return FAIL, {"sequence": 1, "k": k}
-            if not _kclass_zero([(1, _O(k, -k)), (-1, _S(k)), (1, _S(k - 1, 0, 1))], n_amb):
+            if not _kclass_zero([(1, _O(k, -k)), sk, (1, _S(k - 1, 0, 1))], n_amb):
                 return FAIL, {"sequence": 2, "k": k}
             display_kh_holds.append(
-                _kclass_zero([(1, _O(k, -k)), (-1, _S(k)), (1, _S(k - 1, 0, k))], n_amb)
+                _kclass_zero([(1, _O(k, -k)), sk, (1, _S(k - 1, 0, k))], n_amb)
             )
         return PASS, {
             "note": "K-class additivity on both Euler sequences; the display "

@@ -557,7 +557,11 @@ def _k_route_zero(terms, n_amb):
 
 def _euler_relation(k):
     """[O(kh)] - [S^kUv] + [S^{k-1}Uv(H-h)], zero by the first Euler sequence."""
-    return [(1, EObject.line(0, k)), (-1, EObject.schur(k)), (1, EObject.schur(k - 1, 1, -1))]
+    return [
+        (1, EObject.line(0, k)),
+        (-1, EObject.schur(k)),
+        (1, EObject.schur(k - 1, 1, -1)),
+    ]
 
 
 def _koszul(n_amb):
@@ -638,14 +642,11 @@ def _mut_identities(n):
     """The identities of the mut claims at n, as (terms, holds)."""
     out = []
     for k in range(1, n):
+        head = [(1, EObject.line(k, -k)), (-1, EObject.schur(k))]
         out.append((_euler_relation(k), True))
-        out.append(
-            ([(1, EObject.line(k, -k)), (-1, EObject.schur(k)), (1, EObject.schur(k - 1, 0, 1))], True)
-        )
+        out.append((head + [(1, EObject.schur(k - 1, 0, 1))], True))
         # the display quotient S^{k-1}Uv(kh) holds for k = 1 only
-        out.append(
-            ([(1, EObject.line(k, -k)), (-1, EObject.schur(k)), (1, EObject.schur(k - 1, 0, k))], k == 1)
-        )
+        out.append((head + [(1, EObject.schur(k - 1, 0, k))], k == 1))
     return out
 
 
