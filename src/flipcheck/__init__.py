@@ -8,14 +8,7 @@ rank parameter N, reporting pass/fail/indeterminate per claim.
 
 from .weights import EObject, Weight
 from .bwb import GradedDims, cohomology
-from .flagx import (
-    ExtResult,
-    e_ext,
-    e_euler,
-    euler_basis,
-    k_class,
-    x_ext,
-)
+from .flagx import ExtResult, e_ext, e_euler, x_ext
 from .verify import (
     Claim,
     Report,

@@ -38,10 +38,7 @@ refutes.
 Every mutation demands an Exact one-dimensional RHom concentrated in a
 single degree and verifies the K-class identity
 [result] = [b] - (-1)^deg [E] with ``flagx._kclass_zero``: a zero torus
-character proves it, a nonzero Euler pairing refutes it, and only a sum
-that neither settles reaches the validated K-theory basis.  A
-``BasisValidationError`` from that basis is no ``EngineError``, so it
-leaves every move and script run as the program fault it is.
+character proves it, and otherwise the reduced Chern character decides.
 
 Ext on X is read once per twist shape.  Ext_X(a, b) and chi_X(a, b) do not
 change when both arguments are twisted by one line bundle O(cH + dh), so

@@ -51,40 +51,37 @@ the part 6 pairs (O(ah), O(bH)) never differ by a common twist, so each has
 a shape of its own.
 
 Whether a formal sum sum c_i [obj_i] is 0 in K_0(E) is decided by
-``_kclass_zero`` in three stages.  The Euler sequence
-0 -> O(H-h) -> U^vee -> O(h) -> 0 splits U^vee in K_0(E), so by the
-splitting principle the Laurent ring Z[x1, x2, 1/x1, 1/x2] -> K_0(E),
+``_kclass_zero`` from its torus character, with ints only.  The Euler
+sequence 0 -> O(H-h) -> U^vee -> O(h) -> 0 splits U^vee in K_0(E), so by
+the splitting principle the Laurent ring Z[x1, x2, 1/x1, 1/x2] -> K_0(E),
 x1 -> [O(h)] and x2 -> [O(H-h)], is a ring map, and it sends the character
 (-1)^s m (x1 x2)^b x1^e h_{a-b}(x1, x2) to the class of
-Sigma^{a,b} U^vee (eh) [s] with multiplicity m.  First, a sum whose
-character is zero has class 0.  The map is not injective: the Koszul sums
-sum_i (-1)^i C(N, i) [O(-ih)] have class 0 but character (1 - x1^-1)^N.
-So, second, a nonzero character is checked by Euler pairing: chi_E(b, -)
-is additive on K_0(E) for any object b, and one basis object with a
-nonzero pairing proves the class nonzero, with no validated basis.  Third,
-a sum that neither settles falls back to the validated basis and
-``k_class`` below.  Every identity the verifiers check holds by its
-character or fails by a witness pairing, so no suite builds the basis.
+Sigma^{a,b} U^vee (eh) [s] with multiplicity m.  A sum whose character is
+zero has class 0; most identities the verifiers check end there.  The map
+is not injective: the Koszul sums sum_i (-1)^i C(N, i) [O(-ih)] have class
+0 but character (1 - x1^-1)^N.  So a nonzero character goes through the
+Chern character, an isomorphism K_0(E) (x) Q -> H^ev(E, Q) that is
+injective on K_0(E), which is free since D(E) has a full exceptional
+collection.  With a = c1 O(h) and b = c1 O(H-h), ch sends x1^i x2^j to
+e^{ia + jb}, and Borel's presentation gives
 
-The fallback fingerprints K-theory classes by Euler pairing against the
-full exceptional collection <p2^* T_i, p2^* T_i (x) O(h)> of D(E); the
-pairing matrix is validated upper-unitriangular once per N.  The check
-reads every entry on and below the diagonal, row by row, and none above
-it.  chi_E is invariant under twisting both arguments by one line bundle,
-so the entry for S^p U^vee (kH)(eh) against S^q U^vee (lH)(dh) depends
-only on the shape (p, q, l-k, d-e).  A table local to the build, keyed by those ints, computes
-one chi_E per shape: 2,135 instead of 44,100 at N = 15.
+    H^*(E, Q) = Q[a, b] / (h_{N-1}(a, b), h_N(a, b)).
 
-``k_class`` uses the same invariance.  By bilinearity a K-class is a signed
-sum, over the terms of the object, of the pairings of each basis object with
-one twisted Schur bundle, and each such pairing is read from a table per N
-keyed by its shape (q, p, k-l, e-d).  Only the first pair of a shape runs
-``e_euler``.  The witness stage reads and fills the same table.
+Since h_N = b^N + a h_{N-1}, the ideal is (h_{N-1}, b^N), a Groebner basis
+for the lex order with a > b (the leading terms a^{N-1} and b^N are
+coprime).  Its standard monomials a^m b^l, m <= N-2 and l <= N-1, number
+N(N-1) = rank K_0(E).  ``_ch_rows`` reduces ch one degree d = 0..2N-3 at a
+time, scaled by d! so every coefficient is an int: it drops the monomials
+with b^N in them and rewrites a^{N-1} as -sum_{i<=N-2} a^i b^{N-1-i}.  Both
+relations are homogeneous, so the class is zero iff every reduced row is,
+and the first nonzero row proves it nonzero.  No Ext, BWB or table is
+involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Sequence
 
 from . import bwb
@@ -276,13 +273,6 @@ def gr_collection(n_amb: int) -> tuple[EObject, ...]:
     return tuple(out)
 
 
-_basis_cache: dict[int, tuple[EObject, ...]] = {}
-
-
-class BasisValidationError(RuntimeError):
-    """The Euler pairing matrix of the K-theory basis failed unitriangularity."""
-
-
 def _shapes(objs: tuple[EObject, ...]) -> list[tuple[int, int, int]]:
     """(p, k, e) of each single-term object S^p U^vee (kH)(eh), as ints."""
     out = []
@@ -290,98 +280,6 @@ def _shapes(objs: tuple[EObject, ...]) -> list[tuple[int, int, int]]:
         w, dh = o.single_term()
         out.append((w.a - w.b, w.b, dh))
     return out
-
-
-def _lower_gram(basis: tuple[EObject, ...], n_amb: int) -> Iterator[tuple[int, int, int]]:
-    """(i, j, chi_E(b_i, b_j)) for every i >= j, row by row.
-
-    Twisting both arguments by one O(cH + eh) leaves every pushed term of
-    ``_degrees`` as it is, so the entry for b_i = S^p U^vee (kH)(eh)
-    and b_j = S^q U^vee (lH)(dh) depends only on the shape (p, q, l-k, d-e).
-    ``e_euler`` runs once per shape, on the first pair that has it; the
-    table is read by ints and dropped with the generator.
-    """
-    shapes = _shapes(basis)
-    table: dict[tuple[int, int, int, int], int] = {}
-    for i, (p, k, e) in enumerate(shapes):
-        for j in range(i + 1):
-            q, l, d = shapes[j]
-            key = (p, q, l - k, d - e)
-            chi = table.get(key)
-            if chi is None:
-                chi = table[key] = e_euler(basis[i], basis[j], n_amb)
-            yield i, j, chi
-
-
-def _basis_objects(n_amb: int) -> tuple[EObject, ...]:
-    """The objects of ``euler_basis``, in its order, not validated."""
-    gr_objs = gr_collection(n_amb)
-    return gr_objs + tuple(o.twisted(0, 1) for o in gr_objs)
-
-
-def euler_basis(n_amb: int) -> tuple[EObject, ...]:
-    """Full exceptional collection <p2^* T_i, p2^* T_i (x) O(h)> of D(E).
-
-    Validated once per N: the chi_E pairing matrix must be unitriangular
-    (ones on the diagonal, zeros below), which makes pairing against it an
-    injective K_0(E) fingerprint.  Every entry on and below the diagonal is
-    checked, row by row, as ``_lower_gram`` yields it (one chi_E per twist
-    shape); the entries above it are never computed.
-    """
-    hit = _basis_cache.get(n_amb)
-    if hit is not None:
-        return hit
-    basis = _basis_objects(n_amb)
-    for i, j, chi in _lower_gram(basis, n_amb):
-        if i == j and chi != 1:
-            raise BasisValidationError(f"chi(b_{i}, b_{i}) = {chi} != 1")
-        if i > j and chi != 0:
-            raise BasisValidationError(f"chi(b_{i}, b_{j}) = {chi} != 0 below diagonal")
-    _basis_cache[n_amb] = basis
-    return basis
-
-
-_kclass_cache: dict[tuple[int, EObject], tuple[int, ...]] = {}
-
-# Per N: the basis shapes and the shape table (q, p, k-l, e-d) -> chi of
-# k_class, which the witness stage of ``_kclass_zero`` shares.
-_kchi_tables: dict[int, tuple[list[tuple[int, int, int]], dict[tuple[int, int, int, int], int]]] = {}
-
-
-def k_class(a: EObject, n_amb: int) -> tuple[int, ...]:
-    """K_0(E) class of ``a`` as the vector of chi_E(basis_j, a).
-
-    chi_E is bilinear, so entry j is the sum over the terms (w, e, s, mult)
-    of ``a`` of (-1)^s mult chi_E(b_j, S^p U^vee (kH)(eh)) with p = w.a - w.b
-    and k = w.b.  For b_j = S^q U^vee (lH)(dh) that chi depends only on the
-    shape (q, p, k-l, e-d): a table per N, keyed by those ints, computes one
-    ``e_euler`` per shape, on the first pair that has it.  Vectors are
-    memoized per object.
-    """
-    key = (n_amb, a)
-    hit = _kclass_cache.get(key)
-    if hit is not None:
-        return hit
-    basis = euler_basis(n_amb)
-    tables = _kchi_tables.get(n_amb)
-    if tables is None:
-        tables = _kchi_tables[n_amb] = (_shapes(basis), {})
-    shapes, table = tables
-    vec = [0] * len(basis)
-    for w, e, s, mult in a.terms:
-        p, k = w.a - w.b, w.b
-        sign = -mult if s % 2 else mult
-        term = None
-        for j, (q, l, d) in enumerate(shapes):
-            shape = (q, p, k - l, e - d)
-            chi = table.get(shape)
-            if chi is None:
-                if term is None:
-                    term = EObject.of_weight(w, e)
-                chi = table[shape] = e_euler(basis[j], term, n_amb)
-            vec[j] += sign * chi
-    hit = _kclass_cache[key] = tuple(vec)
-    return hit
 
 
 KSum = Sequence[tuple[int, EObject]]
@@ -405,45 +303,37 @@ def _character(terms: KSum) -> dict[tuple[int, int], int]:
     return {key: v for key, v in acc.items() if v}
 
 
-def _witness_pairings(terms: KSum, n_amb: int) -> Iterator[int]:
-    """sum c chi_E(b, obj) for each basis object b in turn.
+def _ch_rows(char: dict[tuple[int, int], int], n_amb: int) -> Iterator[list[int]]:
+    """The Chern character of ``char`` in H^*(E, Q), reduced, one degree at a time.
 
-    Each chi is read from the shape table of ``k_class``; a missing shape
-    (q, p, k-l, e-d) is computed on its twist-free representative
-    (S^q U^vee, S^p U^vee ((k-l)H)((e-d)h)).  The basis is not validated:
-    chi_E(b, -) is additive on K_0(E) whatever b is, so a nonzero value
-    proves the class nonzero.
+    For d = 0..2N-3, row m of degree d is d! times the coefficient of
+    a^m b^(d-m), m = 0..d, with a = c1 O(h) and b = c1 O(H-h), reduced
+    modulo the Groebner basis {h_{N-1}(a, b), b^N}: nonzero only at the
+    standard monomials, m <= N-2 and d-m <= N-1.
     """
-    tables = _kchi_tables.get(n_amb)
-    if tables is None:
-        tables = _kchi_tables[n_amb] = (_shapes(_basis_objects(n_amb)), {})
-    shapes, table = tables
-    for q, l, d in shapes:
-        total = 0
-        for c, o in terms:
-            for w, e, s, m in o.terms:
-                p, k = w.a - w.b, w.b
-                shape = (q, p, k - l, e - d)
-                chi = table.get(shape)
-                if chi is None:
-                    chi = table[shape] = e_euler(
-                        EObject.schur(q), EObject.schur(p, k - l, e - d), n_amb
-                    )
-                total += (-c * m if s % 2 else c * m) * chi
-        yield total
+    monos = list(char.items())
+    for d in range(2 * n_amb - 2):  # dim E = 2N-3
+        lo = max(0, d - n_amb + 1)  # a^m b^(d-m) with d-m >= N is a multiple of b^N
+        row = [0] * (d + 1)
+        for m in range(lo, d + 1):
+            row[m] = comb(d, m) * sum(c * i**m * j ** (d - m) for (i, j), c in monos)
+        # a^m b^(d-m) = -sum_{t=m-N+1}^{m-1} a^t b^(d-t) for m >= N-1, by h_{N-1}
+        for m in range(d, n_amb - 2, -1):
+            v = row[m]
+            if v:
+                row[m] = 0
+                for t in range(max(lo, m - n_amb + 1), m):
+                    row[t] -= v
+        yield row
 
 
 def _kclass_zero(terms: KSum, n_amb: int) -> bool:
     """Whether sum c [obj] over ``terms`` is 0 in K_0(E).
 
-    1. A zero character is a proof of zero (see the module docstring).
-    2. Otherwise one nonzero witness pairing is a proof of nonzero.
-    3. Otherwise the sum of the ``k_class`` vectors decides; building the
-       validated basis may raise ``BasisValidationError``.
+    A zero character is a proof of zero; otherwise the class is zero iff
+    every reduced degree row of its Chern character is (see the module
+    docstring).  Both relations are homogeneous, so the first nonzero row
+    proves the class nonzero.
     """
-    if not _character(terms):
-        return True
-    if any(_witness_pairings(terms, n_amb)):
-        return False
-    vecs = [(c, k_class(o, n_amb)) for c, o in terms]
-    return not any(sum(c * v[j] for c, v in vecs) for j in range(len(vecs[0][1])))
+    char = _character(terms)
+    return not char or not any(any(row) for row in _ch_rows(char, n_amb))

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 from .bwb import GradedDims
 from .flagx import (
-    BasisValidationError,
     EObject,
     ExtResult,
     _kclass_zero,
@@ -69,6 +68,8 @@ class Report:
     claims: list[Claim] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError("need n >= 2")
         if self.parity not in ("odd", "even"):
             raise ValueError(f"parity must be 'odd' or 'even', not {self.parity!r}")
 
@@ -97,14 +98,10 @@ def _check(
 ) -> None:
     """Evaluate ``fn(*args)`` and append its claim to the report.
 
-    A check that raises is recorded as a FAIL whose detail names the error,
-    except for a ``BasisValidationError``: a K-theory basis that fails
-    validation is a program fault, not a refuted claim, so it propagates.
+    A check that raises is recorded as a FAIL whose detail names the error.
     """
     try:
         status, detail = fn(*args)
-    except BasisValidationError:
-        raise
     except Exception as exc:  # honest failure, never a crash
         status, detail = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
     report.claims.append(Claim(cid, statement, status, detail))
@@ -149,8 +146,6 @@ def _vacuous(report: Report, cid: str, statement: str) -> None:
 
 def verify_van(part: int, n: int, parity: str = "odd") -> Report:
     """The six Hom-vanishing statements, instance by instance."""
-    if n < 2:
-        raise ValueError("need n >= 2")
     report = Report(n, parity)
     n_amb = report.n_amb
 

@@ -1,18 +1,34 @@
 """Reference routes that the tests check the package against.
 
-Not collected by pytest (the name has no ``test_`` prefix).  From the package
-it imports only data types and the BWB oracle ``bwb.cohomology``, never the
-Ext kernel in ``flagx`` or the CLI, so it stays an independent check: Ext on
+Not collected by pytest (the name has no ``test_`` prefix).  Ext on
 Gr(2, N) is built here the obvious way, as the formal Hom object
-a^vee (x) b of Clebsch-Gordan terms, whose cohomology is taken term by term.
+a^vee (x) b of Clebsch-Gordan terms, whose cohomology is taken term by term;
+for it the package gives only data types and the BWB oracle
+``bwb.cohomology``, never the Ext kernel in ``flagx`` or the CLI.
+
+K-classes on E are fingerprinted here by Euler pairing against the full
+exceptional collection <p2^* T_i, p2^* T_i (x) O(h)> of D(E), the route
+``flagx._kclass_zero`` is checked against.  It pairs by ``flagx.e_euler``,
+an independent computation from the Chern character that decides there.
+The pairing matrix is validated upper-unitriangular once per N: the check
+reads every entry on and below the diagonal, row by row, and none above it.
+chi_E is invariant under twisting both arguments by one line bundle, so the
+entry for S^p U^vee (kH)(eh) against S^q U^vee (lH)(dh) depends only on the
+shape (p, q, l-k, d-e).  A table local to the build, keyed by those ints,
+computes one chi_E per shape: 2,135 instead of 44,100 at N = 15.
+``k_class`` uses the same invariance: by bilinearity a K-class is a signed
+sum, over the terms of the object, of the pairings of each basis object
+with one twisted Schur bundle, each read from a table per N keyed by its
+shape (q, p, k-l, e-d).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from flipcheck.bwb import GradedDims, cohomology
+from flipcheck.flagx import _shapes, e_euler, gr_collection
 from flipcheck.verify import Claim, Report
 from flipcheck.weights import EObject, Weight
 
@@ -87,6 +103,109 @@ def omega_e(n_amb: int) -> tuple[int, int]:
 def k_sub(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     """Entrywise difference of two K-class vectors."""
     return tuple(p - q for p, q in zip(x, y))
+
+
+# ------------------------------------------------------- K-classes on E
+
+
+_basis_cache: dict[int, tuple[EObject, ...]] = {}
+
+
+class BasisValidationError(RuntimeError):
+    """The Euler pairing matrix of the K-theory basis failed unitriangularity."""
+
+
+def _lower_gram(basis: tuple[EObject, ...], n_amb: int) -> Iterator[tuple[int, int, int]]:
+    """(i, j, chi_E(b_i, b_j)) for every i >= j, row by row.
+
+    Twisting both arguments by one O(cH + eh) leaves every pushed term of
+    ``_degrees`` as it is, so the entry for b_i = S^p U^vee (kH)(eh)
+    and b_j = S^q U^vee (lH)(dh) depends only on the shape (p, q, l-k, d-e).
+    ``e_euler`` runs once per shape, on the first pair that has it; the
+    table is read by ints and dropped with the generator.
+    """
+    shapes = _shapes(basis)
+    table: dict[tuple[int, int, int, int], int] = {}
+    for i, (p, k, e) in enumerate(shapes):
+        for j in range(i + 1):
+            q, l, d = shapes[j]
+            key = (p, q, l - k, d - e)
+            chi = table.get(key)
+            if chi is None:
+                chi = table[key] = e_euler(basis[i], basis[j], n_amb)
+            yield i, j, chi
+
+
+def _basis_objects(n_amb: int) -> tuple[EObject, ...]:
+    """The objects of ``euler_basis``, in its order, not validated."""
+    gr_objs = gr_collection(n_amb)
+    return gr_objs + tuple(o.twisted(0, 1) for o in gr_objs)
+
+
+def euler_basis(n_amb: int) -> tuple[EObject, ...]:
+    """Full exceptional collection <p2^* T_i, p2^* T_i (x) O(h)> of D(E).
+
+    Validated once per N: the chi_E pairing matrix must be unitriangular
+    (ones on the diagonal, zeros below), which makes pairing against it an
+    injective K_0(E) fingerprint.  Every entry on and below the diagonal is
+    checked, row by row, as ``_lower_gram`` yields it (one chi_E per twist
+    shape); the entries above it are never computed.
+    """
+    hit = _basis_cache.get(n_amb)
+    if hit is not None:
+        return hit
+    basis = _basis_objects(n_amb)
+    for i, j, chi in _lower_gram(basis, n_amb):
+        if i == j and chi != 1:
+            raise BasisValidationError(f"chi(b_{i}, b_{i}) = {chi} != 1")
+        if i > j and chi != 0:
+            raise BasisValidationError(f"chi(b_{i}, b_{j}) = {chi} != 0 below diagonal")
+    _basis_cache[n_amb] = basis
+    return basis
+
+
+_kclass_cache: dict[tuple[int, EObject], tuple[int, ...]] = {}
+
+# Per N: the basis shapes and the shape table (q, p, k-l, e-d) -> chi of
+# k_class.
+_kchi_tables: dict[int, tuple[list[tuple[int, int, int]], dict[tuple[int, int, int, int], int]]] = {}
+
+
+def k_class(a: EObject, n_amb: int) -> tuple[int, ...]:
+    """K_0(E) class of ``a`` as the vector of chi_E(basis_j, a).
+
+    chi_E is bilinear, so entry j is the sum over the terms (w, e, s, mult)
+    of ``a`` of (-1)^s mult chi_E(b_j, S^p U^vee (kH)(eh)) with p = w.a - w.b
+    and k = w.b.  For b_j = S^q U^vee (lH)(dh) that chi depends only on the
+    shape (q, p, k-l, e-d): a table per N, keyed by those ints, computes one
+    ``e_euler`` per shape, on the first pair that has it.  Vectors are
+    memoized per object.
+    """
+    key = (n_amb, a)
+    hit = _kclass_cache.get(key)
+    if hit is not None:
+        return hit
+    basis = euler_basis(n_amb)
+    tables = _kchi_tables.get(n_amb)
+    if tables is None:
+        tables = _kchi_tables[n_amb] = (_shapes(basis), {})
+    shapes, table = tables
+    vec = [0] * len(basis)
+    for w, e, s, mult in a.terms:
+        p, k = w.a - w.b, w.b
+        sign = -mult if s % 2 else mult
+        term = None
+        for j, (q, l, d) in enumerate(shapes):
+            shape = (q, p, k - l, e - d)
+            chi = table.get(shape)
+            if chi is None:
+                if term is None:
+                    term = EObject.of_weight(w, e)
+                chi = table[shape] = e_euler(basis[j], term, n_amb)
+            vec[j] += sign * chi
+    hit = _kclass_cache[key] = tuple(vec)
+    return hit
+
 
 
 # ---------------------------------------------------------- graded dimensions

@@ -4,28 +4,23 @@ import pytest
 
 from flipcheck.bwb import ZERO, GradedDims, cohomology
 import flipcheck.flagx as fx
-from flipcheck.flagx import (
-    BasisValidationError,
-    EObject,
-    _lower_gram,
-    e_ext,
-    e_euler,
-    euler_basis,
-    k_class,
-    x_euler,
-    x_ext,
-    x_vanishes,
-)
+from flipcheck.flagx import EObject, e_ext, e_euler, x_euler, x_ext, x_vanishes
 from flipcheck.weights import Weight
 
+import reference
 from reference import (
+    BasisValidationError,
+    _basis_objects,
+    _lower_gram,
     cg_tensor,
     degrees,
     dim_at,
     dual,
     dual_object,
+    euler_basis,
     gr_euler,
     gr_ext,
+    k_class,
     k_sub,
     omega_e,
     push_p2,
@@ -200,10 +195,10 @@ def test_lower_gram_matches_full_route():
 
 
 def _counting_e_euler(monkeypatch, corrupt=None):
-    """Route flagx's e_euler through a counter on cold caches; ``corrupt``
+    """Route the reference's e_euler through a counter on cold caches; ``corrupt``
     is a pair (A, B): every pair with the same twist shape gets chi + 1."""
     calls = []
-    e_euler_ = fx.e_euler
+    e_euler_ = reference.e_euler
 
     def same_shape(a, b):
         # a = A (x) L and b = B (x) L for one line bundle L = O(cH + eh)
@@ -216,10 +211,10 @@ def _counting_e_euler(monkeypatch, corrupt=None):
         chi = e_euler_(a, b, n_amb)
         return chi + 1 if corrupt is not None and same_shape(a, b) else chi
 
-    monkeypatch.setattr(fx, "_basis_cache", {})
-    monkeypatch.setattr(fx, "_kclass_cache", {})
-    monkeypatch.setattr(fx, "_kchi_tables", {})
-    monkeypatch.setattr(fx, "e_euler", counted)
+    monkeypatch.setattr(reference, "_basis_cache", {})
+    monkeypatch.setattr(reference, "_kclass_cache", {})
+    monkeypatch.setattr(reference, "_kchi_tables", {})
+    monkeypatch.setattr(reference, "e_euler", counted)
     return calls
 
 
@@ -245,10 +240,10 @@ def test_wrong_chi_on_one_shape_fails_validation(monkeypatch, i, j):
 def test_basis_error_names_first_failing_entry(monkeypatch):
     # Rows are checked in order, so the error names the first bad entry of
     # the full matrix read row by row, on and below the diagonal.
-    gr_collection = fx.gr_collection
-    monkeypatch.setattr(fx, "_basis_cache", {})
-    monkeypatch.setattr(fx, "gr_collection", lambda n_amb: gr_collection(n_amb)[::-1])
-    objs = list(fx.gr_collection(5))
+    gr_collection = reference.gr_collection
+    monkeypatch.setattr(reference, "_basis_cache", {})
+    monkeypatch.setattr(reference, "gr_collection", lambda n_amb: gr_collection(n_amb)[::-1])
+    objs = list(reference.gr_collection(5))
     basis = objs + [o.twisted(0, 1) for o in objs]
     first = next(
         (i, j, chi)
@@ -593,10 +588,10 @@ def _twisted_terms(terms, c, d):
 @example(4, [(2, EObject.schur(2, 1, -1))], True, "euler", 2, 1, -2)
 @settings(max_examples=80, deadline=None)
 def test_kclass_zero_matches_k_class_route(n_amb, base, cancel, rel, k, c, d):
-    # Differential oracle for all three stages.  ``cancel`` subtracts each
-    # term shifted by 2 (the same class and character), so the sum is the
-    # added relation alone: zero by character (Euler sequence) or only by
-    # the fallback (Koszul).
+    # Differential oracle against the validated pairing basis.  ``cancel``
+    # subtracts each term shifted by 2 (the same class and character), so
+    # the sum is the added relation alone: zero by character (Euler
+    # sequence) or only by the reduced Chern character (Koszul).
     terms = list(base)
     if cancel:
         terms += [(-m, shifted(o, 2)) for m, o in base]
@@ -607,35 +602,69 @@ def test_kclass_zero_matches_k_class_route(n_amb, base, cancel, rel, k, c, d):
     assert fx._kclass_zero(terms, n_amb) == _k_route_zero(terms, n_amb)
 
 
-def _count_k_class(monkeypatch):
-    """Cold K-theory caches and a record of every k_class call."""
-    calls = []
-    k_class_ = fx.k_class
-
-    def counted(a, n_amb):
-        calls.append((a, n_amb))
-        return k_class_(a, n_amb)
-
-    monkeypatch.setattr(fx, "_basis_cache", {})
-    monkeypatch.setattr(fx, "_kclass_cache", {})
-    monkeypatch.setattr(fx, "_kchi_tables", {})
-    monkeypatch.setattr(fx, "k_class", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n_amb", range(3, 9))
-def test_koszul_sums_are_zero_only_through_the_fallback(monkeypatch, n_amb):
+def test_koszul_sums_are_zero_only_through_the_fallback(n_amb):
+    # "The fallback" is everything past the zero-character return: a Koszul
+    # sum has a nonzero character, and its reduced Chern character is zero.
     koszul = _koszul(n_amb)
     assert fx._character(koszul)
-    assert not any(fx._witness_pairings(koszul, n_amb))
-    calls = _count_k_class(monkeypatch)
     assert fx._kclass_zero(koszul, n_amb)
-    assert calls and n_amb in fx._basis_cache
-    # One coefficient changed adds a nonzero [O(-ih)]: a witness says so.
+    # One coefficient changed adds a nonzero [O(-ih)].
     for i in range(n_amb + 1):
         wrong = list(koszul)
         wrong[i] = (wrong[i][0] + 1, wrong[i][1])
         assert not fx._kclass_zero(wrong, n_amb), i
+
+
+def test_koszul_sum_at_n41_is_decided_fast():
+    # All 2N - 2 = 80 degree rows of a zero class are reduced.
+    import time
+
+    koszul = _koszul(41)
+    t = time.perf_counter()
+    assert fx._kclass_zero(koszul, 41)
+    assert time.perf_counter() - t < 0.5
+
+
+def _rank_mod_p(rows, p=(1 << 61) - 1):
+    """Rank of an int matrix over Z/p, a lower bound for its rank over Q."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n_amb", range(3, 9))
+def test_normal_forms_of_the_basis_have_full_rank(n_amb):
+    # The decision's own reduced rows, read in full: every nonzero entry
+    # sits at a standard monomial a^m b^(d-m), m <= N-2 and d-m <= N-1, and
+    # the N(N-1) basis objects of K_0(E) give independent normal forms, so
+    # the reduction is injective on K_0(E).
+    vecs = []
+    for b in _basis_objects(n_amb):
+        rows = list(fx._ch_rows(fx._character([(1, b)]), n_amb))
+        assert [len(r) for r in rows] == list(range(1, 2 * n_amb - 1))
+        vec = []
+        for d, row in enumerate(rows):
+            for m, v in enumerate(row):
+                if m <= n_amb - 2 and d - m <= n_amb - 1:
+                    vec.append(v)
+                else:
+                    assert v == 0, (b, d, m)
+        vecs.append(vec)
+    assert len(vecs) == len(vecs[0]) == n_amb * (n_amb - 1)
+    assert _rank_mod_p(vecs) == n_amb * (n_amb - 1)
 
 
 def _mut_identities(n):
@@ -651,11 +680,10 @@ def _mut_identities(n):
 
 
 @pytest.mark.parametrize("n_amb", [5, 6, 9, 10])
-def test_one_wrong_term_is_refuted_by_a_witness(monkeypatch, n_amb):
+def test_one_wrong_term_is_refuted_by_a_witness(n_amb):
     # A true identity with one term's character wrong (the object twisted
     # by O(h) or O(H), or shifted by one) is nonzero in K_0(E): the helper
-    # must say so, from a witness pairing, without the basis.
-    calls = _count_k_class(monkeypatch)
+    # must say so.  The witness is the first nonzero reduced degree row.
     for terms, holds in _mut_identities(n_amb // 2):
         if not holds:
             continue
@@ -664,50 +692,32 @@ def test_one_wrong_term_is_refuted_by_a_witness(monkeypatch, n_amb):
             for wrong in (o.twisted(0, 1), o.twisted(1, 0), shifted(o, 1)):
                 bad = terms[:i] + [(m, wrong)] + terms[i + 1 :]
                 assert not fx._kclass_zero(bad, n_amb), (terms, i, wrong)
-    assert calls == [] and fx._basis_cache == {}
 
 
-@pytest.mark.parametrize("n_amb", [7, 8, 11])
-def test_faulty_stages_fall_back_never_pass(monkeypatch, n_amb):
-    # A wrong character term makes a true identity look nonzero to stage 1,
-    # and a witness forced to 0 makes stage 2 inconclusive.  Either way the
-    # validated fallback gives the honest answer; no false identity passes.
-    cases = _mut_identities(n_amb // 2) + [(_koszul(n_amb), True)]
-    character = fx._character
+def test_k_classes_never_reach_bwb(monkeypatch):
+    # With every route to BWB and Ext on E made to raise, the K-class
+    # identities are still decided: the Koszul sums for N = 3..41, the
+    # mutation identities with the display_kh residues, and the K-class
+    # claim of verify_mut for n = 2..20 (its Ext claims fail on the fault).
+    import flipcheck.bwb as bwb
+    from flipcheck.verify import verify_mut
 
-    def one_wrong_term(terms):
-        (m, o), rest = terms[0], list(terms[1:])
-        return character([(m, o.twisted(0, 1))] + rest)
+    def unreachable(*args):
+        raise AssertionError("a K-class reached BWB")
 
-    for fault in ("character", "witness"):
-        with monkeypatch.context() as mp:
-            calls = _count_k_class(mp)
-            if fault == "character":
-                mp.setattr(fx, "_character", one_wrong_term)
-            else:
-                mp.setattr(fx, "_witness_pairings", lambda terms, n: iter([0]))
-            for terms, holds in cases:
-                del calls[:]
-                assert fx._kclass_zero(terms, n_amb) == holds, (fault, terms)
-                # The basis is reached by every true identity whose character
-                # the fault spoils, and by every nonzero character that the
-                # forced witness cannot refute.
-                reached = holds if fault == "character" else bool(character(terms))
-                assert bool(calls) == reached, (fault, terms)
-
-
-def test_suites_decide_k_classes_without_the_basis(monkeypatch):
-    # Every K-class identity of the suites holds by character or fails by a
-    # witness pairing: no k_class call and no basis build, a count.
-    from flipcheck.verify import verify_mut, verify_suite
-
-    calls = _count_k_class(monkeypatch)
-    for n in range(2, 6):
-        for parity in ("odd", "even"):
-            verify_suite(n, parity, "all")
-    verify_mut(20)
-    assert calls == []
-    assert fx._basis_cache == {}
+    monkeypatch.setattr(bwb, "cohomology", unreachable)
+    monkeypatch.setattr(fx, "_degrees", unreachable)
+    monkeypatch.setattr(fx, "e_euler", unreachable)
+    for n_amb in range(3, 42):
+        koszul = _koszul(n_amb)
+        assert fx._kclass_zero(koszul, n_amb), n_amb
+        assert not fx._kclass_zero([(2, koszul[0][1])] + koszul[1:], n_amb), n_amb
+    for n in range(2, 21):
+        for terms, holds in _mut_identities(n):
+            assert fx._kclass_zero(terms, 2 * n + 1) == holds, (n, terms)
+        [claim] = [c for c in verify_mut(n).claims if c.id == "mut.euler/k-classes"]
+        assert claim.status == "pass", (n, claim)
+        assert claim.detail["display_kh_reading_by_k"] == [k == 1 for k in range(1, n)]
 
 
 def test_cone_kclass_is_its_torus_character():

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -12,6 +14,7 @@ from flipcheck.verify import (
     PASS,
     Claim,
     Report,
+    verify_all,
     verify_chessboard,
     verify_even,
     verify_inductive_steps,
@@ -25,29 +28,23 @@ from flipcheck.weights import Weight
 from reference import dim_at, gr_ext, shifted
 
 
-# sha256 of emit_report(verify_suite(n, parity, "all"), "json") for n = 2..5.
-REPORT_PINS = {
-    (2, "odd"): "de8bc3b4bee03d6494d175650e9e9f06b22b9dd46178363d3e5eb4c7d65c95c8",
-    (2, "even"): "92a325116188e564afdd9b98c6325c205769efb32209c3f112456682a9e90278",
-    (3, "odd"): "dde7a53b23e1a897ff26f418ed06e5d1a170f14b530ae05917fb2019210c9286",
-    (3, "even"): "b579cd2d6c8f5f9a61b7b2c1e6e9db417ef713795e2be4313d40bc4deeeb05ac",
-    (4, "odd"): "5484cadeeefc4a0d448ab3bcf3ff7adbc5d973c19f5549691f7496b35d156675",
-    (4, "even"): "fe575a3f692818206c737340ed42e6399f8d30a905cacaeb053f4c810be434e4",
-    (5, "odd"): "e95ff34ddf572fc98d766f2c668cb35d7457f3ff0013796736ad86d46067025a",
-    (5, "even"): "b36e0dc4e11f0d5a12bb40181e869ac522dd141b98a70d8cf93b0c6451f202ce",
-}
+# sha256 of emit_report(verify_suite(n, parity, "all"), "json"), pinned by
+# scripts/check_reports.py for n = 2..16; the test suite checks n = 2..12.
+REPORT_PINS = json.loads(
+    (pathlib.Path(__file__).parents[1] / "scripts" / "report_digests.json").read_text()
+)
 
 
 def claims_by_id(report):
     return {c.id: c for c in report.claims}
 
 
-@pytest.mark.parametrize("n,parity", sorted(REPORT_PINS))
+@pytest.mark.parametrize("n,parity", [(n, p) for n in range(2, 13) for p in ("odd", "even")])
 def test_report_bytes_pinned(n, parity):
     # The report is the product: a refactor must not move one byte of it.
     text = emit_report(verify_suite(n, parity, "all"), "json")
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == REPORT_PINS[(n, parity)], (
+    assert digest == REPORT_PINS[f"n{n}/{parity}"], (
         f"report (n={n}, {parity}) changed; new sha256 {digest}"
     )
 
@@ -400,61 +397,6 @@ def test_statuses_independent_of_les_orientation(monkeypatch):
         assert verify_suite(n, p, "all").summary() == expected
 
 
-def _force_kclass_fallback(monkeypatch):
-    """Cold K-theory caches, and every K-class identity sent to the
-    validated-basis fallback: each character reads nonzero and no witness
-    pairing is nonzero."""
-    import flipcheck.flagx as fx
-
-    monkeypatch.setattr(fx, "_basis_cache", {})
-    monkeypatch.setattr(fx, "_kclass_cache", {})
-    monkeypatch.setattr(fx, "_kchi_tables", {})
-    monkeypatch.setattr(fx, "_character", lambda terms: {(0, 0): 1})
-    monkeypatch.setattr(fx, "_witness_pairings", lambda terms, n_amb: iter(()))
-
-
-def test_euler_basis_built_once_per_n(monkeypatch):
-    # The K-theory basis is shared per-N state: a suite whose claims reach
-    # the k_class fallback builds and validates it once, not once per claim.
-    import flipcheck.flagx as fx
-
-    builds = []
-    gr_collection = fx.gr_collection
-
-    def counted(n_amb):
-        builds.append(n_amb)
-        return gr_collection(n_amb)
-
-    _force_kclass_fallback(monkeypatch)
-    monkeypatch.setattr(fx, "gr_collection", counted)
-    verify_mut(3, "odd")
-    assert builds == [7]
-
-
-def test_basis_fault_propagates(monkeypatch):
-    # A K-theory basis that fails validation is a program fault: it must
-    # raise out of the suite, not be recorded as a FAIL per claim.
-    import flipcheck.flagx as fx
-    from flipcheck.flagx import BasisValidationError
-
-    gr_collection = fx.gr_collection
-    _force_kclass_fallback(monkeypatch)
-    monkeypatch.setattr(fx, "gr_collection", lambda n_amb: gr_collection(n_amb)[::-1])
-    with pytest.raises(BasisValidationError):
-        verify_mut(3)
-    with pytest.raises(BasisValidationError):
-        verify_chessboard(2)
-
-
-def test_van_suites_do_not_build_euler_basis(monkeypatch):
-    import flipcheck.flagx as fx
-
-    monkeypatch.setattr(fx, "_basis_cache", {})
-    for part in range(1, 7):
-        verify_van(part, 3, "odd")
-    assert fx._basis_cache == {}
-
-
 def test_claims_run_on_the_calling_thread(monkeypatch):
     # jobs is accepted but ignored: every Ext query of a suite, x_vanishes
     # and x_ext alike, runs on the caller's thread, even with several CPUs,
@@ -485,6 +427,26 @@ def test_claims_run_on_the_calling_thread(monkeypatch):
     got = emit_report(verify_suite(3, "odd", "all", jobs=4), "json")
     assert threads == {threading.get_ident()}
     assert got == base
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_out_of_range_n_is_rejected(n):
+    # An n below 2 is a usage error, never a refuted or passed claim: every
+    # verifier raises before it checks anything.
+    parities = ("odd", "even")
+    calls = [(verify_van, (part, n, p)) for part in range(1, 7) for p in parities]
+    calls += [(verify_mut, (n, p)) for p in parities]
+    calls += [(verify_suite, (n, p, lemma)) for p in parities for lemma in fv.LEMMAS]
+    calls += [
+        (verify_inductive_steps, (n,)),
+        (verify_sod_odd, (n,)),
+        (verify_chessboard, (n,)),
+        (verify_even, (n,)),
+        (verify_all, (n, n)),
+    ]
+    for fn, args in calls:
+        with pytest.raises(ValueError, match=r"^need n >= 2$"):
+            fn(*args)
 
 
 def test_summary_rejects_unknown_status():
