@@ -15,7 +15,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from flipcheck.cli import report_to_dict  # noqa: E402
+from flipcheck.cli import _exit_code, report_to_dict  # noqa: E402
 from flipcheck.verify import verify_all  # noqa: E402
 
 
@@ -28,7 +28,7 @@ def main() -> int:
 
     t0 = time.time()
     reports = verify_all(args.n_min, args.n_max)
-    worst = 0
+    codes = set()
     for r in reports:
         s = r.summary()
         status = "OK" if not (s["fail"] or s["indeterminate"]) else "PROBLEM"
@@ -37,10 +37,7 @@ def main() -> int:
             f"{s['fail']} fail, {s['indeterminate']} indeterminate, "
             f"{s['skipped']} skipped  {status}"
         )
-        if s["fail"]:
-            worst = max(worst, 1)
-        elif s["indeterminate"]:
-            worst = max(worst, 2)
+        codes.add(_exit_code(r))
     payload = {"runs": [report_to_dict(r) for r in reports]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.stdout:
@@ -50,7 +47,8 @@ def main() -> int:
         out.write_text(text)
         print(f"wrote {out}")
     print(f"elapsed {time.time() - t0:.1f}s")
-    return worst
+    # Any failing run exits 1, as in the CLI; else any indeterminate run 2.
+    return 1 if 1 in codes else max(codes, default=0)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ Conventions, with n = N // 2:
 
     A        <O, U^vee, ..., S^{n-1} U^vee>
     Au(l)    <O, ..., S^{n-l-1} U^vee>             ("A^l")
-    Al(l)    <S^l U^vee, ..., S^{n-1} U^vee>       ("A_l")
     Aseg(lo,hi)  <S^lo U^vee, ..., S^hi U^vee>     (generic segment)
     B(l)     <O((l+1)h), S^l U^vee(H-h)>
     C(l)     <O(lh), S^l U^vee(H-2h)>
@@ -34,7 +33,6 @@ __all__ = [
     "BlockRangeError",
     "make_block",
     "parse_block_spec",
-    "render_block_spec",
     "notation",
 ]
 
@@ -80,12 +78,6 @@ def make_block(
         if not 0 <= l <= n:
             raise BlockRangeError(f"Au({l}) out of range 0..{n}")
         objs = _seg(0, n - l - 1)
-    elif name == "Al":
-        need(1)
-        (l,) = params
-        if not 0 <= l <= n:
-            raise BlockRangeError(f"Al({l}) out of range 0..{n}")
-        objs = _seg(l, n - 1)
     elif name == "Aseg":
         need(2)
         lo, hi = params
@@ -172,6 +164,13 @@ _SPEC_RE = re.compile(
 _TWIST_RE = re.compile(r"([+-]?\d+)([Hh])")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # a numeral past int's digit limit
+        raise BlockRangeError(str(exc)) from exc
+
+
 def _parse_twist(text: str) -> tuple[int, int]:
     c = d = 0
     pos = 0
@@ -180,9 +179,9 @@ def _parse_twist(text: str) -> tuple[int, int]:
             raise BlockRangeError(f"bad twist {text!r}")
         pos = m.end()
         if m.group(2) == "H":
-            c += int(m.group(1))
+            c += _int(m.group(1))
         else:
-            d += int(m.group(1))
+            d += _int(m.group(1))
     if pos != len(text) or not text:
         raise BlockRangeError(f"bad twist {text!r}")
     return c, d
@@ -194,29 +193,12 @@ def parse_block_spec(spec: str) -> tuple[str, tuple[int, ...], tuple[int, int]]:
     if not m:
         raise BlockRangeError(f"bad block spec {spec!r}")
     params = (
-        tuple(int(p) for p in m.group("params").split(","))
+        tuple(_int(p) for p in m.group("params").split(","))
         if m.group("params")
         else ()
     )
     twist = _parse_twist(m.group("twist")) if m.group("twist") is not None else (0, 0)
     return m.group("name"), params, twist
-
-
-def render_block_spec(
-    name: str, params: tuple[int, ...] = (), twist: tuple[int, int] = (0, 0)
-) -> str:
-    out = name
-    if params:
-        out += "(" + ",".join(str(p) for p in params) + ")"
-    if twist != (0, 0):
-        c, d = twist
-        parts = []
-        if c:
-            parts.append(f"{c:+d}H")
-        if d:
-            parts.append(f"{d:+d}h")
-        out += "@(" + "".join(parts).lstrip("+") + ")"
-    return out
 
 
 def notation(obj: EObject) -> str:

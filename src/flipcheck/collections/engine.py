@@ -22,18 +22,16 @@ Moves return new collections:
                           the result is a cone entry with a Gram-solved
                           K-class
 
-Rule table (uniform twists by any line bundle T = O(aH + bh) allowed),
-valid for 1 <= k <= n-1 with n = N // 2::
+Rule table ``_RULES``, stated for the target S^k U^vee and applied under
+any uniform twist T = O(cH + dh) of both members, with n = N // 2::
 
     (1)  L_{S^{k-1}U^vee(H-h)} S^k U^vee = O(kh)
     (2)  R_{O(kh)} S^k U^vee = S^{k-1} U^vee (H-h)
     (3)  R_{S^{k-1}U^vee(h)} S^k U^vee = O(k(H-h))
 
-together with their inverses through the same mutator (one-dimensional
-degree-1 extension classes), which makes mutl and mutr mutually inverse on
-rule-table pairs.  Rule (3) carries the corrected mutator twist (+h); see
-verify_mut's reading audit for the displayed (-h) variant, which the oracle
-refutes.
+A rule applies only for 1 <= k <= n-1; any other k matches nothing.  Rule
+(3) carries the corrected mutator twist (+h); see verify_mut's reading
+audit for the displayed (-h) variant, which the oracle refutes.
 
 Every mutation demands an Exact one-dimensional RHom concentrated in a
 single degree and verifies the K-class identity
@@ -60,7 +58,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..flagx import (
     EObject,
@@ -70,7 +68,6 @@ from ..flagx import (
     x_ext,
     x_euler,
 )
-from ..weights import Weight
 from .blocks import BlockRangeError, make_block, notation, parse_block_spec
 
 
@@ -258,68 +255,41 @@ def _simple_degree(r: ExtResult, who: str) -> int:
     return total.dims[0][0]
 
 
-def _match_rule(
-    mutator: EObject, target: EObject, n_amb: int, right: bool
-) -> EObject:
-    """Resolve the mutation of ``target`` through ``mutator`` via the table.
+# (side, mutator, result) at degree k for the target S^k U^vee; the rules of
+# the module docstring, in order.
+_RULES: tuple[tuple[str, Callable[[int], EObject], Callable[[int], EObject]], ...] = (
+    ("L", lambda k: EObject.schur(k - 1, 1, -1), lambda k: EObject.line(0, k)),
+    ("R", lambda k: EObject.line(0, k), lambda k: EObject.schur(k - 1, 1, -1)),
+    ("R", lambda k: EObject.schur(k - 1, 0, 1), lambda k: EObject.line(k, -k)),
+)
 
-    Besides the three stated rules (degree-0 RHom; the short exact sequences
-    read forwards) the inverse patterns are admitted: mutating the sequence's
-    outer term back through the same mutator reconstitutes S^k U^vee via the
-    one-dimensional degree-1 extension class, so mutl and mutr are mutually
-    inverse on rule-table pairs.
+
+def _match_rule(mutator: EObject, target: EObject, n_amb: int, side: str) -> EObject:
+    """Resolve the ``side`` ("L" or "R") mutation of ``target`` through
+    ``mutator`` via ``_RULES``.
+
+    The target is read as S^k U^vee (x) T with T = O(cH + dh).  Rules are
+    tried only for 1 <= k <= n-1, before any rule object is built (at k = 0
+    rule (1)'s mutator is no bundle).  Each rule of the side whose mutator,
+    twisted by T, is ``mutator`` gives its result twisted by T.  At k = 1
+    rules (2) and (3) coincide and give one result.
     """
-    wb, db = target.single_term()
-    we, de = mutator.single_term()
-    n = n_amb // 2
-    matches: list[EObject] = []
-
-    def schur_kct(w: Weight, dh: int) -> tuple[int, int, int]:
-        """Read an object as S^k U^vee (x) O(cH + dh.h)."""
-        return (w.a - w.b, w.b, dh)
-
-    # Each candidate extracts (k, c, d) with T = O(cH + d.h) from one of the
-    # pair's members and demands the other member take the matching shape.
-    k, c, d = schur_kct(wb, db)
-    if 1 <= k <= n - 1:
-        if not right and (we, de) == (Weight(k + c, c + 1), d - 1):
-            # (1) L_{S^{k-1}Uv(H-h)} S^k Uv = O(kh)
-            matches.append(EObject.line(c, d + k))
-        if right and (we, de) == (Weight(c, c), d + k):
-            # (2) R_{O(kh)} S^k Uv = S^{k-1}Uv(H-h)
-            matches.append(EObject.schur(k - 1, c + 1, d - 1))
-        if right and (we, de) == (Weight(k - 1 + c, c), d + 1):
-            # (3) R_{S^{k-1}Uv(h)} S^k Uv = O(k(H-h))
-            matches.append(EObject.line(c + k, d - k))
-
-    # inverse of (1): R_{S^{k-1}Uv(H-h)} O(kh) = S^k Uv
-    km, cm, dm = we.a - we.b + 1, we.b - 1, de + 1
-    if right and 1 <= km <= n - 1 and (wb, db) == (Weight(cm, cm), dm + km):
-        matches.append(EObject.schur(km, cm, dm))
-    # inverse of (2): L_{O(kh)} S^{k-1}Uv(H-h) = S^k Uv
-    kt, ct, dt = wb.a - wb.b + 1, wb.b - 1, db + 1
-    if not right and 1 <= kt <= n - 1 and (we, de) == (Weight(ct, ct), dt + kt):
-        matches.append(EObject.schur(kt, ct, dt))
-    # inverse of (3): L_{S^{k-1}Uv(h)} O(k(H-h)) = S^k Uv
-    km, cm, dm = we.a - we.b + 1, we.b, de - 1
-    if (
-        not right
-        and 1 <= km <= n - 1
-        and (wb, db) == (Weight(km + cm, km + cm), dm - km)
-    ):
-        matches.append(EObject.schur(km, cm, dm))
-
-    matches = list(dict.fromkeys(matches))
-    if len(matches) > 1:
+    w, d = target.single_term()
+    k, c = w.a - w.b, w.b
+    results: set[EObject] = set()
+    if 1 <= k <= n_amb // 2 - 1:
+        for rule_side, rule_mutator, rule_result in _RULES:
+            if rule_side == side and rule_mutator(k).twisted(c, d) == mutator:
+                results.add(rule_result(k).twisted(c, d))
+    if len(results) > 1:
         raise NoRuleMatch(
             f"ambiguous rule match for {notation(mutator)} / {notation(target)}"
         )
-    if not matches:
-        side = "R" if right else "L"
+    if not results:
         raise NoRuleMatch(
             f"{side}_{notation(mutator)}({notation(target)}) matches no rule"
         )
-    return matches[0]
+    return results.pop()
 
 
 def _check_kclass(
@@ -333,28 +303,30 @@ def _check_kclass(
         )
 
 
+def _mutate(col: Collection, i: int, side: str) -> Collection:
+    """Mutate the pair at (i, i+1): its first member through the second
+    (side "R") or the second through the first (side "L")."""
+    what = "mut" + side.lower()
+    first = _require_pure(col, i, what)
+    second = _require_pure(col, i + 1, what)
+    mutator, target = (first, second) if side == "L" else (second, first)
+    degree = _simple_degree(_x_ext(col, first, second), f"{what} {i}")
+    result = _match_rule(mutator, target, col.n_amb, side)
+    _check_kclass(result, target, mutator, degree, col.n_amb)
+    pair = (result, mutator) if side == "L" else (mutator, result)
+    ent = list(col.entries)
+    ent[i], ent[i + 1] = map(Entry.pure, pair)
+    return col._with(ent)
+
+
 def mutate_left(col: Collection, i: int) -> Collection:
     """(E, b) at (i, i+1) becomes (L_E b, E)."""
-    mutator = _require_pure(col, i, "mutl")
-    target = _require_pure(col, i + 1, "mutl")
-    degree = _simple_degree(_x_ext(col, mutator, target), f"mutl {i}")
-    result = _match_rule(mutator, target, col.n_amb, right=False)
-    _check_kclass(result, target, mutator, degree, col.n_amb)
-    ent = list(col.entries)
-    ent[i], ent[i + 1] = Entry.pure(result), Entry.pure(mutator)
-    return col._with(ent)
+    return _mutate(col, i, "L")
 
 
 def mutate_right(col: Collection, i: int) -> Collection:
     """(b, E) at (i, i+1) becomes (E, R_E b)."""
-    target = _require_pure(col, i, "mutr")
-    mutator = _require_pure(col, i + 1, "mutr")
-    degree = _simple_degree(_x_ext(col, target, mutator), f"mutr {i}")
-    result = _match_rule(mutator, target, col.n_amb, right=True)
-    _check_kclass(result, target, mutator, degree, col.n_amb)
-    ent = list(col.entries)
-    ent[i], ent[i + 1] = Entry.pure(mutator), Entry.pure(result)
-    return col._with(ent)
+    return _mutate(col, i, "R")
 
 
 def serre_twist(objs: list[EObject], n_amb: int) -> list[EObject]:
@@ -507,39 +479,30 @@ def check_semiorthogonal(col: Collection) -> list[PairCheck]:
     return out
 
 
-_MOVE_RES: list[tuple[re.Pattern, str]] = [
-    (re.compile(r"^exchange (\d+)$"), "exchange"),
-    (re.compile(r"^mutl (\d+)$"), "mutl"),
-    (re.compile(r"^mutr (\d+)$"), "mutr"),
-    (re.compile(r"^serre (\d+)\.\.(\d+)$"), "serre"),
-    (re.compile(r"^expand (\S+) at (\d+)$"), "expand"),
-    (re.compile(r"^opaque (\S+) at (\d+)$"), "opaque"),
-    (re.compile(r"^promote (\d+) as (\S+)$"), "promote"),
-    (re.compile(r"^mutlblock (\d+)\.\.(\d+)$"), "mutlblock"),
-]
+# (pattern, move, one converter per group); the ints of a line are read in
+# ``apply_move`` only.
+_MOVES: tuple[tuple[re.Pattern, Callable[..., Collection], tuple[type, ...]], ...] = (
+    (re.compile(r"^exchange (\d+)$"), exchange, (int,)),
+    (re.compile(r"^mutl (\d+)$"), mutate_left, (int,)),
+    (re.compile(r"^mutr (\d+)$"), mutate_right, (int,)),
+    (re.compile(r"^serre (\d+)\.\.(\d+)$"), serre_tail, (int, int)),
+    (re.compile(r"^expand (\S+) at (\d+)$"), expand_block, (str, int)),
+    (re.compile(r"^opaque (\S+) at (\d+)$"), insert_opaque, (str, int)),
+    (re.compile(r"^promote (\d+) as (\S+)$"), promote, (int, str)),
+    (re.compile(r"^mutlblock (\d+)\.\.(\d+)$"), mutate_block_left, (int, int)),
+)
 
 
 def apply_move(col: Collection, line: str) -> Collection:
     """Apply one script line to the collection."""
     line = line.strip()
-    for rx, kind in _MOVE_RES:
+    for rx, move, converters in _MOVES:
         m = rx.match(line)
         if not m:
             continue
-        if kind == "exchange":
-            return exchange(col, int(m.group(1)))
-        if kind == "mutl":
-            return mutate_left(col, int(m.group(1)))
-        if kind == "mutr":
-            return mutate_right(col, int(m.group(1)))
-        if kind == "serre":
-            return serre_tail(col, int(m.group(1)), int(m.group(2)))
-        if kind == "expand":
-            return expand_block(col, m.group(1), int(m.group(2)))
-        if kind == "opaque":
-            return insert_opaque(col, m.group(1), int(m.group(2)))
-        if kind == "promote":
-            return promote(col, int(m.group(1)), m.group(2))
-        if kind == "mutlblock":
-            return mutate_block_left(col, int(m.group(1)), int(m.group(2)))
+        try:
+            args = [conv(g) for conv, g in zip(converters, m.groups())]
+        except ValueError as exc:  # a numeral past int's digit limit
+            raise ScriptError(f"{line.partition(' ')[0]}: {exc}") from exc
+        return move(col, *args)
     raise ScriptError(f"unparseable move {line!r}")

@@ -41,6 +41,7 @@ from .collections import (
     mutate_left,
     mutate_right,
     notation,
+    parse_block_spec,
     run_script,
 )
 from .collections.engine import Entry, gram_solve
@@ -470,8 +471,6 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
 
 
 def _objs(n_amb: int, *specs: str) -> list[EObject]:
-    from .collections.blocks import parse_block_spec
-
     out: list[EObject] = []
     for spec in specs:
         name, params, twist = parse_block_spec(spec)
@@ -514,7 +513,7 @@ def _replay_claims(
     prefix: str,
     parity: str,
     step: str,
-    expected: Optional[list[tuple[str, object]]],
+    expected: list[tuple[str, object]],
     on_move=None,
     statement: str = "final collection equals the stated right-hand side",
 ) -> Optional[Collection]:
@@ -558,9 +557,8 @@ def _replay_claims(
             )
         )
         return res.final
-    if expected is not None:
-        status, detail = _layout_check(res.final, expected)
-        report.claims.append(Claim(f"{prefix}/final", statement, status, detail))
+    status, detail = _layout_check(res.final, expected)
+    report.claims.append(Claim(f"{prefix}/final", statement, status, detail))
     if start_counts:
         conserved = len(set(start_counts)) == 1
         report.claims.append(

@@ -5,15 +5,8 @@ from flipcheck.collections.blocks import (
     make_block,
     notation,
     parse_block_spec,
-    render_block_spec,
 )
 from flipcheck.flagx import EObject
-
-
-def test_block_al_top_is_single():
-    n = 4
-    objs = make_block("Al", (n - 1,), 2 * n + 1)
-    assert objs == [EObject.schur(n - 1)]
 
 
 def test_block_h_case_split():
@@ -89,9 +82,14 @@ def test_block_twist_applied():
 
 
 def test_spec_roundtrip():
-    for spec in ("A", "Au(2)", "B(0)@(1H-1h)", "cell(-3,4)", "Aseg(1,3)@(-2H)"):
-        name, params, twist = parse_block_spec(spec)
-        assert render_block_spec(name, params, twist) == spec
+    for spec, parsed in (
+        ("A", ("A", (), (0, 0))),
+        ("Au(2)", ("Au", (2,), (0, 0))),
+        ("B(0)@(1H-1h)", ("B", (0,), (1, -1))),
+        ("cell(-3,4)", ("cell", (-3, 4), (0, 0))),
+        ("Aseg(1,3)@(-2H)", ("Aseg", (1, 3), (-2, 0))),
+    ):
+        assert parse_block_spec(spec) == parsed
 
 
 def test_notation_examples():

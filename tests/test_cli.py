@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import pathlib
+import sys
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -242,6 +245,22 @@ def test_cli_verify_json_exit_zero(capsys):
     data = json.loads(out)
     assert data["run"] == {"N": 5, "parity": "odd"}
     assert data["summary"]["fail"] == 0
+
+
+def test_full_verification_script_exits_1_on_any_failure(capsys, monkeypatch):
+    # a failing run followed by an indeterminate one: failure wins, as in the CLI
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "run_full_verification.py"
+    spec = importlib.util.spec_from_file_location("run_full_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    failing = Report(2, "odd", [Claim("x", "x", "fail")])
+    indeterminate = Report(2, "even", [Claim("y", "y", "indeterminate")])
+    monkeypatch.setattr(script, "verify_all", lambda lo, hi: [failing, indeterminate])
+    monkeypatch.setattr(sys, "argv", ["run_full_verification.py", "--stdout"])
+    assert script.main() == 1
+    monkeypatch.setattr(script, "verify_all", lambda lo, hi: [indeterminate])
+    assert script.main() == 2
+    capsys.readouterr()
 
 
 def test_cli_global_flags_after_subcommand(capsys):

@@ -23,6 +23,7 @@ from flipcheck.collections import (
 from flipcheck.collections import engine
 from flipcheck.collections.engine import Entry, ScriptError
 from flipcheck.flagx import EObject, ExtResult
+from flipcheck.verify import _expected_pair
 
 
 def col_of(n_amb, *objs):
@@ -65,18 +66,33 @@ def test_mutate_left_rule1():
     assert out.pure_objects() == [EObject.line(0, k), EObject.schur(k - 1, 1, -1)]
 
 
-def test_mutl_and_mutr_are_mutually_inverse():
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rule_table_holds_under_uniform_twists(n):
+    # each rule lands on verify's independent statement of it, twisted by
+    # the same O(cH + dh) as the start pair
+    n_amb = 2 * n + 1
+    for k in range(1, n):
+        for rule in (1, 2, 3):
+            start, expected = _expected_pair(rule, k)
+            for c, d in ((0, 0), (1, -1), (-2, 3), (3, 1)):
+                col = col_of(n_amb, *(o.twisted(c, d) for o in start))
+                out = mutate_left(col, 0) if rule == 1 else mutate_right(col, 0)
+                assert out.pure_objects() == [o.twisted(c, d) for o in expected]
+
+
+def test_former_inverse_patterns_match_no_rule():
+    # mutating a rule's result back through its mutator is not in the table
     n_amb = 7
     for k in (1, 2):
-        # rule (1) then its inverse (through the degree-1 extension class)
-        c = col_of(n_amb, EObject.schur(k - 1, 1, -1), EObject.schur(k))
-        assert mutate_right(mutate_left(c, 0), 0).pure_objects() == c.pure_objects()
-        # rule (2) round trip
-        c = col_of(n_amb, EObject.schur(k), EObject.line(0, k))
-        assert mutate_left(mutate_right(c, 0), 0).pure_objects() == c.pure_objects()
-        # rule (3) round trip
-        c = col_of(n_amb, EObject.schur(k), EObject.schur(k - 1, 0, 1))
-        assert mutate_left(mutate_right(c, 0), 0).pure_objects() == c.pure_objects()
+        rule1_out = col_of(n_amb, EObject.line(0, k), EObject.schur(k - 1, 1, -1))
+        rule3_out = col_of(n_amb, EObject.schur(k - 1, 0, 1), EObject.line(k, -k))
+        for move, col in (
+            (mutate_right, rule1_out),  # R_{S^{k-1}Uv(H-h)} O(kh)
+            (mutate_left, rule1_out),  # L_{O(kh)} S^{k-1}Uv(H-h)
+            (mutate_left, rule3_out),  # L_{S^{k-1}Uv(h)} O(k(H-h))
+        ):
+            with pytest.raises(NoRuleMatch, match="matches no rule"):
+                move(col, 0)
 
 
 def test_mutate_right_rule3_twisted():
@@ -104,11 +120,14 @@ def test_mutate_rejects_unmatched_pattern():
 
 
 def test_mutate_range_guard():
-    # degree-0 target never matches the table
     n_amb = 7
     c = col_of(n_amb, EObject.schur(2, 1, -1), EObject.schur(3))
     with pytest.raises(NoRuleMatch):
         mutate_left(c, 0)  # k = 3 = n: outside 1..n-1
+    # RHom(O, O) = C[0], and the target O has k = 0: refused before rule (2)
+    # would build S^{-1}Uv(H-h)
+    with pytest.raises(NoRuleMatch):
+        mutate_right(col_of(n_amb, EObject.line(), EObject.line()), 0)
 
 
 def test_mutations_restore_semiorthogonality():
@@ -204,7 +223,6 @@ def _valid_blocks(n: int, parity: str):
     yield "A", ()
     for l in range(n + 1):
         yield "Au", (l,)
-        yield "Al", (l,)
     for l in range(n - 1):
         yield "B", (l,)
         yield "C", (l,)

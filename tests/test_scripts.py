@@ -173,8 +173,23 @@ def test_empty_script_is_identity():
         (["expand A at 0", "opaque D at 9"], ScriptError),
         (["expand A at 0", "serre 5..1"], ScriptError),
         (["opaque D at 0", "expand A@() at 0"], ScriptError),
+        (["expand A at 0", "exchange " + "9" * 5000], ScriptError),
+        (["expand A at 0", "expand A at " + "9" * 5000], ScriptError),
+        (["expand A at 0", "expand B(" + "9" * 5000 + ") at 0"], ScriptError),
+        (["expand A at 0", "expand A@(" + "9" * 5000 + "H) at 0"], ScriptError),
     ],
-    ids=["exchange", "promote", "expand", "opaque", "serre", "empty-twist"],
+    ids=[
+        "exchange",
+        "promote",
+        "expand",
+        "opaque",
+        "serre",
+        "empty-twist",
+        "long-index",
+        "long-position",
+        "long-parameter",
+        "long-twist",
+    ],
 )
 def test_replay_fails_fast_and_reports(lines, error):
     res = replay(Collection.empty(5), lines + ["exchange 0"])
