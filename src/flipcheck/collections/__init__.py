@@ -13,7 +13,6 @@ from .engine import (
     ScriptError,
     VanishingFalse,
     VanishingNotEstablished,
-    apply_move,
     check_semiorthogonal,
     count_objects,
     count_tracked,
@@ -28,6 +27,6 @@ from .engine import (
     serre_tail,
     serre_twist,
 )
-from .scriptgen import GENERATORS, ReplayResult, replay, run_script
+from .scriptgen import GENERATORS, ReplayResult, run_script
 
 __all__ = [name for name in dir() if not name.startswith("_")]

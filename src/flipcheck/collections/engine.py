@@ -6,7 +6,9 @@ inert complement placeholders (no Ext queries allowed), and ``cone`` entries
 record a left mutation whose result is not a pure object (kept only as a name
 plus the torus character of its K-theory class).
 
-Moves return new collections:
+Moves return new collections.  ``_MOVES`` names each move by a verb;
+``scriptgen.Sim.do(verb, *args)`` calls it and records it as the line shown
+here.  The lines are the run's record and are never parsed back:
 
     exchange i            transpose entries i, i+1 (Hom must vanish both ways)
     mutl i                (E, b) -> (L_E b, E) through the rule table
@@ -56,7 +58,6 @@ pair and every detail string are those of the unshared route.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -133,10 +134,6 @@ class Collection:
     # x_ext outcomes by twist shape (see ``_shape_key``), shared by every
     # collection that ``_with`` derives from this one: one table per run.
     xt: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @staticmethod
-    def empty(n_amb: int) -> "Collection":
-        return Collection(n_amb)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -420,6 +417,8 @@ def mutate_block_left(col: Collection, i: int, j: int) -> Collection:
     [b] - sum c_l [s_l] is recorded as its sparse torus character, with c
     the Gram-system projection coefficients.
     """
+    if i > j:
+        raise ScriptError(f"mutlblock {i}..{j}: empty block")
     block = [_require_pure(col, t, "mutlblock") for t in range(i, j + 1)]
     target = _require_pure(col, j + 1, "mutlblock")
     coeff = gram_solve(block, target, col.n_amb)
@@ -479,30 +478,15 @@ def check_semiorthogonal(col: Collection) -> list[PairCheck]:
     return out
 
 
-# (pattern, move, one converter per group); the ints of a line are read in
-# ``apply_move`` only.
-_MOVES: tuple[tuple[re.Pattern, Callable[..., Collection], tuple[type, ...]], ...] = (
-    (re.compile(r"^exchange (\d+)$"), exchange, (int,)),
-    (re.compile(r"^mutl (\d+)$"), mutate_left, (int,)),
-    (re.compile(r"^mutr (\d+)$"), mutate_right, (int,)),
-    (re.compile(r"^serre (\d+)\.\.(\d+)$"), serre_tail, (int, int)),
-    (re.compile(r"^expand (\S+) at (\d+)$"), expand_block, (str, int)),
-    (re.compile(r"^opaque (\S+) at (\d+)$"), insert_opaque, (str, int)),
-    (re.compile(r"^promote (\d+) as (\S+)$"), promote, (int, str)),
-    (re.compile(r"^mutlblock (\d+)\.\.(\d+)$"), mutate_block_left, (int, int)),
-)
-
-
-def apply_move(col: Collection, line: str) -> Collection:
-    """Apply one script line to the collection."""
-    line = line.strip()
-    for rx, move, converters in _MOVES:
-        m = rx.match(line)
-        if not m:
-            continue
-        try:
-            args = [conv(g) for conv, g in zip(converters, m.groups())]
-        except ValueError as exc:  # a numeral past int's digit limit
-            raise ScriptError(f"{line.partition(' ')[0]}: {exc}") from exc
-        return move(col, *args)
-    raise ScriptError(f"unparseable move {line!r}")
+# verb -> (move, argument text).  ``scriptgen.Sim.do(verb, *args)`` calls
+# the move and records the line "verb " + text.format(*args).
+_MOVES: dict[str, tuple[Callable[..., Collection], str]] = {
+    "exchange": (exchange, "{}"),
+    "mutl": (mutate_left, "{}"),
+    "mutr": (mutate_right, "{}"),
+    "serre": (serre_tail, "{}..{}"),
+    "expand": (expand_block, "{} at {}"),
+    "opaque": (insert_opaque, "{} at {}"),
+    "promote": (promote, "{} as {}"),
+    "mutlblock": (mutate_block_left, "{}..{}"),
+}

@@ -1,11 +1,12 @@
-"""Move scripts: generated and certified in one pass, or replayed from text.
+"""Move scripts: generated and certified in one pass.
 
-Each generator drives a ``Sim``, which applies every move through the
-engine's checked ``apply_move`` and records its line.  The test suite pins
+Each generator drives a ``Sim``: ``sim.do(verb, *args)`` calls the engine's
+checked move named by ``verb`` and records it as one line of text.  The
+lines are the record of the run, never parsed back; the test suite pins
 each script's sha256 for n = 2..5 and one digest per generator over n = 6..9.
 
 Objects are located by value during generation, which is safe because every
-collection in the replay is multiplicity-free.  ``Sim`` keeps a position
+collection of a run is multiplicity-free.  ``Sim`` keeps a position
 index that each exchange and mutation updates in two slots, so a lookup
 costs one dict read instead of a scan of the collection; only the other
 moves (expand, serre, promote, ...) make the next lookup rebuild it.  A
@@ -18,10 +19,10 @@ Every move of one run shares its collection's x_ext table (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..flagx import EObject
-from .engine import Collection, EngineError, ScriptError, apply_move
+from .engine import _MOVES, Collection, EngineError, ScriptError
 
 
 # Object shorthands, shared with the verifiers.
@@ -56,8 +57,8 @@ class _Refused(ScriptError):
 
 
 class Sim:
-    """Applies moves through the checked ``apply_move``, records their lines
-    and calls ``on_move(line, before, after)`` after each.
+    """Applies moves by verb through ``engine._MOVES``, records their lines
+    and calls ``on_move(verb, args, before, after)`` after each.
 
     ``idx`` reads a position index of the pure objects.  An exchange swaps
     two of its slots and ``mutl``/``mutr`` replace two; any other move, or a
@@ -71,26 +72,27 @@ class Sim:
         self.on_move = on_move
         self._pos: Optional[dict[EObject, int]] = None
 
-    def do(self, line: str) -> None:
+    def do(self, verb: str, *args) -> None:
+        move, text = _MOVES[verb]
+        line = f"{verb} {text.format(*args)}"
         before = self.col
         try:
-            self.col = apply_move(before, line)
+            self.col = move(before, *args)
         except EngineError as exc:
             res = ReplayResult(before, self.applied, failed_line=line, error=str(exc))
             raise _Refused(res) from exc
         self.lines.append(line)
         self.applied += 1
-        self._update_index(line, before)
+        self._update_index(verb, args, before)
         if self.on_move is not None:
-            self.on_move(line, before, self.col)
+            self.on_move(verb, args, before, self.col)
 
-    def _update_index(self, line: str, before: Collection) -> None:
+    def _update_index(self, verb: str, args: tuple, before: Collection) -> None:
         pos = self._pos
-        kind, _, arg = line.partition(" ")
-        if pos is None or kind not in ("exchange", "mutl", "mutr"):
+        if pos is None or verb not in ("exchange", "mutl", "mutr"):
             self._pos = None
             return
-        i = int(arg)
+        (i,) = args
         old = before.entries[i].obj, before.entries[i + 1].obj
         new = self.col.entries[i].obj, self.col.entries[i + 1].obj
         for o in old:
@@ -117,7 +119,7 @@ class Sim:
     def expand(self, spec: str, at: int | None = None) -> None:
         if at is None:
             at = len(self.col)
-        self.do(f"expand {spec} at {at}")
+        self.do("expand", spec, at)
 
     def idx(self, obj: EObject) -> int:
         pos = self._pos if self._pos is not None else self._index()
@@ -139,19 +141,19 @@ class Sim:
         if count > 0:
             i = self.idx(obj)
             for j in range(i - 1, i - 1 - count, -1):
-                self.do(f"exchange {j}")
+                self.do("exchange", j)
 
     def move_right(self, obj: EObject, count: int) -> None:
         if count > 0:
             i = self.idx(obj)
             for j in range(i, i + count):
-                self.do(f"exchange {j}")
+                self.do("exchange", j)
 
     def mutl_at(self, mutator: EObject) -> None:
-        self.do(f"mutl {self.idx(mutator)}")
+        self.do("mutl", self.idx(mutator))
 
     def mutr_at(self, target: EObject) -> None:
-        self.do(f"mutr {self.idx(target)}")
+        self.do("mutr", self.idx(target))
 
 
 # ---------------------------------------------------------------- odd/even steps
@@ -200,8 +202,8 @@ def _move_pair_right(sim: Sim, x: EObject, y: EObject, count: int) -> None:
     if count > 0:
         iy, ix = sim.idx(y), sim.idx(x)
         for _ in range(count):
-            sim.do(f"exchange {iy}")
-            sim.do(f"exchange {ix}")
+            sim.do("exchange", iy)
+            sim.do("exchange", ix)
             iy, ix = iy + 1, ix + 1
 
 
@@ -216,7 +218,7 @@ def _step4_moves_odd(sim: Sim, n: int) -> None:
         x = _S(n - 2 - k, 1, -1)
         y = _O(n - k, -(n - k + 1))
         _move_pair_right(sim, x, y, k + (n - k - 3))
-        sim.do(f"exchange {sim.idx(y)}")
+        sim.do("exchange", sim.idx(y))
         sim.mutr_at(x)
 
 
@@ -234,7 +236,7 @@ def _step4_moves_even(sim: Sim, n: int) -> None:
         x = _S(l - 1, 1, -1)
         y = _O(l + 1, -(l + 2))
         _move_pair_right(sim, x, y, (n - 1 - l) + (l - 2))
-        sim.do(f"exchange {sim.idx(y)}")
+        sim.do("exchange", sim.idx(y))
         sim.mutr_at(x)
 
 
@@ -305,12 +307,12 @@ def gen_odd_step4(sim: Sim, n: int) -> None:
 
 def gen_odd_full(sim: Sim, n: int) -> None:
     """Grassmannian-side SOD, expanded, through to its mutated form."""
-    sim.do("opaque pi2*D(X2) at 0")
+    sim.do("opaque", "pi2*D(X2)", 0)
     for k in range(2 * n + 1):
         sim.expand(f"A@({k}H)" if k else "A")
     first_tail = sim.idx(_S(0, 2 * n - 1))
-    sim.do(f"serre {first_tail}..{len(sim.col) - 1}")
-    sim.do(f"promote {sim.opaque_idx()} as D")
+    sim.do("serre", first_tail, len(sim.col) - 1)
+    sim.do("promote", sim.opaque_idx(), "D")
     _step1_moves(sim, n, odd=True)
     _step2_moves(sim, n, odd=True)
     _step3_moves(sim, n, odd=True)
@@ -321,7 +323,7 @@ def gen_odd_full(sim: Sim, n: int) -> None:
 
 def gen_odd_regions(sim: Sim, n: int) -> None:
     """From the mutated Gr-side SOD to <D_2, group (1), group (2)>."""
-    sim.do("opaque D at 0")
+    sim.do("opaque", "D", 0)
     for l in range(-1, n):
         sim.expand(f"cell({l},0)")
     sim.expand("H")
@@ -337,13 +339,13 @@ def gen_odd_regions(sim: Sim, n: int) -> None:
     for l in range(n + 1 + r, 2 * n - 1):
         tail.extend(_S(a, l, 0) for a in range(n))
     _collect_tail(sim, tail)
-    sim.do(f"serre {len(sim.col) - len(tail)}..{len(sim.col) - 1}")
-    sim.do(f"promote {sim.opaque_idx()} as D2")
+    sim.do("serre", len(sim.col) - len(tail), len(sim.col) - 1)
+    sim.do("promote", sim.opaque_idx(), "D2")
 
 
 def gen_odd_chessboard(sim: Sim, n: int) -> None:
     """Projective-side row layout through the staircase moves to the final SOD."""
-    sim.do("opaque pi1*D(X1) at 0")
+    sim.do("opaque", "pi1*D(X1)", 0)
     for y in range(2 * n - 1):
         sim.expand(f"row({y})")
     corner = _O(n, n - 1)
@@ -353,11 +355,11 @@ def gen_odd_chessboard(sim: Sim, n: int) -> None:
         j = sim.idx(red) - 1
         if j - i + 1 != k * k:
             raise ScriptError("staircase accumulation out of step")
-        sim.do(f"mutlblock {i}..{j}")
+        sim.do("mutlblock", i, j)
         for a in range(-n, n - 2 * k - 1):
             sim.move_left(_O(n + k, a), k * k)
-    sim.do(f"serre {sim.idx(corner)}..{len(sim.col) - 1}")
-    sim.do(f"promote {sim.opaque_idx()} as D1")
+    sim.do("serre", sim.idx(corner), len(sim.col) - 1)
+    sim.do("promote", sim.opaque_idx(), "D1")
 
 
 # ---------------------------------------------------------------- even scripts
@@ -378,14 +380,14 @@ def gen_even_step2(sim: Sim, n: int) -> None:
 
 def gen_even_full(sim: Sim, n: int) -> None:
     """Even pipeline: setup plus steps 1-3, ending at the mutated SOD."""
-    sim.do("opaque pi2*D(X2) at 0")
+    sim.do("opaque", "pi2*D(X2)", 0)
     for k in range(n):
         sim.expand(f"A@({k}H)" if k else "A")
     for k in range(n, 2 * n):
         sim.expand(f"Aseg(0,{n-2})@({k}H)")
     first_tail = sim.idx(_S(0, 2 * n - 2))
-    sim.do(f"serre {first_tail}..{len(sim.col) - 1}")
-    sim.do(f"promote {sim.opaque_idx()} as D'")
+    sim.do("serre", first_tail, len(sim.col) - 1)
+    sim.do("promote", sim.opaque_idx(), "D'")
     _step1_moves(sim, n, odd=False)
     _step2_moves(sim, n, odd=False)
     _step3_moves(sim, n, odd=False)
@@ -399,8 +401,8 @@ def gen_even_full(sim: Sim, n: int) -> None:
     for l in range(rp + 1, n - 2):
         tail.extend(_S(a, n + l, 0) for a in range(n - 1))
     _collect_tail(sim, tail)
-    sim.do(f"serre {len(sim.col) - len(tail)}..{len(sim.col) - 1}")
-    sim.do(f"promote {sim.opaque_idx()} as D2'")
+    sim.do("serre", len(sim.col) - len(tail), len(sim.col) - 1)
+    sim.do("promote", sim.opaque_idx(), "D2'")
 
 
 GENERATORS = {
@@ -422,30 +424,17 @@ def _generate(parity: str, step: str, n: int, on_move=None) -> Sim:
         gen = GENERATORS[(parity, step)]
     except KeyError:
         raise ScriptError(f"no generator for ({parity}, {step})")
-    sim = Sim(Collection.empty(2 * n + (parity == "odd")), on_move)
+    sim = Sim(Collection(2 * n + (parity == "odd")), on_move)
     gen(sim, n)
     return sim
 
 
 def run_script(parity: str, step: str, n: int, on_move=None) -> ReplayResult:
     """Generate the (parity, step, n) script with every move certified,
-    stopping at the first refused move as ``replay`` does."""
+    stopping at the first refused move, whose line and error the result
+    carries."""
     try:
         sim = _generate(parity, step, n, on_move)
-    except _Refused as exc:
-        return exc.result
-    return ReplayResult(sim.col, sim.applied)
-
-
-def replay(col: Collection, lines: Iterable[str], on_move=None) -> ReplayResult:
-    """Execute a move script given as text with every move certified,
-    failing fast on the first refused move."""
-    sim = Sim(col, on_move)
-    try:
-        for raw in lines:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                sim.do(line)
     except _Refused as exc:
         return exc.result
     return ReplayResult(sim.col, sim.applied)

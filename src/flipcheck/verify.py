@@ -521,18 +521,17 @@ def _replay_claims(
     start_counts: list[int] = []
     counted: Optional[Collection] = None  # the collection start_counts[-1] counts
 
-    def counter(line: str, before: Collection, after: Collection) -> None:
+    def counter(verb: str, args: tuple, before: Collection, after: Collection) -> None:
         nonlocal counted
-        if not line.startswith(("expand", "opaque")):
-            kind, _, arg = line.partition(" ")
-            if counted is before and kind in ("exchange", "mutl", "mutr"):
-                count = count_tracked_after(before, start_counts[-1], after, int(arg))
+        if verb not in ("expand", "opaque"):
+            if counted is before and verb in ("exchange", "mutl", "mutr"):
+                count = count_tracked_after(before, start_counts[-1], after, args[0])
             else:
                 count = count_tracked(after)
             start_counts.append(count)
             counted = after
         if on_move is not None:
-            on_move(line, before, after)
+            on_move(verb, args, before, after)
 
     res = run_script(parity, step, report.n, on_move=counter)
     report.claims.append(
@@ -816,9 +815,9 @@ def verify_chessboard(n: int) -> Report:
     neither_samples: list[dict] = []
     cones: list[dict] = []
 
-    def capture(line: str, before: Collection, after: Collection) -> None:
-        if line.startswith("exchange"):
-            i = int(line.split()[1])
+    def capture(verb: str, args: tuple, before: Collection, after: Collection) -> None:
+        if verb == "exchange":
+            (i,) = args
             ea, eb = before.entries[i], before.entries[i + 1]
             if ea.kind != "pure" or eb.kind != "pure":
                 return
@@ -830,9 +829,8 @@ def verify_chessboard(n: int) -> Report:
                 neither_samples.append(
                     {"pair": [ea.label(), eb.label()], "a": a, "b": b}
                 )
-        elif line.startswith("mutlblock"):
-            lo, hi = line.split()[1].split("..")
-            i, j = int(lo), int(hi)
+        elif verb == "mutlblock":
+            i, j = args
             target = before.entries[j + 1]
             blockers = []
             for t in range(i, j + 1):

@@ -9,10 +9,10 @@ from flipcheck.collections import (
     OpaqueEntryError,
     VanishingFalse,
     VanishingNotEstablished,
-    apply_move,
     check_semiorthogonal,
     count_objects,
     exchange,
+    expand_block,
     insert_opaque,
     mutate_block_left,
     mutate_left,
@@ -22,6 +22,7 @@ from flipcheck.collections import (
 )
 from flipcheck.collections import engine
 from flipcheck.collections.engine import Entry, ScriptError
+from flipcheck.collections.scriptgen import Sim
 from flipcheck.flagx import EObject, ExtResult
 from flipcheck.verify import _expected_pair
 
@@ -197,7 +198,7 @@ def test_check_semiorthogonal_self_fails():
 
 
 def test_count_objects():
-    assert count_objects(Collection.empty(5)) == 0
+    assert count_objects(Collection(5)) == 0
     c = insert_opaque(col_of(5, EObject.line(), EObject.line(0, 1)), "D", 0)
     assert count_objects(c) == 2
 
@@ -210,6 +211,14 @@ def test_mutate_block_left_produces_cone():
     assert out.entries[0].kind == "cone"
     assert out.entries[0].kclass is not None
     assert out.entries[1].obj == EObject.line(3, 2)
+
+
+def test_mutate_block_left_rejects_an_empty_block():
+    # i > j would solve an empty Gram system and turn entry j+1 into a cone
+    # with no Ext checked.
+    c = expand_block(Collection(7), "A", 0)
+    with pytest.raises(ScriptError, match=r"mutlblock 2\.\.1: empty block"):
+        mutate_block_left(c, 2, 1)
 
 
 def test_mutate_block_left_rejects_non_unitriangular_gram():
@@ -258,11 +267,10 @@ def test_every_block_is_an_exceptional_sequence(n, parity):
             assert r.kind == "exact" and r.total().dims == ((0, 1),), (name, params)
 
 
-def test_apply_move_parses_all_verbs():
-    c = Collection.empty(5)
-    c = apply_move(c, "opaque D at 0")
-    c = apply_move(c, "expand A at 1")
-    c = apply_move(c, "promote 0 as D2")
-    assert [e.kind for e in c.entries] == ["opaque", "pure", "pure"]
-    with pytest.raises(ScriptError):
-        apply_move(c, "frobnicate 3")
+def test_sim_applies_moves_by_verb():
+    sim = Sim(Collection(5))
+    sim.do("opaque", "D", 0)
+    sim.do("expand", "A", 1)
+    sim.do("promote", 0, "D2")
+    assert [e.kind for e in sim.col.entries] == ["opaque", "pure", "pure"]
+    assert sim.lines == ["opaque D at 0", "expand A at 1", "promote 0 as D2"]

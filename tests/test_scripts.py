@@ -1,6 +1,7 @@
 """The generated move scripts are pinned by digest and replay green."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -10,13 +11,12 @@ from flipcheck.collections import (
     Collection,
     ScriptError,
     VanishingFalse,
-    apply_move,
     count_objects,
     count_tracked,
     count_tracked_after,
-    replay,
     run_script,
 )
+from flipcheck.collections.engine import _MOVES
 from flipcheck.collections.scriptgen import GENERATORS, Sim, _O, _S, _generate
 from flipcheck.flagx import ExtResult, x_ext
 from flipcheck.verify import verify_inductive_steps
@@ -124,12 +124,31 @@ def test_script_generation_looks_up_each_run_once(monkeypatch):
     assert calls < exchanges / 2
 
 
+# The script text, read back independently of the engine's verb table.
+_LINE = re.compile(
+    r"(exchange|mutl|mutr) (\d+)|(serre|mutlblock) (\d+)\.\.(\d+)"
+    r"|(expand|opaque) (\S+) at (\d+)|(promote) (\d+) as (\S+)"
+)
+
+
+def _read_line(line: str) -> tuple:
+    groups = [g for g in _LINE.fullmatch(line).groups() if g is not None]
+    return groups[0], tuple(int(g) if g.isdigit() else g for g in groups[1:])
+
+
 @pytest.mark.parametrize("parity,step", SCRIPTS)
-@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("n", N_RANGE)
 def test_scripts_replay_with_oracle(parity, step, n):
-    n_amb = 2 * n + (1 if parity == "odd" else 0)
-    res = replay(Collection.empty(n_amb), _generate(parity, step, n).lines)
-    assert res.ok, (res.failed_line, res.error)
+    # Every move is certified as it is generated, and the record holds one
+    # line per move, in order, that reads back as the (verb, args) applied.
+    moves = []
+    sim = _generate(
+        parity, step, n, on_move=lambda verb, args, before, after: moves.append((verb, args))
+    )
+    record = [line for line in sim.lines if not line.startswith("#")]
+    assert len(record) == len(moves) == sim.applied
+    for k, (line, move) in enumerate(zip(record, moves)):
+        assert _read_line(line) == move, (k, line)
 
 
 @pytest.mark.parametrize("parity,step", SCRIPTS)
@@ -139,45 +158,75 @@ def test_scripts_replay_strict(parity, step, n):
     # generated script is mutually semiorthogonal.
     n_amb = 2 * n + (1 if parity == "odd" else 0)
 
-    def strict(line, before, after):
-        if line.startswith("exchange"):
-            i = int(line.split()[1])
+    def strict(verb, args, before, after):
+        if verb == "exchange":
+            (i,) = args
             a, b = before.entries[i].obj, before.entries[i + 1].obj
-            assert x_ext(a, b, n_amb).is_zero() and x_ext(b, a, n_amb).is_zero(), line
+            assert x_ext(a, b, n_amb).is_zero() and x_ext(b, a, n_amb).is_zero(), i
 
     assert run_script(parity, step, n, on_move=strict).ok
 
 
 def test_full_replay_counts():
     for n in (2, 3):
-        res = replay(Collection.empty(2 * n + 1), _generate("odd", "full", n).lines)
+        res = run_script("odd", "full", n)
         assert res.ok and count_objects(res.final) == n * (2 * n + 1)
-        res = replay(Collection.empty(2 * n), _generate("even", "full", n).lines)
+        res = run_script("even", "full", n)
         assert res.ok and count_objects(res.final) == n * (2 * n - 1)
-        res = replay(Collection.empty(2 * n + 1), _generate("odd", "chessboard", n).lines)
+        res = run_script("odd", "chessboard", n)
         assert res.ok and count_tracked(res.final) == 4 * n * n - 1
 
 
-def test_empty_script_is_identity():
-    col = Collection.empty(5)
-    res = replay(col, [])
-    assert res.ok and res.final == col and res.moves_applied == 0
+def _run_moves(monkeypatch, moves: list, n: int = 2):
+    """run_script on N = 2n + 1 with a generator that applies ``moves``."""
+
+    def gen(sim, n):
+        for verb, *args in moves:
+            sim.do(verb, *args)
+
+    monkeypatch.setitem(GENERATORS, ("odd", "step1"), gen)
+    return run_script("odd", "step1", n)
+
+
+def test_empty_script_is_identity(monkeypatch):
+    res = _run_moves(monkeypatch, [])
+    assert res.ok and res.final == Collection(5) and res.moves_applied == 0
+
+
+# A negative index or position for each verb, and its line in the record.
+_NEGATIVE = [
+    (("exchange", -1), "exchange -1"),
+    (("mutl", -1), "mutl -1"),
+    (("mutr", -1), "mutr -1"),
+    (("serre", -1, 2), "serre -1..2"),
+    (("expand", "A", -1), "expand A at -1"),
+    (("opaque", "D", -1), "opaque D at -1"),
+    (("promote", -1, "X"), "promote -1 as X"),
+    (("mutlblock", -1, 0), "mutlblock -1..0"),
+]
 
 
 @pytest.mark.parametrize(
-    "lines,error",
+    "moves,line,error",
     [
-        (["expand A at 0", "exchange 0"], VanishingFalse),
-        (["opaque D at 0", "promote 5 as X"], ScriptError),
-        (["expand A at 0", "expand A at 7"], ScriptError),
-        (["expand A at 0", "opaque D at 9"], ScriptError),
-        (["expand A at 0", "serre 5..1"], ScriptError),
-        (["opaque D at 0", "expand A@() at 0"], ScriptError),
-        (["expand A at 0", "exchange " + "9" * 5000], ScriptError),
-        (["expand A at 0", "expand A at " + "9" * 5000], ScriptError),
-        (["expand A at 0", "expand B(" + "9" * 5000 + ") at 0"], ScriptError),
-        (["expand A at 0", "expand A@(" + "9" * 5000 + "H) at 0"], ScriptError),
-    ],
+        ([("expand", "A", 0), ("exchange", 0)], "exchange 0", VanishingFalse),
+        ([("opaque", "D", 0), ("promote", 5, "X")], "promote 5 as X", ScriptError),
+        ([("expand", "A", 0), ("expand", "A", 7)], "expand A at 7", ScriptError),
+        ([("expand", "A", 0), ("opaque", "D", 9)], "opaque D at 9", ScriptError),
+        ([("expand", "A", 0), ("serre", 5, 1)], "serre 5..1", ScriptError),
+        ([("opaque", "D", 0), ("expand", "A@()", 0)], "expand A@() at 0", ScriptError),
+        (
+            [("expand", "A", 0), ("expand", "B(" + "9" * 5000 + ")", 0)],
+            "expand B(" + "9" * 5000 + ") at 0",
+            ScriptError,
+        ),
+        (
+            [("expand", "A", 0), ("expand", "A@(" + "9" * 5000 + "H)", 0)],
+            "expand A@(" + "9" * 5000 + "H) at 0",
+            ScriptError,
+        ),
+    ]
+    + [([("expand", "A", 0), move], line, ScriptError) for move, line in _NEGATIVE],
     ids=[
         "exchange",
         "promote",
@@ -185,38 +234,42 @@ def test_empty_script_is_identity():
         "opaque",
         "serre",
         "empty-twist",
-        "long-index",
-        "long-position",
         "long-parameter",
         "long-twist",
-    ],
+    ]
+    + [f"negative-{move[0]}" for move, _ in _NEGATIVE],
 )
-def test_replay_fails_fast_and_reports(lines, error):
-    res = replay(Collection.empty(5), lines + ["exchange 0"])
+def test_replay_fails_fast_and_reports(monkeypatch, moves, line, error):
+    # A direct call meets no numeral grammar: the engine's range checks are
+    # the only guard, so a negative index or position must be refused too.
+    res = _run_moves(monkeypatch, moves + [("exchange", 0)])
     assert not res.ok
-    assert res.failed_line == lines[1]
+    assert res.failed_line == line
     assert res.moves_applied == 1
-    assert res.final == apply_move(Collection.empty(5), lines[0])
+    (first, *first_args), (verb, *args) = moves
+    assert res.final == _MOVES[first][0](Collection(5), *first_args)
     with pytest.raises(error):
-        apply_move(res.final, lines[1])
+        _MOVES[verb][0](res.final, *args)
 
 
 def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
     # One exchange of the pinned (odd, step1, 3) script sees a nonzero Hom:
-    # the certified generation, a replay of the script text, and the
+    # the certified generation, a replay of its recorded moves, and the
     # verifier's claim all report the same failing line.
     lines = _generate("odd", "step1", 3).lines
     assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == PINS[
         ("odd", "step1", 3)
     ]
     pairs = []
+    moves = []
 
-    def record(line, before, after):
-        if line.startswith("exchange"):
-            i = int(line.split()[1])
+    def record(verb, args, before, after):
+        moves.append((verb, *args))
+        if verb == "exchange":
+            (i,) = args
             pairs.append((before.entries[i + 1].obj, before.entries[i].obj))
 
-    replay(Collection.empty(7), lines, on_move=record)
+    run_script("odd", "step1", 3, on_move=record)
     x_ext_real = engine.x_ext
 
     def nonzero_hom(a, b, n_amb):
@@ -226,7 +279,8 @@ def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
 
     monkeypatch.setattr(engine, "x_ext", nonzero_hom)
     generated = run_script("odd", "step1", 3)
-    replayed = replay(Collection.empty(7), lines)
+    with monkeypatch.context() as m:
+        replayed = _run_moves(m, moves, 3)
     assert (generated.moves_applied, generated.failed_line, generated.error) == (
         replayed.moves_applied,
         replayed.failed_line,
@@ -257,27 +311,27 @@ def test_sim_index_agrees_with_a_full_scan_after_every_move(parity, step):
         n_amb = 2 * n + (parity == "odd")
         checked = 0
 
-        def check(line, before, after):
+        def check(verb, args, before, after):
             nonlocal checked
             scan = _scan(after)
-            assert len(scan) == sum(e.kind == "pure" for e in after.entries), line
-            if line.split()[0] in ("exchange", "mutl", "mutr"):
+            assert len(scan) == sum(e.kind == "pure" for e in after.entries), verb
+            if verb in ("exchange", "mutl", "mutr"):
                 # updated in place from the index the last check built
-                assert sim._pos == scan, (n, line)
+                assert sim._pos == scan, (n, verb, args)
             for obj, i in scan.items():
-                assert sim.idx(obj) == i, (n, line)
-            assert sim._pos == (scan if scan else None), (n, line)
+                assert sim.idx(obj) == i, (n, verb, args)
+            assert sim._pos == (scan if scan else None), (n, verb, args)
             checked += 1
 
-        sim = Sim(Collection.empty(n_amb), check)
+        sim = Sim(Collection(n_amb), check)
         GENERATORS[(parity, step)](sim, n)
         assert checked == sim.applied
 
 
 def test_sim_index_raises_on_a_duplicate_and_a_missing_object():
-    sim = Sim(Collection.empty(7))
-    sim.do("expand A at 0")
-    sim.do("expand A at 3")
+    sim = Sim(Collection(7))
+    sim.do("expand", "A", 0)
+    sim.do("expand", "A", 3)
     with pytest.raises(ScriptError, match="found 2 copies"):
         sim.idx(_O())
     with pytest.raises(ScriptError, match="found 0 copies"):
@@ -288,12 +342,12 @@ def test_sim_index_raises_on_a_duplicate_and_a_missing_object():
 def test_sim_index_sees_a_duplicate_made_by_a_mutation():
     # mutl 0 turns (O(H-h), S^1 Uv) into (O(h), O(H-h)): with O(h) already
     # present the collection holds two copies, and the lookup says so.
-    sim = Sim(Collection.empty(7))
-    sim.do("expand Aseg(0,0)@(1H-1h) at 0")  # O(H-h)
-    sim.do("expand Aseg(1,1) at 1")  # S^1 Uv
-    sim.do("expand Aseg(0,0)@(1h) at 2")  # O(h)
+    sim = Sim(Collection(7))
+    sim.do("expand", "Aseg(0,0)@(1H-1h)", 0)  # O(H-h)
+    sim.do("expand", "Aseg(1,1)", 1)  # S^1 Uv
+    sim.do("expand", "Aseg(0,0)@(1h)", 2)  # O(h)
     assert sim.idx(_O(0, 1)) == 2  # builds the index
-    sim.do("mutl 0")
+    sim.do("mutl", 0)
     assert sim.col.entries[0].obj == _O(0, 1)
     with pytest.raises(ScriptError, match="found 2 copies"):
         sim.idx(_O(0, 1))
@@ -317,7 +371,7 @@ def test_counts_match_a_slow_count_with_opaque_and_cone_entries():
         cols.append(run_script("odd", "regions", n).final)
         cols.append(run_script("even", "full", n).final)
 
-    def record(line, before, after):
+    def record(verb, args, before, after):
         cols.append(after)
 
     run_script("odd", "chessboard", 3, on_move=record)
@@ -331,12 +385,11 @@ def test_counts_match_a_slow_count_with_opaque_and_cone_entries():
 def test_windowed_count_matches_a_full_count_after_every_move(parity, step):
     windowed = 0
 
-    def check(line, before, after):
+    def check(verb, args, before, after):
         nonlocal windowed
-        kind, _, arg = line.partition(" ")
-        if kind in ("exchange", "mutl", "mutr"):
-            got = count_tracked_after(before, count_tracked(before), after, int(arg))
-            assert got == _slow_counts(after)[1], line
+        if verb in ("exchange", "mutl", "mutr"):
+            got = count_tracked_after(before, count_tracked(before), after, args[0])
+            assert got == _slow_counts(after)[1], (verb, args)
             windowed += 1
 
     assert run_script(parity, step, 4, on_move=check).ok

@@ -180,9 +180,9 @@ def test_a_wrong_ext_on_one_shape_fails_the_same_first_pair(pick, monkeypatch):
 def test_a_wrong_ext_on_an_exchanged_shape_refuses_the_same_move(step, monkeypatch):
     shapes = []
 
-    def record(line, before, after):
-        if line.startswith("exchange"):
-            i = int(line.split()[1])
+    def record(verb, args, before, after):
+        if verb == "exchange":
+            (i,) = args
             a, b = before.entries[i].obj, before.entries[i + 1].obj
             shapes.append(_twist_normal(b, a))
 

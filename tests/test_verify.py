@@ -306,7 +306,7 @@ def test_replay_claims_fail_and_vacuous_paths(monkeypatch):
 
     def refused(sim, n):
         sim.note("c")
-        sim.do("exchange 0")
+        sim.do("exchange", 0)
 
     monkeypatch.setitem(GENERATORS, ("odd", "step1"), refused)
     by = claims_by_id(verify_inductive_steps(2))
@@ -328,21 +328,22 @@ def test_replay_claims_fail_and_vacuous_paths(monkeypatch):
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_each_script_is_applied_once(monkeypatch, parity):
-    # The generator certifies every move as it applies it, so no script line
-    # is applied a second time by a separate replay.
+    # The generator certifies every move as it applies it, so no move is
+    # applied a second time by a separate replay.
     import flipcheck.collections.engine as engine
-    import flipcheck.collections.scriptgen as scriptgen
 
     calls = 0
-    apply_move = engine.apply_move
 
-    def counting(col, line, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return apply_move(col, line, *args, **kwargs)
+    def counting(move):
+        def call(col, *args):
+            nonlocal calls
+            calls += 1
+            return move(col, *args)
 
-    monkeypatch.setattr(engine, "apply_move", counting)
-    monkeypatch.setattr(scriptgen, "apply_move", counting)
+        return call
+
+    for verb, (move, text) in list(engine._MOVES.items()):
+        monkeypatch.setitem(engine._MOVES, verb, (counting(move), text))
     report = verify_suite(4, parity, "all")
     moves = sum(c.detail["moves"] for c in report.claims if c.id.endswith("/replay"))
     assert moves > 0
