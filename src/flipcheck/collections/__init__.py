@@ -16,7 +16,6 @@ from .engine import (
     check_semiorthogonal,
     count_objects,
     count_tracked,
-    count_tracked_after,
     exchange,
     expand_block,
     insert_opaque,

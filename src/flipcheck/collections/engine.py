@@ -6,7 +6,11 @@ inert complement placeholders (no Ext queries allowed), and ``cone`` entries
 record a left mutation whose result is not a pure object (kept only as a name
 plus the torus character of its K-theory class).
 
-Moves return new collections.  ``_MOVES`` names each move by a verb;
+Moves edit the collection in place.  Each move validates everything first
+and then writes once, through ``_splice``, which replaces one slice of the
+entry list and returns the pair (old, new) of replaced and written entries;
+the move returns that pair.  A refused move has written nothing, so the
+collection is as it was before it.  ``_MOVES`` names each move by a verb;
 ``scriptgen.Sim.do(verb, *args)`` calls it and records it as the line shown
 here.  The lines are the run's record and are never parsed back:
 
@@ -45,12 +49,11 @@ change when both arguments are twisted by one line bundle O(cH + dh), so
 for one-term objects they depend only on the ints of ``_shape_key``: the
 Schur power of a, the weight and h-twist of b relative to a, the shift
 difference and both multiplicities.  Each collection carries a table from
-those keys to x_ext outcomes, and ``Collection._with`` hands it to the
-collection a move returns, so one table serves one script run: the
-exchange checks (both directions), the mutl/mutr degree checks and the
-final ``check_semiorthogonal`` all read it, and x_ext runs on the first
-pair of each shape only; a zero outcome is x_ext's one shared zero.
-Objects of several terms go to x_ext directly.  The pairs are still
+those keys to x_ext outcomes, and a script run has one collection, so one
+table serves the run: the exchange checks (both directions), the mutl/mutr
+degree checks and the final ``check_semiorthogonal`` all read it, and
+x_ext runs on the first pair of each shape only; a zero outcome is x_ext's
+one shared zero.  Objects of several terms go to x_ext directly.  The pairs are still
 checked in the same order, so the first refused move, the first failing
 pair and every detail string are those of the unshared route.
 ``gram_solve`` keeps its own table of chi_X values per call.
@@ -59,7 +62,7 @@ pair and every detail string are those of the unshared route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..flagx import (
     EObject,
@@ -127,12 +130,12 @@ class Entry:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass
 class Collection:
     n_amb: int
-    entries: tuple[Entry, ...] = ()
-    # x_ext outcomes by twist shape (see ``_shape_key``), shared by every
-    # collection that ``_with`` derives from this one: one table per run.
+    # Written only through ``_splice``.
+    entries: list[Entry] = field(default_factory=list)
+    # x_ext outcomes by twist shape (see ``_shape_key``): one table per run.
     xt: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -144,8 +147,18 @@ class Collection:
     def labels(self) -> list[str]:
         return [e.label() for e in self.entries]
 
-    def _with(self, entries: Iterable[Entry]) -> "Collection":
-        return Collection(self.n_amb, tuple(entries), self.xt)
+
+Spliced = tuple[list[Entry], list[Entry]]
+
+
+def _splice(col: Collection, at: int, stop: int, new: list[Entry]) -> Spliced:
+    """Replace ``col.entries[at:stop]`` by ``new``, the one write of a move.
+
+    Returns (old, new): the entries replaced and the entries written.
+    """
+    old = col.entries[at:stop]
+    col.entries[at:stop] = new
+    return old, new
 
 
 def count_objects(col: Collection) -> int:
@@ -153,30 +166,13 @@ def count_objects(col: Collection) -> int:
     return sum(1 for e in col.entries if e.kind == "pure")
 
 
-def _tracked(entries: tuple[Entry, ...]) -> int:
+def _tracked(entries: Sequence[Entry]) -> int:
     return sum(1 for e in entries if e.kind != "opaque")
 
 
 def count_tracked(col: Collection) -> int:
     """Pure entries plus cone entries: one object each, opaques excluded."""
     return _tracked(col.entries)
-
-
-def count_tracked_after(
-    before: Collection, count: int, after: Collection, i: int
-) -> int:
-    """count_tracked(after), given count = count_tracked(before) and a move
-    meant to change only the slots i, i+1.
-
-    The entries before slot i and after slot i+1 must be those of
-    ``before``; tuple comparison checks that at C speed (identical objects
-    compare equal without a call), so only the two slots are read in
-    Python.  If anything else changed, ``after`` is counted in full.
-    """
-    a, b = before.entries, after.entries
-    if a[:i] != b[:i] or a[i + 2 :] != b[i + 2 :]:
-        return count_tracked(after)
-    return count - _tracked(a[i : i + 2]) + _tracked(b[i : i + 2])
 
 
 def _shape_key(a: EObject, b: EObject) -> Optional[tuple[int, ...]]:
@@ -230,7 +226,7 @@ def _require_vanishing(col: Collection, a: EObject, b: EObject, i: int) -> None:
         )
 
 
-def exchange(col: Collection, i: int) -> Collection:
+def exchange(col: Collection, i: int) -> Spliced:
     """Swap entries i, i+1; legal when the pair is mutually semiorthogonal,
     Hom_X(e_i, e_{i+1}) = 0 = Hom_X(e_{i+1}, e_i).  A bounded Hom in either
     direction is not a vanishing (VanishingNotEstablished)."""
@@ -238,9 +234,7 @@ def exchange(col: Collection, i: int) -> Collection:
     b = _require_pure(col, i + 1, "exchange")
     _require_vanishing(col, a, b, i)
     _require_vanishing(col, b, a, i)
-    ent = list(col.entries)
-    ent[i], ent[i + 1] = ent[i + 1], ent[i]
-    return col._with(ent)
+    return _splice(col, i, i + 2, [col.entries[i + 1], col.entries[i]])
 
 
 def _simple_degree(r: ExtResult, who: str) -> int:
@@ -300,7 +294,7 @@ def _check_kclass(
         )
 
 
-def _mutate(col: Collection, i: int, side: str) -> Collection:
+def _mutate(col: Collection, i: int, side: str) -> Spliced:
     """Mutate the pair at (i, i+1): its first member through the second
     (side "R") or the second through the first (side "L")."""
     what = "mut" + side.lower()
@@ -311,17 +305,15 @@ def _mutate(col: Collection, i: int, side: str) -> Collection:
     result = _match_rule(mutator, target, col.n_amb, side)
     _check_kclass(result, target, mutator, degree, col.n_amb)
     pair = (result, mutator) if side == "L" else (mutator, result)
-    ent = list(col.entries)
-    ent[i], ent[i + 1] = map(Entry.pure, pair)
-    return col._with(ent)
+    return _splice(col, i, i + 2, [Entry.pure(o) for o in pair])
 
 
-def mutate_left(col: Collection, i: int) -> Collection:
+def mutate_left(col: Collection, i: int) -> Spliced:
     """(E, b) at (i, i+1) becomes (L_E b, E)."""
     return _mutate(col, i, "L")
 
 
-def mutate_right(col: Collection, i: int) -> Collection:
+def mutate_right(col: Collection, i: int) -> Spliced:
     """(b, E) at (i, i+1) becomes (E, R_E b)."""
     return _mutate(col, i, "R")
 
@@ -332,17 +324,16 @@ def serre_twist(objs: list[EObject], n_amb: int) -> list[EObject]:
     return [o.twisted(-(n_amb - 2), -1) for o in objs]
 
 
-def serre_tail(col: Collection, i: int, j: int) -> Collection:
+def serre_tail(col: Collection, i: int, j: int) -> Spliced:
     """Mutate the tail i..j (j = last index) through its whole complement."""
     if j != len(col) - 1 or i > j:
         raise ScriptError(f"serre {i}..{j}: not a nonempty tail of the collection")
     tail = [_require_pure(col, t, "serre") for t in range(i, j + 1)]
     twisted = [Entry.pure(o) for o in serre_twist(tail, col.n_amb)]
-    ent = twisted + list(col.entries[:i])
-    return col._with(ent)
+    return _splice(col, 0, len(col), twisted + col.entries[:i])
 
 
-def expand_block(col: Collection, spec: str, at: int) -> Collection:
+def expand_block(col: Collection, spec: str, at: int) -> Spliced:
     if not 0 <= at <= len(col):
         raise ScriptError(f"expand: position {at} out of range")
     try:
@@ -350,30 +341,23 @@ def expand_block(col: Collection, spec: str, at: int) -> Collection:
         objs = make_block(name, params, col.n_amb, twist)
     except BlockRangeError as exc:
         raise ScriptError(f"expand {spec}: {exc}") from exc
-    ent = list(col.entries)
-    ent[at:at] = [Entry.pure(o) for o in objs]
-    return col._with(ent)
+    return _splice(col, at, at, [Entry.pure(o) for o in objs])
 
 
-def insert_opaque(col: Collection, name: str, at: int) -> Collection:
+def insert_opaque(col: Collection, name: str, at: int) -> Spliced:
     if not 0 <= at <= len(col):
         raise ScriptError(f"opaque: position {at} out of range")
-    ent = list(col.entries)
-    ent.insert(at, Entry.opaque(name))
-    return col._with(ent)
+    return _splice(col, at, at, [Entry.opaque(name)])
 
 
-def promote(col: Collection, i: int, name: str) -> Collection:
+def promote(col: Collection, i: int, name: str) -> Spliced:
     """Move the opaque entry i to the front under a new name."""
     if not 0 <= i < len(col):
         raise ScriptError(f"promote: index {i} out of range")
     e = col.entries[i]
     if e.kind != "opaque":
         raise OpaqueEntryError(f"promote {i}: entry is {e.kind}, not opaque")
-    ent = list(col.entries)
-    del ent[i]
-    ent.insert(0, Entry.opaque(name))
-    return col._with(ent)
+    return _splice(col, 0, i + 1, [Entry.opaque(name)] + col.entries[:i])
 
 
 def gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
@@ -410,7 +394,7 @@ def gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
     return coeff
 
 
-def mutate_block_left(col: Collection, i: int, j: int) -> Collection:
+def mutate_block_left(col: Collection, i: int, j: int) -> Spliced:
     """Left-mutate entry j+1 through the pure block i..j; result is a cone.
 
     The cone is not materialized (no rule pattern applies); its K-class
@@ -428,10 +412,7 @@ def mutate_block_left(col: Collection, i: int, j: int) -> Collection:
         name=f"L[{j - i + 1}]({notation(target)})",
         kclass=tuple(sorted(char.items())),
     )
-    ent = list(col.entries)
-    del ent[j + 1]
-    ent.insert(i, cone)
-    return col._with(ent)
+    return _splice(col, i, j + 2, [cone] + col.entries[i : j + 1])
 
 
 class PairCheck(NamedTuple):
@@ -480,7 +461,7 @@ def check_semiorthogonal(col: Collection) -> list[PairCheck]:
 
 # verb -> (move, argument text).  ``scriptgen.Sim.do(verb, *args)`` calls
 # the move and records the line "verb " + text.format(*args).
-_MOVES: dict[str, tuple[Callable[..., Collection], str]] = {
+_MOVES: dict[str, tuple[Callable[..., Spliced], str]] = {
     "exchange": (exchange, "{}"),
     "mutl": (mutate_left, "{}"),
     "mutr": (mutate_right, "{}"),

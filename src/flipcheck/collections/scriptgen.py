@@ -5,15 +5,18 @@ checked move named by ``verb`` and records it as one line of text.  The
 lines are the record of the run, never parsed back; the test suite pins
 each script's sha256 for n = 2..5 and one digest per generator over n = 6..9.
 
+Each run edits one ``Collection`` in place: every move writes the slots it
+changes and returns them as (old, new), which ``Sim`` hands to its hook.
+The run's collection carries its x_ext table (see ``engine._x_ext``), so
+the exchanges of a run read one Ext per twist shape.
+
 Objects are located by value during generation, which is safe because every
 collection of a run is multiplicity-free.  ``Sim`` keeps a position
-index that each exchange and mutation updates in two slots, so a lookup
-costs one dict read instead of a scan of the collection; only the other
-moves (expand, serre, promote, ...) make the next lookup rebuild it.  A
-lookup that finds zero copies or two still raises ``ScriptError``.
-
-Every move of one run shares its collection's x_ext table (see
-``engine._x_ext``), so the exchanges of a run read one Ext per twist shape.
+index that each exchange and mutation updates from the two slots it
+changed, so a lookup costs one dict read instead of a scan of the
+collection; only the other moves (expand, serre, promote, ...) make the
+next lookup rebuild it.  A lookup that finds zero copies or two still
+raises ``ScriptError``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def _O(c: int = 0, d: int = 0) -> EObject:
 
 @dataclass
 class ReplayResult:
-    final: Collection
+    final: Collection  # the run's collection; a refused move wrote nothing
     moves_applied: int
     failed_line: Optional[str] = None
     error: Optional[str] = None
@@ -57,8 +60,10 @@ class _Refused(ScriptError):
 
 
 class Sim:
-    """Applies moves by verb through ``engine._MOVES``, records their lines
-    and calls ``on_move(verb, args, before, after)`` after each.
+    """Applies moves by verb through ``engine._MOVES`` to its one collection
+    ``col``, records their lines and calls ``on_move(verb, args, old, new,
+    col)`` after each, where ``old`` and ``new`` are the entries the move
+    replaced and wrote.
 
     ``idx`` reads a position index of the pure objects.  An exchange swaps
     two of its slots and ``mutl``/``mutr`` replace two; any other move, or a
@@ -75,33 +80,30 @@ class Sim:
     def do(self, verb: str, *args) -> None:
         move, text = _MOVES[verb]
         line = f"{verb} {text.format(*args)}"
-        before = self.col
         try:
-            self.col = move(before, *args)
+            old, new = move(self.col, *args)
         except EngineError as exc:
-            res = ReplayResult(before, self.applied, failed_line=line, error=str(exc))
+            res = ReplayResult(self.col, self.applied, failed_line=line, error=str(exc))
             raise _Refused(res) from exc
         self.lines.append(line)
         self.applied += 1
-        self._update_index(verb, args, before)
+        self._update_index(verb, args, old, new)
         if self.on_move is not None:
-            self.on_move(verb, args, before, self.col)
+            self.on_move(verb, args, old, new, self.col)
 
-    def _update_index(self, verb: str, args: tuple, before: Collection) -> None:
+    def _update_index(self, verb: str, args: tuple, old: list, new: list) -> None:
         pos = self._pos
         if pos is None or verb not in ("exchange", "mutl", "mutr"):
             self._pos = None
             return
         (i,) = args
-        old = before.entries[i].obj, before.entries[i + 1].obj
-        new = self.col.entries[i].obj, self.col.entries[i + 1].obj
-        for o in old:
-            del pos[o]
-        for k, o in enumerate(new):
-            if o in pos:
+        for e in old:
+            del pos[e.obj]
+        for k, e in enumerate(new):
+            if e.obj in pos:
                 self._pos = None  # a second copy: rebuild, and find both
                 return
-            pos[o] = i + k
+            pos[e.obj] = i + k
 
     def _index(self) -> dict[EObject, int]:
         """Position of each pure object; -1 for an object held twice or more."""

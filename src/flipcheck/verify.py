@@ -35,7 +35,6 @@ from .collections import (
     EngineError,
     count_objects,
     count_tracked,
-    count_tracked_after,
     check_semiorthogonal,
     make_block,
     mutate_left,
@@ -44,7 +43,7 @@ from .collections import (
     parse_block_spec,
     run_script,
 )
-from .collections.engine import Entry, gram_solve
+from .collections.engine import Entry, _tracked, gram_solve
 from .collections.scriptgen import _O, _S
 
 PASS = "pass"
@@ -382,11 +381,11 @@ def _expected_pair(rule: int, k: int) -> tuple[list[EObject], list[EObject]]:
 def _mutation_rule(rule: int, k: int, n_amb: int) -> Outcome:
     """Rule (rule) at degree k: RHom = C[0] and the mutation lands as stated."""
     start, expected = _expected_pair(rule, k)
-    col = Collection(n_amb, tuple(Entry.pure(o) for o in start))
+    col = Collection(n_amb, [Entry.pure(o) for o in start])
     pair = x_ext(start[0], start[1], n_amb)
     if pair.kind != "exact" or pair.total().dims != ((0, 1),):
         return FAIL, {"rhom": _ext_detail(pair)}
-    col = mutate_left(col, 0) if rule == 1 else mutate_right(col, 0)
+    (mutate_left if rule == 1 else mutate_right)(col, 0)
     got = col.pure_objects()
     if got != expected:
         return FAIL, {
@@ -412,7 +411,7 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
             )
 
     def guard() -> Outcome:
-        col = Collection(n_amb, (Entry.pure(_O(1, -1)), Entry.pure(_O())))
+        col = Collection(n_amb, [Entry.pure(_O(1, -1)), Entry.pure(_O())])
         try:
             mutate_left(col, 0)
         except EngineError as exc:
@@ -519,19 +518,15 @@ def _replay_claims(
 ) -> Optional[Collection]:
     """Replay a move script and emit replay/final/count claims."""
     start_counts: list[int] = []
-    counted: Optional[Collection] = None  # the collection start_counts[-1] counts
+    count = 0  # tracked entries of the run's collection, which starts empty
 
-    def counter(verb: str, args: tuple, before: Collection, after: Collection) -> None:
-        nonlocal counted
+    def counter(verb: str, args: tuple, old: list, new: list, col: Collection) -> None:
+        nonlocal count
+        count += _tracked(new) - _tracked(old)
         if verb not in ("expand", "opaque"):
-            if counted is before and verb in ("exchange", "mutl", "mutr"):
-                count = count_tracked_after(before, start_counts[-1], after, args[0])
-            else:
-                count = count_tracked(after)
             start_counts.append(count)
-            counted = after
         if on_move is not None:
-            on_move(verb, args, before, after)
+            on_move(verb, args, old, new, col)
 
     res = run_script(parity, step, report.n, on_move=counter)
     report.claims.append(
@@ -815,10 +810,9 @@ def verify_chessboard(n: int) -> Report:
     neither_samples: list[dict] = []
     cones: list[dict] = []
 
-    def capture(verb: str, args: tuple, before: Collection, after: Collection) -> None:
+    def capture(verb: str, args: tuple, old: list, new: list, col: Collection) -> None:
         if verb == "exchange":
-            (i,) = args
-            ea, eb = before.entries[i], before.entries[i + 1]
+            ea, eb = old
             if ea.kind != "pure" or eb.kind != "pure":
                 return
             (wa, da), (wb, db) = ea.obj.single_term(), eb.obj.single_term()
@@ -830,20 +824,17 @@ def verify_chessboard(n: int) -> Report:
                     {"pair": [ea.label(), eb.label()], "a": a, "b": b}
                 )
         elif verb == "mutlblock":
-            i, j = args
-            target = before.entries[j + 1]
+            *block, target = old
             blockers = []
-            for t in range(i, j + 1):
-                r = x_ext(before.entries[t].obj, target.obj, n_amb)
+            for e in block:
+                r = x_ext(e.obj, target.obj, n_amb)
                 if not r.is_zero():
-                    blockers.append(
-                        {"mutator": before.entries[t].label(), "ext": _ext_detail(r)}
-                    )
-            cone = after.entries[i]
+                    blockers.append({"mutator": e.label(), "ext": _ext_detail(r)})
+            cone = new[0]
             cones.append(
                 {
                     "cone": cone.name,
-                    "block_size": j - i + 1,
+                    "block_size": len(block),
                     "kclass_recorded": cone.kclass is not None,
                     "nonvanishing_rhoms": blockers,
                 }

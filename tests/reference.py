@@ -20,15 +20,38 @@ computes one chi_E per shape: 2,135 instead of 44,100 at N = 15.
 sum, over the terms of the object, of the pairings of each basis object
 with one twisted Schur bundle, each read from a table per N keyed by its
 shape (q, p, k-l, e-d).
+
+The move engine has a slow twin here, ``RefSim``: immutable tuples, a new
+collection per move, every move's preconditions checked by ``x_ext`` and
+``x_euler`` on each pair (no table), the rule table restated as start and
+result pairs, K-class identities by the pairing route above, and the
+tracked count taken in full after every move.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from flipcheck.bwb import GradedDims, cohomology
-from flipcheck.flagx import _shapes, e_euler, gr_collection
+from flipcheck.collections import (
+    BlockRangeError,
+    EngineError,
+    KClassMismatch,
+    NoRuleMatch,
+    NotSimple,
+    OpaqueEntryError,
+    ScriptError,
+    VanishingFalse,
+    VanishingNotEstablished,
+    make_block,
+    notation,
+    parse_block_spec,
+)
+from flipcheck.collections.engine import Entry
+from flipcheck.collections.scriptgen import Sim
+from flipcheck.flagx import _character, _shapes, e_euler, gr_collection, x_ext, x_euler
 from flipcheck.verify import Claim, Report
 from flipcheck.weights import EObject, Weight
 
@@ -302,3 +325,192 @@ def parse_report(text: str) -> Report:
             Claim(c["id"], c["statement"], c["status"], c.get("detail"))
         )
     return report
+
+
+# --------------------------------------------------------------- move engine
+
+
+@dataclass(frozen=True)
+class RefCollection:
+    n_amb: int
+    entries: tuple[Entry, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def tracked(entries: Sequence[Entry]) -> int:
+    """Pure and cone entries, counted one by one."""
+    return sum(1 for e in entries if e.kind in ("pure", "cone"))
+
+
+def _pure(col: RefCollection, i: int) -> EObject:
+    if i < 0 or i >= len(col.entries):
+        raise ScriptError(f"index {i} out of range")
+    if col.entries[i].kind != "pure":
+        raise OpaqueEntryError(f"entry {i} is {col.entries[i].kind}")
+    return col.entries[i].obj
+
+
+def _replaced(
+    col: RefCollection, at: int, stop: int, new: Sequence[Entry]
+) -> RefCollection:
+    return RefCollection(col.n_amb, col.entries[:at] + tuple(new) + col.entries[stop:])
+
+
+def ref_exchange(col: RefCollection, i: int) -> RefCollection:
+    a, b = _pure(col, i), _pure(col, i + 1)
+    for x, y in ((a, b), (b, a)):
+        r = x_ext(x, y, col.n_amb)
+        if r.kind == "bounded":
+            raise VanishingNotEstablished(f"Hom({notation(x)}, {notation(y)}) bounded")
+        if not r.is_zero():
+            raise VanishingFalse(f"Hom({notation(x)}, {notation(y)}) != 0")
+    return _replaced(col, i, i + 2, (col.entries[i + 1], col.entries[i]))
+
+
+def _rules(k: int) -> tuple:
+    """(side, start pair, result pair) of rules (1)-(3) at degree k."""
+    S, O = EObject.schur, EObject.line
+    return (
+        ("L", (S(k - 1, 1, -1), S(k)), (O(0, k), S(k - 1, 1, -1))),
+        ("R", (S(k), O(0, k)), (O(0, k), S(k - 1, 1, -1))),
+        ("R", (S(k), S(k - 1, 0, 1)), (S(k - 1, 0, 1), O(k, -k))),
+    )
+
+
+def _ref_mutate(col: RefCollection, i: int, side: str) -> RefCollection:
+    pair = (_pure(col, i), _pure(col, i + 1))
+    r = x_ext(pair[0], pair[1], col.n_amb)
+    if r.kind == "bounded" or r.total().total() != 1:
+        raise NotSimple(f"RHom of the pair at {i} is not one-dimensional")
+    degree = r.total().dims[0][0]
+    mutator, target = pair if side == "L" else pair[::-1]
+    w, d = target.single_term()
+    k, c = w.a - w.b, w.b
+    results = set()
+    if 1 <= k <= col.n_amb // 2 - 1:
+        for rule_side, start, result in _rules(k):
+            if rule_side == side and tuple(o.twisted(c, d) for o in start) == pair:
+                results.add(tuple(o.twisted(c, d) for o in result))
+    if len(results) != 1:
+        raise NoRuleMatch(f"{len(results)} rules match the pair at {i}")
+    (out,) = results
+    result = out[0] if side == "L" else out[1]
+    sign = -1 if degree % 2 else 1
+    kt, km = k_class(target, col.n_amb), k_class(mutator, col.n_amb)
+    if list(k_class(result, col.n_amb)) != [t - sign * m for t, m in zip(kt, km)]:
+        raise KClassMismatch(f"K-class identity fails at {i}")
+    return _replaced(col, i, i + 2, [Entry.pure(o) for o in out])
+
+
+def ref_serre(col: RefCollection, i: int, j: int) -> RefCollection:
+    if j != len(col) - 1 or i > j:
+        raise ScriptError(f"{i}..{j} is not a nonempty tail")
+    tail = [_pure(col, t) for t in range(i, j + 1)]
+    twisted = tuple(Entry.pure(o.twisted(2 - col.n_amb, -1)) for o in tail)
+    return RefCollection(col.n_amb, twisted + col.entries[:i])
+
+
+def ref_expand(col: RefCollection, spec: str, at: int) -> RefCollection:
+    if at < 0 or at > len(col):
+        raise ScriptError(f"position {at} out of range")
+    try:
+        name, params, twist = parse_block_spec(spec)
+        objs = make_block(name, params, col.n_amb, twist)
+    except BlockRangeError as exc:
+        raise ScriptError(str(exc)) from exc
+    return _replaced(col, at, at, [Entry.pure(o) for o in objs])
+
+
+def ref_opaque(col: RefCollection, name: str, at: int) -> RefCollection:
+    if at < 0 or at > len(col):
+        raise ScriptError(f"position {at} out of range")
+    return _replaced(col, at, at, [Entry.opaque(name)])
+
+
+def ref_promote(col: RefCollection, i: int, name: str) -> RefCollection:
+    if i < 0 or i >= len(col):
+        raise ScriptError(f"index {i} out of range")
+    if col.entries[i].kind != "opaque":
+        raise OpaqueEntryError(f"entry {i} is {col.entries[i].kind}")
+    rest = col.entries[:i] + col.entries[i + 1 :]
+    return RefCollection(col.n_amb, (Entry.opaque(name),) + rest)
+
+
+def ref_mutlblock(col: RefCollection, i: int, j: int) -> RefCollection:
+    if i > j:
+        raise ScriptError(f"empty block {i}..{j}")
+    block = [_pure(col, t) for t in range(i, j + 1)]
+    target = _pure(col, j + 1)
+    m = len(block)
+    gram = [[x_euler(a, b, col.n_amb) for b in block] for a in block]
+    if any(gram[r][r] != 1 for r in range(m)):
+        raise KClassMismatch("Gram diagonal is not 1")
+    if any(gram[r][q] for r in range(m) for q in range(r)):
+        raise KClassMismatch("Gram not unitriangular")
+    coeff = [0] * m
+    for r in reversed(range(m)):
+        rest = sum(gram[r][q] * coeff[q] for q in range(r + 1, m))
+        coeff[r] = x_euler(block[r], target, col.n_amb) - rest
+    char = _character([(1, target)] + [(-c, s) for c, s in zip(coeff, block)])
+    name = f"L[{m}]({notation(target)})"
+    cone = Entry("cone", name=name, kclass=tuple(sorted(char.items())))
+    ent = col.entries
+    return RefCollection(col.n_amb, ent[:i] + (cone,) + ent[i : j + 1] + ent[j + 2 :])
+
+
+REF_MOVES = {
+    "exchange": (ref_exchange, "{}"),
+    "mutl": (lambda col, i: _ref_mutate(col, i, "L"), "{}"),
+    "mutr": (lambda col, i: _ref_mutate(col, i, "R"), "{}"),
+    "serre": (ref_serre, "{}..{}"),
+    "expand": (ref_expand, "{} at {}"),
+    "opaque": (ref_opaque, "{} at {}"),
+    "promote": (ref_promote, "{} as {}"),
+    "mutlblock": (ref_mutlblock, "{}..{}"),
+}
+
+
+class RefSim:
+    """The reference of ``scriptgen.Sim``: each move builds a new
+    ``RefCollection``; ``counts`` holds the tracked count of the collection
+    after every applied move, counted in full; ``idx`` scans.
+
+    A refused move raises the engine's error class and changes nothing.
+    The generators' helpers (``move_left``, ``mutr_at``, ...) are ``Sim``'s:
+    they only say which moves to make.
+    """
+
+    def __init__(self, n_amb: int):
+        self.col = RefCollection(n_amb)
+        self.lines: list[str] = []
+        self.counts: list[int] = []
+        self.refused: str | None = None  # the line of the last refused move
+
+    def do(self, verb: str, *args) -> None:
+        move, text = REF_MOVES[verb]
+        line = f"{verb} {text.format(*args)}"
+        try:
+            self.col = move(self.col, *args)
+        except EngineError:
+            self.refused = line
+            raise
+        self.lines.append(line)
+        self.counts.append(tracked(self.col.entries))
+
+    def idx(self, obj: EObject) -> int:
+        hits = [
+            i for i, e in enumerate(self.col.entries) if e.kind == "pure" and e.obj == obj
+        ]
+        if len(hits) != 1:
+            raise ScriptError(f"object lookup found {len(hits)} copies")
+        return hits[0]
+
+    note = Sim.note
+    expand = Sim.expand
+    opaque_idx = Sim.opaque_idx
+    move_left = Sim.move_left
+    move_right = Sim.move_right
+    mutl_at = Sim.mutl_at
+    mutr_at = Sim.mutr_at

@@ -28,7 +28,7 @@ from flipcheck.verify import _expected_pair
 
 
 def col_of(n_amb, *objs):
-    return Collection(n_amb, tuple(Entry.pure(o) for o in objs))
+    return Collection(n_amb, [Entry.pure(o) for o in objs])
 
 
 def test_exchange_requires_vanishing():
@@ -40,8 +40,8 @@ def test_exchange_requires_vanishing():
 def test_exchange_certified():
     # Hom(O, O(-H+h)) = 0 = Hom(O(-H+h), O) at N = 5: the pair may transpose
     c = col_of(5, EObject.line(), EObject.line(-1, 1))
-    out = exchange(c, 0)
-    assert out.pure_objects() == [EObject.line(-1, 1), EObject.line()]
+    exchange(c, 0)
+    assert c.pure_objects() == [EObject.line(-1, 1), EObject.line()]
 
 
 def test_exchange_strict_checks_backward():
@@ -63,8 +63,8 @@ def test_exchange_bounded_backward_is_not_established(monkeypatch):
 def test_mutate_left_rule1():
     k, n_amb = 2, 7
     c = col_of(n_amb, EObject.schur(k - 1, 1, -1), EObject.schur(k))
-    out = mutate_left(c, 0)
-    assert out.pure_objects() == [EObject.line(0, k), EObject.schur(k - 1, 1, -1)]
+    mutate_left(c, 0)
+    assert c.pure_objects() == [EObject.line(0, k), EObject.schur(k - 1, 1, -1)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -77,8 +77,8 @@ def test_rule_table_holds_under_uniform_twists(n):
             start, expected = _expected_pair(rule, k)
             for c, d in ((0, 0), (1, -1), (-2, 3), (3, 1)):
                 col = col_of(n_amb, *(o.twisted(c, d) for o in start))
-                out = mutate_left(col, 0) if rule == 1 else mutate_right(col, 0)
-                assert out.pure_objects() == [o.twisted(c, d) for o in expected]
+                (mutate_left if rule == 1 else mutate_right)(col, 0)
+                assert col.pure_objects() == [o.twisted(c, d) for o in expected]
 
 
 def test_former_inverse_patterns_match_no_rule():
@@ -100,8 +100,8 @@ def test_mutate_right_rule3_twisted():
     # R through S^{k-1}Uv(H-h) of S^kUv(H-2h): the third induction's move
     k, n_amb = 2, 9
     c = col_of(n_amb, EObject.schur(k, 1, -2), EObject.schur(k - 1, 1, -1))
-    out = mutate_right(c, 0)
-    assert out.pure_objects() == [
+    mutate_right(c, 0)
+    assert c.pure_objects() == [
         EObject.schur(k - 1, 1, -1),
         EObject.line(k + 1, -(k + 2)),
     ]
@@ -135,13 +135,12 @@ def test_mutations_restore_semiorthogonality():
     # L_E b lands in E-perp and R_E b in perp-E: the new pair is an SOD pair
     n_amb = 9
     for k in (1, 2, 3):
-        left = mutate_left(
-            col_of(n_amb, EObject.schur(k - 1, 1, -1), EObject.schur(k)), 0
-        )
-        right2 = mutate_right(col_of(n_amb, EObject.schur(k), EObject.line(0, k)), 0)
-        right3 = mutate_right(
-            col_of(n_amb, EObject.schur(k), EObject.schur(k - 1, 0, 1)), 0
-        )
+        left = col_of(n_amb, EObject.schur(k - 1, 1, -1), EObject.schur(k))
+        right2 = col_of(n_amb, EObject.schur(k), EObject.line(0, k))
+        right3 = col_of(n_amb, EObject.schur(k), EObject.schur(k - 1, 0, 1))
+        mutate_left(left, 0)
+        mutate_right(right2, 0)
+        mutate_right(right3, 0)
         for c in (left, right2, right3):
             assert all(p.status == "pass" for p in check_semiorthogonal(c))
 
@@ -163,10 +162,13 @@ def test_serre_twist_staircase():
 
 
 def test_opaque_entries_block_mutations():
-    c = insert_opaque(col_of(5, EObject.line()), "D", 0)
+    c = col_of(5, EObject.line())
+    insert_opaque(c, "D", 0)
     with pytest.raises(OpaqueEntryError):
         exchange(c, 0)
-    out = promote(insert_opaque(col_of(5, EObject.line()), "D", 1), 1, "D2")
+    out = col_of(5, EObject.line())
+    insert_opaque(out, "D", 1)
+    promote(out, 1, "D2")
     assert out.entries[0].name == "D2"
 
 
@@ -199,7 +201,8 @@ def test_check_semiorthogonal_self_fails():
 
 def test_count_objects():
     assert count_objects(Collection(5)) == 0
-    c = insert_opaque(col_of(5, EObject.line(), EObject.line(0, 1)), "D", 0)
+    c = col_of(5, EObject.line(), EObject.line(0, 1))
+    insert_opaque(c, "D", 0)
     assert count_objects(c) == 2
 
 
@@ -207,16 +210,17 @@ def test_mutate_block_left_produces_cone():
     # the n=3 chessboard red cell: L through the corner O(2h+3H)
     n_amb = 7
     c = col_of(n_amb, EObject.line(3, 2), EObject.line(4, -4))
-    out = mutate_block_left(c, 0, 0)
-    assert out.entries[0].kind == "cone"
-    assert out.entries[0].kclass is not None
-    assert out.entries[1].obj == EObject.line(3, 2)
+    mutate_block_left(c, 0, 0)
+    assert c.entries[0].kind == "cone"
+    assert c.entries[0].kclass is not None
+    assert c.entries[1].obj == EObject.line(3, 2)
 
 
 def test_mutate_block_left_rejects_an_empty_block():
     # i > j would solve an empty Gram system and turn entry j+1 into a cone
     # with no Ext checked.
-    c = expand_block(Collection(7), "A", 0)
+    c = Collection(7)
+    expand_block(c, "A", 0)
     with pytest.raises(ScriptError, match=r"mutlblock 2\.\.1: empty block"):
         mutate_block_left(c, 2, 1)
 

@@ -728,11 +728,13 @@ def test_cone_kclass_is_its_torus_character():
 
     cells = [EObject.line(l, 2 - 2 * l) for l in range(3)]
     target = EObject.schur(2)
-    col = Collection(7, tuple(Entry.pure(o) for o in cells + [target]))
-    cone = mutate_block_left(col, 0, 2).entries[0]
+    col = Collection(7, [Entry.pure(o) for o in cells + [target]])
+    mutate_block_left(col, 0, 2)
+    cone = col.entries[0]
     assert cone.kind == "cone" and cone.kclass == ()
-    col = Collection(7, (Entry.pure(EObject.line()), Entry.pure(EObject.line(0, 1))))
-    cone = mutate_block_left(col, 0, 0).entries[0]
+    col = Collection(7, [Entry.pure(EObject.line()), Entry.pure(EObject.line(0, 1))])
+    mutate_block_left(col, 0, 0)
+    cone = col.entries[0]
     coeff = x_euler(EObject.line(), EObject.line(0, 1), 7)
     expect = fx._character([(1, EObject.line(0, 1)), (-coeff, EObject.line())])
     assert cone.kclass == tuple(sorted(expect.items()))

@@ -13,7 +13,6 @@ from flipcheck.collections import (
     VanishingFalse,
     count_objects,
     count_tracked,
-    count_tracked_after,
     run_script,
 )
 from flipcheck.collections.engine import _MOVES
@@ -143,7 +142,7 @@ def test_scripts_replay_with_oracle(parity, step, n):
     # line per move, in order, that reads back as the (verb, args) applied.
     moves = []
     sim = _generate(
-        parity, step, n, on_move=lambda verb, args, before, after: moves.append((verb, args))
+        parity, step, n, on_move=lambda verb, args, old, new, col: moves.append((verb, args))
     )
     record = [line for line in sim.lines if not line.startswith("#")]
     assert len(record) == len(moves) == sim.applied
@@ -158,11 +157,10 @@ def test_scripts_replay_strict(parity, step, n):
     # generated script is mutually semiorthogonal.
     n_amb = 2 * n + (1 if parity == "odd" else 0)
 
-    def strict(verb, args, before, after):
+    def strict(verb, args, old, new, col):
         if verb == "exchange":
-            (i,) = args
-            a, b = before.entries[i].obj, before.entries[i + 1].obj
-            assert x_ext(a, b, n_amb).is_zero() and x_ext(b, a, n_amb).is_zero(), i
+            a, b = (e.obj for e in old)
+            assert x_ext(a, b, n_amb).is_zero() and x_ext(b, a, n_amb).is_zero(), args
 
     assert run_script(parity, step, n, on_move=strict).ok
 
@@ -247,9 +245,12 @@ def test_replay_fails_fast_and_reports(monkeypatch, moves, line, error):
     assert res.failed_line == line
     assert res.moves_applied == 1
     (first, *first_args), (verb, *args) = moves
-    assert res.final == _MOVES[first][0](Collection(5), *first_args)
+    expected = Collection(5)
+    _MOVES[first][0](expected, *first_args)
+    assert res.final == expected
     with pytest.raises(error):
         _MOVES[verb][0](res.final, *args)
+    assert res.final == expected
 
 
 def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
@@ -263,11 +264,10 @@ def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
     pairs = []
     moves = []
 
-    def record(verb, args, before, after):
+    def record(verb, args, old, new, col):
         moves.append((verb, *args))
         if verb == "exchange":
-            (i,) = args
-            pairs.append((before.entries[i + 1].obj, before.entries[i].obj))
+            pairs.append((old[1].obj, old[0].obj))
 
     run_script("odd", "step1", 3, on_move=record)
     x_ext_real = engine.x_ext
@@ -311,10 +311,10 @@ def test_sim_index_agrees_with_a_full_scan_after_every_move(parity, step):
         n_amb = 2 * n + (parity == "odd")
         checked = 0
 
-        def check(verb, args, before, after):
+        def check(verb, args, old, new, col):
             nonlocal checked
-            scan = _scan(after)
-            assert len(scan) == sum(e.kind == "pure" for e in after.entries), verb
+            scan = _scan(col)
+            assert len(scan) == sum(e.kind == "pure" for e in col.entries), verb
             if verb in ("exchange", "mutl", "mutr"):
                 # updated in place from the index the last check built
                 assert sim._pos == scan, (n, verb, args)
@@ -371,45 +371,11 @@ def test_counts_match_a_slow_count_with_opaque_and_cone_entries():
         cols.append(run_script("odd", "regions", n).final)
         cols.append(run_script("even", "full", n).final)
 
-    def record(verb, args, before, after):
-        cols.append(after)
+    def record(verb, args, old, new, col):
+        cols.append(Collection(col.n_amb, list(col.entries)))
 
     run_script("odd", "chessboard", 3, on_move=record)
     assert any(e.kind == "cone" for c in cols for e in c.entries)
     assert any(e.kind == "opaque" for c in cols for e in c.entries)
     for col in cols:
         assert (count_objects(col), count_tracked(col)) == _slow_counts(col)
-
-
-@pytest.mark.parametrize("parity,step", [("odd", "chessboard"), ("odd", "full"), ("even", "full")])
-def test_windowed_count_matches_a_full_count_after_every_move(parity, step):
-    windowed = 0
-
-    def check(verb, args, before, after):
-        nonlocal windowed
-        if verb in ("exchange", "mutl", "mutr"):
-            got = count_tracked_after(before, count_tracked(before), after, args[0])
-            assert got == _slow_counts(after)[1], (verb, args)
-            windowed += 1
-
-    assert run_script(parity, step, 4, on_move=check).ok
-    assert windowed > 0
-
-
-def test_windowed_count_sees_a_change_outside_the_window():
-    from flipcheck.collections.engine import Entry
-
-    before = run_script("odd", "chessboard", 3).final
-    count = count_tracked(before)
-    swapped = list(before.entries)
-    swapped[4], swapped[5] = swapped[5], swapped[4]
-    # a move at 4 that also turned entry 1 or 9 into an opaque placeholder,
-    # or dropped the last entry
-    assert before.entries[1].kind == before.entries[9].kind == "pure"
-    broken = []
-    for k in (1, 9):
-        broken.append(list(swapped))
-        broken[-1][k] = Entry.opaque("lost")
-    for entries in [swapped, swapped[:-1]] + broken:
-        after = Collection(before.n_amb, tuple(entries))
-        assert count_tracked_after(before, count, after, 4) == _slow_counts(after)[1]

@@ -50,7 +50,7 @@ def _mixed_collection(n_amb: int, size: int = 22) -> Collection:
     entries.insert(rng.randrange(size), Entry.opaque("D"))
     two_term = EObject.line() + shifted(EObject.schur(1, 0, 1), 1)
     entries.insert(rng.randrange(size), Entry.pure(two_term))
-    return Collection(n_amb, tuple(entries))
+    return Collection(n_amb, entries)
 
 
 def _twist_normal(a: EObject, b: EObject) -> tuple:
@@ -85,6 +85,12 @@ def _outcome(fn, *args):
         return fn(*args)
     except EngineError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _exchanged(col: Collection) -> Collection:
+    """The collection after ``exchange(col, 0)``."""
+    exchange(col, 0)
+    return col
 
 
 @pytest.mark.parametrize("n_amb", range(3, 18))
@@ -127,7 +133,7 @@ def test_exchange_and_gram_solve_match_the_unshared_route(n_amb, monkeypatch):
     def run_all():
         table: dict = {}  # shared by every exchange, as within one run
         return [
-            _outcome(exchange, Collection(n_amb, (Entry.pure(a), Entry.pure(b)), table), 0)
+            _outcome(_exchanged, Collection(n_amb, [Entry.pure(a), Entry.pure(b)], table))
             for a in pure
             for b in pure
         ], [_outcome(gram_solve, block, target, n_amb) for block, target in blocks]
@@ -180,10 +186,9 @@ def test_a_wrong_ext_on_one_shape_fails_the_same_first_pair(pick, monkeypatch):
 def test_a_wrong_ext_on_an_exchanged_shape_refuses_the_same_move(step, monkeypatch):
     shapes = []
 
-    def record(verb, args, before, after):
+    def record(verb, args, old, new, col):
         if verb == "exchange":
-            (i,) = args
-            a, b = before.entries[i].obj, before.entries[i + 1].obj
+            a, b = (e.obj for e in old)
             shapes.append(_twist_normal(b, a))
 
     assert run_script("odd", step, 4, on_move=record).ok
