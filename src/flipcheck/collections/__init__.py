@@ -1,6 +1,6 @@
 """Block constructors, ordered collections, mutation moves, and move scripts."""
 
-from .blocks import BlockRangeError, make_block, notation, parse_block_spec
+from .blocks import Block, BlockRangeError, make_block, notation
 from .engine import (
     Collection,
     EngineError,

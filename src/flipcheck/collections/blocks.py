@@ -1,14 +1,18 @@
-"""Named block constructors for the subcategories appearing in the proof.
+"""Named blocks of the subcategories appearing in the proof.
 
-Every block is an ordered list of pure objects on E (as pushed forward to X).
+A block is a value, ``Block(name, params, twist)``: a name from the table
+below, its int parameters, and a twist (c, d) that tensors every object by
+O(cH + dh).  ``make_block`` builds its objects, an ordered list of pure
+objects on E (as pushed forward to X); ``str`` gives the text that a
+script's record shows, e.g. ``Aseg(0,3)@(1H-1h)``.
 Conventions, with n = N // 2:
 
     A        <O, U^vee, ..., S^{n-1} U^vee>
-    Au(l)    <O, ..., S^{n-l-1} U^vee>             ("A^l")
+    Au(l)    <O, ..., S^{n-l-1} U^vee>             ("A^l"), 0 <= l <= n
     Aseg(lo,hi)  <S^lo U^vee, ..., S^hi U^vee>     (generic segment)
-    B(l)     <O((l+1)h), S^l U^vee(H-h)>
-    C(l)     <O(lh), S^l U^vee(H-2h)>
-    E(l)     <O(lh), S^{l-1} U^vee(H-h), O((l+1)(H-h)-h)>
+    B(l)     <O((l+1)h), S^l U^vee(H-h)>, 0 <= l <= n-2
+    C(l)     <O(lh), S^l U^vee(H-2h)>, 0 <= l <= n-2
+    E(l)     <O(lh), S^{l-1} U^vee(H-h), O((l+1)(H-h)-h)>, 1 <= l <= n-2
     F(l)     <S^l U^vee(H), O((l+2)(H-h))> and also O((l+3)(H-h)-h) if l <= n-4
     Fp(l)    even-case variant of F with the split at l <= n-5
     H        <O(H-2h), O(H-h)> for n = 2, plus O(2H-3h) for n >= 3
@@ -25,20 +29,39 @@ note the elision.  A parameter outside the stated range raises
 
 from __future__ import annotations
 
-import re
+from typing import NamedTuple
 
 from ..flagx import EObject
 
 __all__ = [
+    "Block",
     "BlockRangeError",
     "make_block",
-    "parse_block_spec",
     "notation",
 ]
 
 
 class BlockRangeError(ValueError):
     pass
+
+
+class Block(NamedTuple):
+    """A named block tensored by O(cH + dh), (c, d) = ``twist``."""
+
+    name: str
+    params: tuple[int, ...] = ()
+    twist: tuple[int, int] = (0, 0)
+
+    def __str__(self) -> str:
+        """The record text: ``NAME(p1,p2)@(cH+dh)``, empty parts left out."""
+        text = self.name
+        if self.params:
+            text += "(" + ",".join(map(str, self.params)) + ")"
+        c, d = self.twist
+        if c or d:
+            h = f"{d:+d}h" if c else f"{d}h"
+            text += "@(" + (f"{c}H" if c else "") + (h if d else "") + ")"
+        return text
 
 
 def _seg(lo: int, hi: int) -> list[EObject]:
@@ -69,14 +92,19 @@ def make_block(
         if len(params) != count:
             raise BlockRangeError(f"block {name} takes {count} parameter(s)")
 
+    def param(lo: int, hi: int) -> int:
+        """The one parameter, refused outside lo..hi."""
+        need(1)
+        (p,) = params
+        if not lo <= p <= hi:
+            raise BlockRangeError(f"{name}({p}) out of range {lo}..{hi}")
+        return p
+
     if name == "A":
         need(0)
         objs = _seg(0, n - 1)
     elif name == "Au":
-        need(1)
-        (l,) = params
-        if not 0 <= l <= n:
-            raise BlockRangeError(f"Au({l}) out of range 0..{n}")
+        l = param(0, n)
         objs = _seg(0, n - l - 1)
     elif name == "Aseg":
         need(2)
@@ -88,34 +116,21 @@ def make_block(
         need(0)
         objs = [EObject.line()]
     elif name == "B":
-        need(1)
-        (l,) = params
-        if l < 0:
-            raise BlockRangeError("B(l) needs l >= 0")
+        l = param(0, n - 2)
         objs = [EObject.line(0, l + 1), EObject.schur(l, 1, -1)]
     elif name == "C":
-        need(1)
-        (l,) = params
-        if l < 0:
-            raise BlockRangeError("C(l) needs l >= 0")
+        l = param(0, n - 2)
         objs = [EObject.line(0, l), EObject.schur(l, 1, -2)]
     elif name == "E":
-        need(1)
-        (l,) = params
-        if l < 1:
-            raise BlockRangeError("E(l) needs l >= 1")
+        l = param(1, n - 2)
         objs = [
             EObject.line(0, l),
             EObject.schur(l - 1, 1, -1),
             EObject.line(l + 1, -(l + 2)),
         ]
     elif name in ("F", "Fp"):
-        need(1)
-        (l,) = params
-        hi = n - 2 if name == "F" else n - 3
+        l = param(0, n - 2 if name == "F" else n - 3)
         split = n - 4 if name == "F" else n - 5
-        if not 0 <= l <= hi:
-            raise BlockRangeError(f"{name}({l}) out of range 0..{hi}")
         objs = [EObject.schur(l, 1, 0), EObject.line(l + 2, -(l + 2))]
         if l <= split:
             objs.append(EObject.line(l + 3, -(l + 4)))
@@ -133,16 +148,9 @@ def make_block(
             if n >= 4:
                 objs.append(EObject.line(2, -3))
     elif name == "S":
-        need(1)
-        (k,) = params
-        if not 0 <= k <= n - 2:
-            raise BlockRangeError(f"S({k}) out of range 0..{n-2}")
-        objs = _staircase(k, n)
+        objs = _staircase(param(0, n - 2), n)
     elif name == "row":
-        need(1)
-        (y,) = params
-        if not 0 <= y <= 2 * n - 2:
-            raise BlockRangeError(f"row({y}) out of range 0..{2*n-2}")
+        y = param(0, 2 * n - 2)
         objs = [EObject.line(y, x) for x in range(-1 - n, n)]
     elif name == "cell":
         need(2)
@@ -155,50 +163,6 @@ def make_block(
     if c or d:
         objs = [o.twisted(c, d) for o in objs]
     return objs
-
-
-_SPEC_RE = re.compile(
-    r"^(?P<name>[A-Za-z]+)(?:\((?P<params>-?\d+(?:,-?\d+)*)\))?"
-    r"(?:@\((?P<twist>[^)]*)\))?$"
-)
-_TWIST_RE = re.compile(r"([+-]?\d+)([Hh])")
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:  # a numeral past int's digit limit
-        raise BlockRangeError(str(exc)) from exc
-
-
-def _parse_twist(text: str) -> tuple[int, int]:
-    c = d = 0
-    pos = 0
-    for m in _TWIST_RE.finditer(text):
-        if m.start() != pos:
-            raise BlockRangeError(f"bad twist {text!r}")
-        pos = m.end()
-        if m.group(2) == "H":
-            c += _int(m.group(1))
-        else:
-            d += _int(m.group(1))
-    if pos != len(text) or not text:
-        raise BlockRangeError(f"bad twist {text!r}")
-    return c, d
-
-
-def parse_block_spec(spec: str) -> tuple[str, tuple[int, ...], tuple[int, int]]:
-    """Parse ``NAME(p1,p2)@(cH+dh)`` into (name, params, twist)."""
-    m = _SPEC_RE.match(spec)
-    if not m:
-        raise BlockRangeError(f"bad block spec {spec!r}")
-    params = (
-        tuple(_int(p) for p in m.group("params").split(","))
-        if m.group("params")
-        else ()
-    )
-    twist = _parse_twist(m.group("twist")) if m.group("twist") is not None else (0, 0)
-    return m.group("name"), params, twist
 
 
 def notation(obj: EObject) -> str:

@@ -12,7 +12,9 @@ entry list and returns the pair (old, new) of replaced and written entries;
 the move returns that pair.  A refused move has written nothing, so the
 collection is as it was before it.  ``_MOVES`` names each move by a verb;
 ``scriptgen.Sim.do(verb, *args)`` calls it and records it as the line shown
-here.  The lines are the run's record and are never parsed back:
+here.  The arguments are values (ints, names and ``Block``s); the line
+shows each by ``str``.  The lines are the run's record and are never
+parsed back:
 
     exchange i            transpose entries i, i+1 (Hom must vanish both ways)
     mutl i                (E, b) -> (L_E b, E) through the rule table
@@ -20,7 +22,7 @@ here.  The lines are the run's record and are never parsed back:
     serre i..j            twist the tail i..j by K_X|_E = O(-(N-2)H - h) and
                           move it to the front (mutation through the whole
                           complement)
-    expand SPEC at i      insert the objects of a named block
+    expand BLOCK at i     insert the objects of a ``blocks.Block``
     opaque NAME at i      insert an opaque placeholder
     promote i as NAME     move an opaque entry to the front, renaming it
                           (left mutation of an opaque through everything)
@@ -72,7 +74,7 @@ from ..flagx import (
     x_ext,
     x_euler,
 )
-from .blocks import BlockRangeError, make_block, notation, parse_block_spec
+from .blocks import Block, BlockRangeError, make_block, notation
 
 
 class EngineError(Exception):
@@ -333,14 +335,13 @@ def serre_tail(col: Collection, i: int, j: int) -> Spliced:
     return _splice(col, 0, len(col), twisted + col.entries[:i])
 
 
-def expand_block(col: Collection, spec: str, at: int) -> Spliced:
+def expand_block(col: Collection, block: Block, at: int) -> Spliced:
     if not 0 <= at <= len(col):
         raise ScriptError(f"expand: position {at} out of range")
     try:
-        name, params, twist = parse_block_spec(spec)
-        objs = make_block(name, params, col.n_amb, twist)
+        objs = make_block(block.name, block.params, col.n_amb, block.twist)
     except BlockRangeError as exc:
-        raise ScriptError(f"expand {spec}: {exc}") from exc
+        raise ScriptError(f"expand {block}: {exc}") from exc
     return _splice(col, at, at, [Entry.pure(o) for o in objs])
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..flagx import EObject
+from .blocks import Block
 from .engine import _MOVES, Collection, EngineError, ScriptError
 
 
@@ -118,10 +119,10 @@ class Sim:
     def note(self, text: str) -> None:
         self.lines.append(f"# {text}")
 
-    def expand(self, spec: str, at: int | None = None) -> None:
+    def expand(self, block: Block, at: int | None = None) -> None:
         if at is None:
             at = len(self.col)
-        self.do("expand", spec, at)
+        self.do("expand", block, at)
 
     def idx(self, obj: EObject) -> int:
         pos = self._pos if self._pos is not None else self._index()
@@ -267,16 +268,16 @@ def _collect_tail(sim: Sim, tail: list[EObject]) -> None:
 
 
 def gen_odd_step1(sim: Sim, n: int) -> None:
-    sim.expand(f"Aseg(0,{n-1})@(1H-1h)")
-    sim.expand("A")
+    sim.expand(Block("Aseg", (0, n - 1), (1, -1)))
+    sim.expand(Block("A"))
     _step1_moves(sim, n, odd=True)
 
 
 def gen_odd_step2(sim: Sim, n: int) -> None:
-    sim.expand(f"Aseg(1,{n-1})@(-1h)")
-    sim.expand("O")
+    sim.expand(Block("Aseg", (1, n - 1), (0, -1)))
+    sim.expand(Block("O"))
     for l in range(n - 1):
-        sim.expand(f"B({l})")
+        sim.expand(Block("B", (l,)))
     _step2_moves(sim, n, odd=True)
 
 
@@ -285,14 +286,14 @@ def gen_odd_step3(sim: Sim, n: int) -> None:
         sim.note("vacuous for n=2 (empty C-range)")
         return
     for l in range(1, n - 1):
-        sim.expand(f"C({l})")
-    sim.expand(f"Aseg(0,{n-3})@(1H-1h)")
+        sim.expand(Block("C", (l,)))
+    sim.expand(Block("Aseg", (0, n - 3), (1, -1)))
     _step3_moves(sim, n, odd=True)
 
 
 def gen_odd_step3b(sim: Sim, n: int) -> None:
-    sim.expand(f"Aseg({n-1},{n-1})@(1H-1h)")
-    sim.expand(f"Aseg(0,{n-2})@(1H)")
+    sim.expand(Block("Aseg", (n - 1, n - 1), (1, -1)))
+    sim.expand(Block("Aseg", (0, n - 2), (1, 0)))
     _step3b_moves(sim, n)
 
 
@@ -301,9 +302,9 @@ def gen_odd_step4(sim: Sim, n: int) -> None:
         sim.note("vacuous for n=2 (empty E-range)")
         return
     for l in range(1, n - 1):
-        sim.expand(f"E({l})")
-    sim.expand(f"B({n-2})")
-    sim.expand(f"Aseg(0,{n-3})@(1H)")
+        sim.expand(Block("E", (l,)))
+    sim.expand(Block("B", (n - 2,)))
+    sim.expand(Block("Aseg", (0, n - 3), (1, 0)))
     _step4_moves_odd(sim, n)
 
 
@@ -311,7 +312,7 @@ def gen_odd_full(sim: Sim, n: int) -> None:
     """Grassmannian-side SOD, expanded, through to its mutated form."""
     sim.do("opaque", "pi2*D(X2)", 0)
     for k in range(2 * n + 1):
-        sim.expand(f"A@({k}H)" if k else "A")
+        sim.expand(Block("A", (), (k, 0)))
     first_tail = sim.idx(_S(0, 2 * n - 1))
     sim.do("serre", first_tail, len(sim.col) - 1)
     sim.do("promote", sim.opaque_idx(), "D")
@@ -323,17 +324,23 @@ def gen_odd_full(sim: Sim, n: int) -> None:
     _regroup_moves(sim, n)
 
 
+def mutated_gr_sod(n: int) -> list[Block]:
+    """The blocks after D of the mutated Gr-side SOD (odd, N = 2n + 1): the
+    layout that ``gen_odd_full`` ends at and ``gen_odd_regions`` starts from."""
+    return (
+        [Block("cell", (l, 0)) for l in range(-1, n)]
+        + [Block("H")]
+        + [Block("F", (l,)) for l in range(n - 1)]
+        + [Block("Aseg", (n - 1, n - 1), (1, 0))]
+        + [Block("A", (), (k, 0)) for k in range(2, 2 * n - 1)]
+    )
+
+
 def gen_odd_regions(sim: Sim, n: int) -> None:
     """From the mutated Gr-side SOD to <D_2, group (1), group (2)>."""
     sim.do("opaque", "D", 0)
-    for l in range(-1, n):
-        sim.expand(f"cell({l},0)")
-    sim.expand("H")
-    for l in range(n - 1):
-        sim.expand(f"F({l})")
-    sim.expand(f"Aseg({n-1},{n-1})@(1H)")
-    for k in range(2, 2 * n - 1):
-        sim.expand(f"A@({k}H)")
+    for block in mutated_gr_sod(n):
+        sim.expand(block)
     r = (n - 1) // 2
     tail: list[EObject] = []
     for l in range(r + 1):
@@ -349,7 +356,7 @@ def gen_odd_chessboard(sim: Sim, n: int) -> None:
     """Projective-side row layout through the staircase moves to the final SOD."""
     sim.do("opaque", "pi1*D(X1)", 0)
     for y in range(2 * n - 1):
-        sim.expand(f"row({y})")
+        sim.expand(Block("row", (y,)))
     corner = _O(n, n - 1)
     for k in range(1, n - 1):
         red = _O(n + k, -1 - n)
@@ -369,10 +376,10 @@ def gen_odd_chessboard(sim: Sim, n: int) -> None:
 
 def gen_even_step2(sim: Sim, n: int) -> None:
     """Standalone even step 2: <A^1(-h), A^1(H-h), A, A(H)> -> its stated RHS."""
-    sim.expand(f"Aseg(0,{n-2})@(-1h)")
-    sim.expand(f"Aseg(0,{n-2})@(1H-1h)")
-    sim.expand("A")
-    sim.expand("A@(1H)")
+    sim.expand(Block("Aseg", (0, n - 2), (0, -1)))
+    sim.expand(Block("Aseg", (0, n - 2), (1, -1)))
+    sim.expand(Block("A"))
+    sim.expand(Block("A", (), (1, 0)))
     _step1_moves(sim, n, odd=False)
     _step2_moves(sim, n, odd=False)
     _step3_moves(sim, n, odd=False)
@@ -384,9 +391,9 @@ def gen_even_full(sim: Sim, n: int) -> None:
     """Even pipeline: setup plus steps 1-3, ending at the mutated SOD."""
     sim.do("opaque", "pi2*D(X2)", 0)
     for k in range(n):
-        sim.expand(f"A@({k}H)" if k else "A")
+        sim.expand(Block("A", (), (k, 0)))
     for k in range(n, 2 * n):
-        sim.expand(f"Aseg(0,{n-2})@({k}H)")
+        sim.expand(Block("Aseg", (0, n - 2), (k, 0)))
     first_tail = sim.idx(_S(0, 2 * n - 2))
     sim.do("serre", first_tail, len(sim.col) - 1)
     sim.do("promote", sim.opaque_idx(), "D'")

@@ -31,6 +31,7 @@ from .flagx import (
     x_vanishes,
 )
 from .collections import (
+    Block,
     Collection,
     EngineError,
     count_objects,
@@ -40,11 +41,11 @@ from .collections import (
     mutate_left,
     mutate_right,
     notation,
-    parse_block_spec,
     run_script,
+    serre_twist,
 )
 from .collections.engine import Entry, _tracked, gram_solve
-from .collections.scriptgen import _O, _S
+from .collections.scriptgen import _O, _S, mutated_gr_sod
 
 PASS = "pass"
 FAIL = "fail"
@@ -469,20 +470,19 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
 # ------------------------------------------------------------ layout helpers
 
 
-def _objs(n_amb: int, *specs: str) -> list[EObject]:
+def _objs(n_amb: int, *blocks: Block) -> list[EObject]:
     out: list[EObject] = []
-    for spec in specs:
-        name, params, twist = parse_block_spec(spec)
-        out.extend(make_block(name, params, n_amb, twist))
+    for b in blocks:
+        out.extend(make_block(b.name, b.params, n_amb, b.twist))
     return out
 
 
 def _expected_entries(
-    n_amb: int, head: list[tuple[str, str]], *specs: str
+    n_amb: int, head: list[tuple[str, str]], *blocks: Block
 ) -> list[tuple[str, object]]:
     """Expected layout: named opaque/cone entries then block objects."""
     out: list[tuple[str, object]] = list(head)
-    out.extend(("pure", o) for o in _objs(n_amb, *specs))
+    out.extend(("pure", o) for o in _objs(n_amb, *blocks))
     return out
 
 
@@ -572,27 +572,25 @@ def _replay_claims(
 def _expected_step(step: str, n: int) -> list[tuple[str, object]]:
     n_amb = 2 * n + 1
     if step == "step1":
-        specs = ["O"] + [f"B({l})" for l in range(n - 1)] + [
-            f"Aseg({n-1},{n-1})@(1H-1h)"
-        ]
+        blocks = [Block("O")] + [Block("B", (l,)) for l in range(n - 1)]
+        blocks += [Block("Aseg", (n - 1, n - 1), (1, -1))]
     elif step == "step2":
-        specs = [f"C({l})" for l in range(n - 1)]
-        specs += [f"Aseg(0,{n-3})@(1H-1h)", f"B({n-2})"]
+        blocks = [Block("C", (l,)) for l in range(n - 1)]
+        blocks += [Block("Aseg", (0, n - 3), (1, -1)), Block("B", (n - 2,))]
     elif step == "step3":
         if n < 3:
             return []
-        specs = [f"E({l})" for l in range(1, n - 1)]
+        blocks = [Block("E", (l,)) for l in range(1, n - 1)]
     elif step == "step3b":
-        specs = [f"Aseg(0,{n-3})@(1H)", f"F({n-2})"]
+        blocks = [Block("Aseg", (0, n - 3), (1, 0)), Block("F", (n - 2,))]
     elif step == "step4":
         if n < 3:
             return []
-        specs = ["E(1)"] + [f"cell({l},0)" for l in range(2, n)] + [
-            f"F({l})" for l in range(n - 2)
-        ]
+        blocks = [Block("E", (1,))] + [Block("cell", (l, 0)) for l in range(2, n)]
+        blocks += [Block("F", (l,)) for l in range(n - 2)]
     else:
         raise ValueError(step)
-    return _expected_entries(n_amb, [], *specs)
+    return _expected_entries(n_amb, [], *blocks)
 
 
 _STEP_STATEMENTS = {
@@ -622,21 +620,11 @@ def verify_inductive_steps(n: int) -> Report:
 # ----------------------------------------------------------------- sod (odd)
 
 
-def _expected_sod1mut(n: int) -> list[tuple[str, object]]:
-    n_amb = 2 * n + 1
-    specs = [f"cell({l},0)" for l in range(-1, n)]
-    specs += ["H"]
-    specs += [f"F({l})" for l in range(n - 1)]
-    specs += [f"Aseg({n-1},{n-1})@(1H)"]
-    specs += [f"A@({k}H)" for k in range(2, 2 * n - 1)]
-    return _expected_entries(n_amb, [("opaque", "D")], *specs)
-
-
 def verify_sod_odd(n: int) -> Report:
     """End-to-end odd replay to the mutated Gr-side SOD: counts, reading audits."""
     report = Report(n, "odd")
     n_amb = 2 * n + 1
-    expected = _expected_sod1mut(n)
+    expected = _expected_entries(n_amb, [("opaque", "D")], *mutated_gr_sod(n))
     final = _replay_claims(report, "sod", "odd", "full", expected)
     if final is None:
         return report
@@ -729,23 +717,14 @@ def _in_region_ii(pts: list[tuple[int, int]], n: int) -> bool:
 def _region_groups(n: int) -> tuple[list[EObject], list[EObject]]:
     n_amb = 2 * n + 1
     r = (n - 1) // 2
-    group1: list[EObject] = []
-    for l in range(r + 1):
-        group1.extend(
-            o.twisted(-(n_amb - 2), -1)
-            for o in _objs(n_amb, f"Aseg({n-2*l-1},{n-1})@({n+l}H)")
-        )
-    for l in range(n + 1 + r, 2 * n - 1):
-        group1.extend(
-            o.twisted(-(n_amb - 2), -1) for o in _objs(n_amb, f"A@({l}H)")
-        )
-    specs2 = [f"cell({l},0)" for l in range(-1, n)] + ["H"]
-    specs2 += [f"F({l})" for l in range(n - 1)]
-    specs2 += [f"Aseg({n-1},{n-1})@(1H)"]
-    specs2 += [f"A@({k}H)" for k in range(2, n)]
-    specs2 += [f"Au({2*l+1})@({n+l}H)" for l in range(r + 1)]
-    group2 = _objs(n_amb, *specs2)
-    return group1, group2
+    # Group (1) is the Serre twist of the blocks that move to the tail.
+    moved = [Block("Aseg", (n - 2 * l - 1, n - 1), (n + l, 0)) for l in range(r + 1)]
+    moved += [Block("A", (), (l, 0)) for l in range(n + 1 + r, 2 * n - 1)]
+    group1 = serre_twist(_objs(n_amb, *moved), n_amb)
+    # The mutated SOD up to A((n-1)H), then what stays of A((n+l)H).
+    kept = mutated_gr_sod(n)[: -(n - 1)]
+    kept += [Block("Au", (2 * l + 1,), (n + l, 0)) for l in range(r + 1)]
+    return group1, _objs(n_amb, *kept)
 
 
 def _expected_regions(n: int) -> list[tuple[str, object]]:
@@ -759,9 +738,8 @@ def _expected_regions(n: int) -> list[tuple[str, object]]:
 def _expected_chessboard_final(n: int) -> list[tuple[str, object]]:
     n_amb = 2 * n + 1
     out: list[tuple[str, object]] = [("opaque", "D1")]
-    out.extend(
-        ("pure", o.twisted(-(n_amb - 2), -1)) for o in _objs(n_amb, f"S({n-2})")
-    )
+    staircase = _objs(n_amb, Block("S", (n - 2,)))
+    out.extend(("pure", o) for o in serre_twist(staircase, n_amb))
     for y in range(n + 1):
         xs = range(-1 - n, n) if y < n else range(-1 - n, n - 1)
         out.extend(("pure", _O(y, x)) for x in xs)
@@ -929,42 +907,33 @@ def verify_chessboard(n: int) -> Report:
 # --------------------------------------------------------------------- even
 
 
+def _even_step2_blocks(n: int) -> list[Block]:
+    """The blocks of the even step 2 right-hand side."""
+    blocks = [Block("cell", (l, 0)) for l in range(-1, n)] + [Block("Hp")]
+    blocks += [Block("Fp", (l,)) for l in range(n - 2)]
+    return blocks + [Block("Aseg", (n - 2, n - 1), (1, 0))]
+
+
 def _expected_even_step2(n: int) -> list[tuple[str, object]]:
-    n_amb = 2 * n
-    specs = [f"cell({l},0)" for l in range(-1, n)]
-    specs += ["Hp"]
-    specs += [f"Fp({l})" for l in range(n - 2)]
-    specs += [f"Aseg({n-2},{n-1})@(1H)"]
-    return _expected_entries(n_amb, [], *specs)
+    return _expected_entries(2 * n, [], *_even_step2_blocks(n))
 
 
 def _expected_even_final(n: int) -> list[tuple[str, object]]:
     n_amb = 2 * n
-    out: list[tuple[str, object]] = [("opaque", "D2'")]
     rp = (n - 1) // 2 - 1
+    # The tail that moves to the front is Serre-twisted, as in _region_groups.
+    moved = [Block("Aseg", (n - 1, n - 1), (n - 1, 0))]
+    moved += [Block("Aseg", (n - 2 * l - 3, n - 2), (n + l, 0)) for l in range(rp + 1)]
+    moved += [Block("Aseg", (0, n - 2), (n + l, 0)) for l in range(rp + 1, n - 2)]
+    kept = _even_step2_blocks(n)
     if n == 2:
-        for spec in ("Aseg(1,1)@(-1H-1h)",):
-            out.extend(("pure", o) for o in _objs(n_amb, spec))
-        out.extend(
-            ("pure", o)
-            for o in _objs(
-                n_amb, "cell(-1,0)", "cell(0,0)", "cell(1,0)", "Hp", "Aseg(0,0)@(1H)"
-            )
-        )
-        return out
-    tw = 2 - 2 * n
-    tail_specs = [f"Aseg({n-1},{n-1})@({n-1+tw}H-1h)"]
-    tail_specs += [
-        f"Aseg({n-2*l-3},{n-2})@({n+l+tw}H-1h)" for l in range(rp + 1)
-    ]
-    tail_specs += [f"Aseg(0,{n-2})@({n+l+tw}H-1h)" for l in range(rp + 1, n - 2)]
-    mids = [f"cell({l},0)" for l in range(-1, n)] + ["Hp"]
-    mids += [f"Fp({l})" for l in range(n - 2)]
-    mids += [f"Aseg({n-2},{n-1})@(1H)"]
-    trail = [f"A@({l}H)" for l in range(2, n - 1)]
-    trail += [f"Aseg(0,{n-2})@({n-1}H)"]
-    trail += [f"Au({2*l+3})@({n+l}H)" for l in range(rp + 1)]
-    out.extend(("pure", o) for o in _objs(n_amb, *tail_specs, *mids, *trail))
+        kept.pop()  # its A(H) is the moved S^1Uv(H) and the O(H) kept below
+    kept += [Block("A", (), (l, 0)) for l in range(2, n - 1)]
+    kept += [Block("Aseg", (0, n - 2), (n - 1, 0))]
+    kept += [Block("Au", (2 * l + 3,), (n + l, 0)) for l in range(rp + 1)]
+    out: list[tuple[str, object]] = [("opaque", "D2'")]
+    out.extend(("pure", o) for o in serre_twist(_objs(n_amb, *moved), n_amb))
+    out.extend(("pure", o) for o in _objs(n_amb, *kept))
     return out
 
 

@@ -36,6 +36,7 @@ from typing import Iterator, Sequence
 
 from flipcheck.bwb import GradedDims, cohomology
 from flipcheck.collections import (
+    Block,
     BlockRangeError,
     EngineError,
     KClassMismatch,
@@ -47,7 +48,6 @@ from flipcheck.collections import (
     VanishingNotEstablished,
     make_block,
     notation,
-    parse_block_spec,
 )
 from flipcheck.collections.engine import Entry
 from flipcheck.collections.scriptgen import Sim
@@ -412,12 +412,11 @@ def ref_serre(col: RefCollection, i: int, j: int) -> RefCollection:
     return RefCollection(col.n_amb, twisted + col.entries[:i])
 
 
-def ref_expand(col: RefCollection, spec: str, at: int) -> RefCollection:
+def ref_expand(col: RefCollection, block: Block, at: int) -> RefCollection:
     if at < 0 or at > len(col):
         raise ScriptError(f"position {at} out of range")
     try:
-        name, params, twist = parse_block_spec(spec)
-        objs = make_block(name, params, col.n_amb, twist)
+        objs = make_block(block.name, block.params, col.n_amb, block.twist)
     except BlockRangeError as exc:
         raise ScriptError(str(exc)) from exc
     return _replaced(col, at, at, [Entry.pure(o) for o in objs])

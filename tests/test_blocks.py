@@ -1,10 +1,10 @@
 import pytest
 
 from flipcheck.collections.blocks import (
+    Block,
     BlockRangeError,
     make_block,
     notation,
-    parse_block_spec,
 )
 from flipcheck.flagx import EObject
 
@@ -69,6 +69,12 @@ def test_block_range_errors():
         make_block("S", (4,), 9)  # k > n-2
     with pytest.raises(BlockRangeError):
         make_block("nope", (), 9)
+    # n = 4: B(l) and C(l) take 0 <= l <= 2, E(l) takes 1 <= l <= 2.
+    for name, l in (("B", -1), ("B", 3), ("C", -1), ("C", 3), ("E", 3)):
+        with pytest.raises(BlockRangeError, match="out of range"):
+            make_block(name, (l,), 9)
+    for name, l in (("B", 0), ("B", 2), ("C", 0), ("C", 2), ("E", 1), ("E", 2)):
+        assert make_block(name, (l,), 9)
 
 
 def test_block_empty_segments_allowed():
@@ -81,15 +87,19 @@ def test_block_twist_applied():
     assert objs[0] == EObject.line(2, -1)
 
 
-def test_spec_roundtrip():
-    for spec, parsed in (
-        ("A", ("A", (), (0, 0))),
-        ("Au(2)", ("Au", (2,), (0, 0))),
-        ("B(0)@(1H-1h)", ("B", (0,), (1, -1))),
-        ("cell(-3,4)", ("cell", (-3, 4), (0, 0))),
-        ("Aseg(1,3)@(-2H)", ("Aseg", (1, 3), (-2, 0))),
+def test_block_text():
+    for block, text in (
+        (Block("A"), "A"),
+        (Block("Au", (2,)), "Au(2)"),
+        (Block("cell", (-3, 4)), "cell(-3,4)"),
+        (Block("A", (), (5, 0)), "A@(5H)"),
+        (Block("Aseg", (1, 2), (0, -1)), "Aseg(1,2)@(-1h)"),
+        (Block("Aseg", (0, 3), (1, -1)), "Aseg(0,3)@(1H-1h)"),
+        (Block("Aseg", (2, 2), (-2, -1)), "Aseg(2,2)@(-2H-1h)"),
+        (Block("B", (0,), (-1, 2)), "B(0)@(-1H+2h)"),
     ):
-        assert parse_block_spec(spec) == parsed
+        assert str(block) == text
+        assert "{} at {}".format(block, 4) == f"{text} at 4"
 
 
 def test_notation_examples():

@@ -2,6 +2,7 @@ import pytest
 
 from flipcheck.bwb import GradedDims
 from flipcheck.collections import (
+    Block,
     Collection,
     KClassMismatch,
     NoRuleMatch,
@@ -220,7 +221,7 @@ def test_mutate_block_left_rejects_an_empty_block():
     # i > j would solve an empty Gram system and turn entry j+1 into a cone
     # with no Ext checked.
     c = Collection(7)
-    expand_block(c, "A", 0)
+    expand_block(c, Block("A"), 0)
     with pytest.raises(ScriptError, match=r"mutlblock 2\.\.1: empty block"):
         mutate_block_left(c, 2, 1)
 
@@ -274,7 +275,7 @@ def test_every_block_is_an_exceptional_sequence(n, parity):
 def test_sim_applies_moves_by_verb():
     sim = Sim(Collection(5))
     sim.do("opaque", "D", 0)
-    sim.do("expand", "A", 1)
+    sim.do("expand", Block("A"), 1)
     sim.do("promote", 0, "D2")
     assert [e.kind for e in sim.col.entries] == ["opaque", "pure", "pure"]
     assert sim.lines == ["opaque D at 0", "expand A at 1", "promote 0 as D2"]

@@ -16,6 +16,7 @@ import flipcheck.collections.engine as engine
 import reference
 from flipcheck.bwb import GradedDims
 from flipcheck.collections import (
+    Block,
     Collection,
     EngineError,
     KClassMismatch,
@@ -109,9 +110,18 @@ _RUNS = [
     for n in (2, 3, 4)
     if 5 <= _n_amb(parity, n) <= 9
 ]
-# Blocks that expand, one that expands to nothing and two that are refused.
-_SPECS = [
-    "A", "A@(1H)", "Aseg(0,1)@(1H-1h)", "Aseg(1,1)", "row(1)", "Aseg(3,1)", "A@()", "B(-1)"
+_A, _A_H = Block("A"), Block("A", (), (1, 0))
+# Blocks that expand, one that expands to nothing and two that are refused
+# (B(l) takes 0 <= l <= n-2, and n <= 4 here).
+_BLOCKS = [
+    _A,
+    _A_H,
+    Block("Aseg", (0, 1), (1, -1)),
+    Block("Aseg", (1, 1)),
+    Block("row", (1,)),
+    Block("Aseg", (3, 1)),
+    Block("B", (3,)),
+    Block("B", (-1,)),
 ]
 
 
@@ -134,7 +144,7 @@ def _random_move(length: int):
     return st.one_of(
         st.tuples(st.sampled_from(["exchange", "mutl", "mutr"]), st.tuples(i)),
         st.tuples(st.just("serre"), st.tuples(i, tail_end)),
-        st.tuples(st.just("expand"), st.tuples(st.sampled_from(_SPECS), i)),
+        st.tuples(st.just("expand"), st.tuples(st.sampled_from(_BLOCKS), i)),
         st.tuples(st.just("opaque"), st.tuples(st.just("D"), i)),
         st.tuples(st.just("promote"), st.tuples(i, st.just("P"))),
         # j = i - 1 is an empty block; a block of equal objects fails its Gram
@@ -193,15 +203,15 @@ def _apply(sim: Sim, counts: list[int], ref: RefSim, verb: str, args: tuple):
 @pytest.mark.parametrize(
     "moves,error",
     [
-        ([("expand", "A", 0), ("exchange", -1)], ScriptError),
-        ([("expand", "A", 0), ("opaque", "D", 1), ("exchange", 0)], OpaqueEntryError),
-        ([("expand", "A", 0), ("exchange", 0)], VanishingFalse),
-        ([("expand", "A", 0), ("mutl", 0)], NotSimple),
+        ([("expand", _A, 0), ("exchange", -1)], ScriptError),
+        ([("expand", _A, 0), ("opaque", "D", 1), ("exchange", 0)], OpaqueEntryError),
+        ([("expand", _A, 0), ("exchange", 0)], VanishingFalse),
+        ([("expand", _A, 0), ("mutl", 0)], NotSimple),
         # RHom(O, O) = C[0], but the target O is S^0 Uv: no rule applies.
-        ([("expand", "Aseg(0,0)", 0), ("expand", "Aseg(0,0)", 0), ("mutr", 0)], NoRuleMatch),
-        ([("expand", "A", 0), ("mutlblock", 1, 0)], ScriptError),
+        ([("expand", Block("O"), 0), ("expand", Block("O"), 0), ("mutr", 0)], NoRuleMatch),
+        ([("expand", _A, 0), ("mutlblock", 1, 0)], ScriptError),
         # chi_X(O, O(H)) != 0 sits below the diagonal of [A(1H), O].
-        ([("expand", "A", 0), ("expand", "A@(1H)", 0), ("mutlblock", 0, 3)], KClassMismatch),
+        ([("expand", _A, 0), ("expand", _A_H, 0), ("mutlblock", 0, 3)], KClassMismatch),
     ],
     ids=["negative", "opaque", "nonvanishing", "not-simple", "no-rule", "empty-block", "gram"],
 )
