@@ -8,11 +8,11 @@ script's record shows, e.g. ``Aseg(0,3)@(1H-1h)``.
 Conventions, with n = N // 2:
 
     A        <O, U^vee, ..., S^{n-1} U^vee>
-    Au(l)    <O, ..., S^{n-l-1} U^vee>             ("A^l"), 0 <= l <= n
+    Au(l)    <O, ..., S^{n-l-1} U^vee>             ("A^l")
     Aseg(lo,hi)  <S^lo U^vee, ..., S^hi U^vee>     (generic segment)
-    B(l)     <O((l+1)h), S^l U^vee(H-h)>, 0 <= l <= n-2
-    C(l)     <O(lh), S^l U^vee(H-2h)>, 0 <= l <= n-2
-    E(l)     <O(lh), S^{l-1} U^vee(H-h), O((l+1)(H-h)-h)>, 1 <= l <= n-2
+    B(l)     <O((l+1)h), S^l U^vee(H-h)>
+    C(l)     <O(lh), S^l U^vee(H-2h)>
+    E(l)     <O(lh), S^{l-1} U^vee(H-h), O((l+1)(H-h)-h)>
     F(l)     <S^l U^vee(H), O((l+2)(H-h))> and also O((l+3)(H-h)-h) if l <= n-4
     Fp(l)    even-case variant of F with the split at l <= n-5
     H        <O(H-2h), O(H-h)> for n = 2, plus O(2H-3h) for n >= 3
@@ -22,9 +22,10 @@ Conventions, with n = N // 2:
     row(y)   chessboard row <O(x, y)>_{x = -1-n..n-1}
     cell(x,y)  the single line bundle O(xh + yH)
 
-Blocks may legitimately be empty at boundary parameters (e.g. Au(n)); callers
-note the elision.  A parameter outside the stated range raises
-``BlockRangeError``.
+The one parameter ranges over Au 0..n, B and C 0..n-2, E 1..n-2, F 0..n-2,
+Fp 0..n-3, S 0..n-2 and row 0..2n-2.  Blocks may legitimately be empty at
+boundary parameters (e.g. Au(n)); callers note the elision.  A parameter
+outside its range raises ``BlockRangeError``.
 """
 
 from __future__ import annotations
