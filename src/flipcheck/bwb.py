@@ -28,8 +28,9 @@ must never wrap.  Results are memoized by (N, a, b); the cache is
 observationally pure.  ``flagx``'s Ext kernel reads it by those ints and
 calls ``cohomology`` on a miss only; every Ext and every cohomology of a
 sum, on Gr(2,N) as on E, goes through that kernel.  The zero test is read
-twice: here, and in ``flagx.x_vanishes``, which applies the same band rule
-to each pushed weight to answer "is Ext on X zero?" without a dimension.
+twice: here, and in ``flagx.x_vanishes``, which answers "is Ext on X
+zero?" without a dimension by asking whether the pushed weights, a run
+(x0 - s, y0 + s), all fall in its bands.
 """
 
 from __future__ import annotations

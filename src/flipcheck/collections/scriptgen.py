@@ -22,6 +22,7 @@ raises ``ScriptError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from ..flagx import EObject
@@ -29,13 +30,17 @@ from .blocks import Block
 from .engine import _MOVES, Collection, EngineError, ScriptError
 
 
-# Object shorthands, shared with the verifiers.
+# Object shorthands, shared with the verifiers.  An EObject is frozen, so
+# each is built once and shared: the verifiers ask for the same few objects
+# on every instance.
 
 
+@cache
 def _S(k: int, c: int = 0, d: int = 0) -> EObject:
     return EObject.schur(k, c, d)
 
 
+@cache
 def _O(c: int = 0, d: int = 0) -> EObject:
     return EObject.line(c, d)
 

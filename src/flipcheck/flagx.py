@@ -37,18 +37,26 @@ is built.  Every zero outcome is one shared ``ExtResult``: it and its
 so no caller can tell it from a fresh one except by identity.
 
 A question that needs only "is Ext on X zero?" goes to ``x_vanishes``.  It
-runs the kernel's loops for c = 0 and c = 1 in one body but computes no
-dimension: to each pushed weight Sigma^{x,y} it applies ``bwb.cohomology``'s
-zero test, the band rule 1-N <= x <= -2 or 2-N <= y <= -1, and it returns
-False at the first pushed term outside the band.  It is exact for the same
-reason ``x_ext``'s zero test is: every dim and mult is positive, so nothing
-cancels, and Ext on X is zero iff neither pass has a pushed term with
-nonzero cohomology.  A Bounded pair has nonzero front and back, so the
-predicate never turns one into a pass.  The van claims and audits ask it
-first and run ``x_ext`` only for the pairs whose outcome they record.  A
-twist-shape table, as below and in the move engine, would not help there:
-the part 6 pairs (O(ah), O(bH)) never differ by a common twist, so each has
-a shape of its own.
+lists no pushed weight and computes no dimension.  For a pair of terms
+Sigma^{a1,b1}(d1.h), Sigma^{a2,b2}(d2.h) and c in {0, 1}, put p = a1-b1,
+q = a2-b2, d = d2-d1-c (d = -1 pushes to zero) and let w be the width of
+Rp2* O(d.h): w = d for d >= 0 and -d-2 below.  The two Clebsch-Gordan
+splits of the kernel reach exactly the weights (x0 - s, y0 + s) with
+s = t + u, t = 0..min(p, q) from the first and u = 0..min(p+q-2t, w) from
+the second, where x0 = a2-b1-c + (d if d >= 0 else -1) and
+y0 = b2-a1-c + (0 if d >= 0 else d+1).  These s fill 0..smax without a
+gap, smax = min(p+q, w + min(p, q), (p+q+w) // 2).  ``bwb.cohomology``'s zero test, 1-N <= x <= -2 or 2-N <= y <= -1,
+is then the union of two ranges of s, [x0+2, x0+N-1] and [2-N-y0, -1-y0],
+and the pair is zero iff [0, smax] lies in it: O(1) per pair of terms.  It
+is exact for the same reason ``x_ext``'s zero test is: every dim and mult
+is positive, so nothing cancels, and Ext on X is zero iff neither pass has
+a pushed term with nonzero cohomology.  A Bounded pair has nonzero front
+and back, so the predicate never turns one into a pass.  The tests check it
+against the listed weights (``tests/reference.py``) and against ``x_ext``.
+The van claims and audits ask it first and run ``x_ext`` only for the pairs
+whose outcome they record.  A twist-shape table, as below and in the move
+engine, would not help there: the part 6 pairs (O(ah), O(bH)) never differ
+by a common twist, so each has a shape of its own.
 
 Whether a formal sum sum c_i [obj_i] is 0 in K_0(E) is decided by
 ``_kclass_zero`` from its torus character, with ints only.  The Euler
@@ -218,29 +226,54 @@ def x_ext(a: EObject, b: EObject, n_amb: int) -> ExtResult:
 def x_vanishes(a: EObject, b: EObject, n_amb: int) -> bool:
     """True iff ``x_ext(a, b, n_amb)`` is zero, without computing a dimension.
 
-    The loops of ``_degrees`` for c = 0 (back) and c = 1 (front); a pushed
-    weight Sigma^{x,y} has H* = 0 iff x+N-1 or y+N-2 lies in [0, N-3], the
-    zero test of ``bwb.cohomology``.  No memo is read and no map is built.
+    For each pair of terms and c = 0 (back) and c = 1 (front), the pushed
+    weights are (x0 - s, y0 + s) for s = 0..smax, and the pair is zero iff
+    [0, smax] lies in the two bands of ``bwb.cohomology``'s zero test, read
+    as ranges of s (see the module docstring).  No memo is read and no
+    range is built.
     """
     if n_amb < 3:
         raise ValueError("need N >= 3")
-    lo_x, lo_y = 1 - n_amb, 2 - n_amb
-    for c in (0, 1):
-        for wa, da, _, _ in a.terms:
-            a1, b1 = -wa.b - c, -wa.a - c
-            for wb, db, _, _ in b.terms:
+    k = n_amb - 2  # the length of each band
+    for wa, da, _, _ in a.terms:
+        a1, b1 = wa.a, wa.b
+        p = a1 - b1
+        for wb, db, _, _ in b.terms:
+            a2, b2 = wb.a, wb.b
+            q = a2 - b2
+            top = p + q
+            t = p if p < q else q
+            for c in (0, 1):
                 d = db - da - c
-                if d == -1:
+                # Rp2* O(d.h) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1]
+                # for d <= -2; w is the width of that weight.
+                if d >= 0:
+                    w, x0, y0 = d, a2 - b1 - c + d, b2 - a1 - c
+                elif d == -1:
                     continue
-                pa, pb = (d, 0) if d >= 0 else (-1, d + 1)
-                p, q = a1 - b1, wb.a - wb.b
-                for t in range((p if p < q else q) + 1):
-                    ca, cb = a1 + wb.a - t, b1 + wb.b + t
-                    p, q = ca - cb, pa - pb
-                    for u in range((p if p < q else q) + 1):
-                        x, y = ca + pa - u, cb + pb + u
-                        if not (lo_x <= x <= -2 or lo_y <= y <= -1):
-                            return False
+                else:
+                    w, x0, y0 = -d - 2, a2 - b1 - c - 1, b2 - a1 - c + d + 1
+                # The loops of _degrees reach s = t' + u for 0 <= t' <= t and
+                # 0 <= u <= min(top - 2t', w): every s up to this smax.
+                smax = w + t
+                if top < smax:
+                    smax = top
+                if (top + w) >> 1 < smax:
+                    smax = (top + w) >> 1
+                # lo1 <= lo2 start the two bands; end is the first s past the
+                # run of covered s that starts at 0.  If the first band ends
+                # below 0, the second misses 0 too: the pushed weight at
+                # s = 0 is dominant, x0 >= y0.
+                lo1, lo2 = x0 + 2, -k - y0
+                if lo1 > lo2:
+                    lo1, lo2 = lo2, lo1
+                if lo1 > 0:
+                    return False
+                end = lo1 + k
+                if lo2 <= end:
+                    end = lo2 + k
+                if end <= smax:
+                    return False
     return True
 
 

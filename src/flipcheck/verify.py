@@ -17,7 +17,7 @@ claim rather than hardcoding a correction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bwb import GradedDims
 from .flagx import (
@@ -54,8 +54,11 @@ SKIP = "skipped-opaque"
 _SUMMARY_KEYS = {PASS: "pass", FAIL: "fail", INDET: "indeterminate", SKIP: "skipped"}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
+    """One checked instance of a claim.  A named tuple, immutable as a frozen
+    dataclass would be: the van sweep builds one per instance (53,224 for
+    n = 2..16, both parities), and a tuple is quicker to build."""
+
     id: str
     statement: str
     status: str
@@ -88,6 +91,12 @@ class Report:
         return out
 
     def extend(self, other: "Report") -> None:
+        """Append the claims of ``other``, a report of the same n and parity."""
+        if (other.n, other.parity) != (self.n, self.parity):
+            raise ValueError(
+                f"cannot extend a report of n={self.n} {self.parity} with one "
+                f"of n={other.n} {other.parity}"
+            )
         self.claims.extend(other.claims)
 
 

@@ -297,6 +297,33 @@ def gr_euler(a: EObject, b: EObject, n_amb: int) -> int:
     return gr_ext(a, b, n_amb).euler()
 
 
+def ref_x_vanishes(a: EObject, b: EObject, n_amb: int) -> bool:
+    """Whether Ext on X vanishes, by listing every pushed weight.
+
+    The Clebsch-Gordan loops of the Ext kernel for c = 0 (back) and c = 1
+    (front), each pushed weight Sigma^{x,y} put to the band rule of
+    ``bwb.cohomology``: H* = 0 iff 1-N <= x <= -2 or 2-N <= y <= -1.
+    """
+    if n_amb < 3:
+        raise ValueError("need N >= 3")
+    lo_x, lo_y = 1 - n_amb, 2 - n_amb
+    for c in (0, 1):
+        for wa, da, _, _ in a.terms:
+            a1, b1 = -wa.b - c, -wa.a - c
+            for wb, db, _, _ in b.terms:
+                d = db - da - c
+                if d == -1:
+                    continue
+                pa, pb = (d, 0) if d >= 0 else (-1, d + 1)
+                for t in range(min(a1 - b1, wb.a - wb.b) + 1):
+                    ca, cb = a1 + wb.a - t, b1 + wb.b + t
+                    for u in range(min(ca - cb, pa - pb) + 1):
+                        x, y = ca + pa - u, cb + pb + u
+                        if not (lo_x <= x <= -2 or lo_y <= y <= -1):
+                            return False
+    return True
+
+
 # --------------------------------------------------------------- CLI formats
 
 

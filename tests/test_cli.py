@@ -9,6 +9,7 @@ import pytest
 
 from flipcheck.cli import (
     ParseError,
+    _report_json,
     emit_report,
     parse_object,
     render_chessboard,
@@ -312,6 +313,19 @@ def test_report_json_matches_indented_dumps(claims, n, parity):
     r = Report(n, parity, list(claims))
     expected = json.dumps(report_to_dict(r), indent=2, sort_keys=True)
     assert emit_report(r, "json") == expected
+
+
+def test_report_json_with_and_without_details():
+    # Claim is a named tuple; both emitters read it by field name, with a
+    # detail left out of the entry when it is None.
+    plain = [Claim("a", "s", "pass"), Claim("b", "t", "skipped-opaque")]
+    detailed = [Claim("c", "u", "fail", {"ext": [[0, 1]], "note": "x"})]
+    for claims in (plain, detailed, plain + detailed):
+        r = Report(3, "odd", claims)
+        expected = json.dumps(report_to_dict(r), indent=2, sort_keys=True)
+        assert _report_json(r) == expected
+    entries = report_to_dict(Report(3, "odd", plain + detailed))["claims"]
+    assert ["detail" in e for e in entries] == [False, False, True]
 
 
 def test_report_json_rejects_unknown_status():

@@ -9,6 +9,7 @@ from flipcheck.weights import Weight
 
 import reference
 from reference import (
+    ref_x_vanishes,
     BasisValidationError,
     _basis_objects,
     _lower_gram,
@@ -429,6 +430,55 @@ def test_x_vanishes_band_rule_is_cohomology_zero_test(monkeypatch):
                 w = Weight(wa, wb)
                 expect = cohomology(w, n_amb) == ZERO
                 assert x_vanishes(o, EObject.of_weight(w), n_amb) == expect, (n_amb, w)
+
+
+def test_x_vanishes_matches_listed_weights_exhaustively():
+    # S^p Uv against S^q Uv(bH)(dh) in a box wide enough that every twist
+    # class meets both bands and d runs through d = -1 and d = -2 in both
+    # passes: the interval test against every pushed weight listed.
+    pairs = vanishing = 0
+    for n_amb in range(3, 11):
+        for p in range(6):
+            a = EObject.schur(p)
+            for q in range(6):
+                for b in range(-n_amb - 6, n_amb + 3):
+                    for d in range(-9, 10):
+                        o = EObject.schur(q, b, d)
+                        expect = ref_x_vanishes(a, o, n_amb)
+                        assert x_vanishes(a, o, n_amb) == expect, (n_amb, p, q, b, d)
+                        pairs += 1
+                        vanishing += expect
+    assert (pairs, vanishing) == (120384, 11795)
+
+
+def wide_eobjects():
+    """Sums of 1-3 terms of width up to 12 and h-twist up to 15."""
+    term = st.tuples(
+        st.integers(-12, 12),
+        st.integers(0, 12),
+        st.integers(-15, 15),
+        st.integers(-2, 2),
+        st.integers(1, 3),
+    ).map(lambda t: (Weight(t[0] + t[1], t[0]), t[2], t[3], t[4]))
+    return st.lists(term, min_size=1, max_size=3).map(EObject.of)
+
+
+_VAN6_SUM = EObject.line(0, 3) + shifted(EObject.line(0, 4), 1)
+
+
+@given(st.integers(min_value=3, max_value=30), wide_eobjects(), wide_eobjects())
+@example(7, _VAN6_SUM, EObject.line(1, 0))
+@example(7, EObject.line(0, 1), EObject.line(1, 0))
+@example(7, EObject.line(0, 1), EObject.line(2, 0))
+@example(24, EObject.of_weight(Weight(6, -6), 2), EObject.of_weight(Weight(-1, -13)))
+@example(4, _BOUNDED_A, _BOUNDED_B)
+@settings(max_examples=400, deadline=None)
+def test_x_vanishes_matches_listed_weights(n_amb, a, b):
+    # The examples: a two-term sum that vanishes; van.6 pairs with d = -1 in
+    # the back pass and d = -2 in the front, one zero and one whose pushed
+    # term lies just outside the band; a width-12 pair with d = -2 and -3
+    # that vanishes at N = 24; a bounded pair.
+    assert x_vanishes(a, b, n_amb) == ref_x_vanishes(a, b, n_amb)
 
 
 def _reference_pushed_terms(a, b, c):

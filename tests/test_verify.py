@@ -456,6 +456,25 @@ def test_summary_rejects_unknown_status():
         r.summary()
 
 
+def test_claim_is_immutable_and_detail_defaults_to_none():
+    c = Claim("a", "s", "pass")
+    assert c.detail is None
+    for name in ("id", "statement", "status", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, "x")
+    assert Claim("a", "s", "pass", {"k": 1}).detail == {"k": 1}
+
+
+def test_report_extend_rejects_another_n_or_parity():
+    r = Report(3, "odd", [Claim("x", "a claim", "pass")])
+    for other in (Report(4, "odd"), Report(3, "even"), Report(2, "even")):
+        with pytest.raises(ValueError, match="cannot extend"):
+            r.extend(other)
+    assert [c.id for c in r.claims] == ["x"]
+    r.extend(Report(3, "odd", [Claim("y", "a claim", "fail")]))
+    assert [c.id for c in r.claims] == ["x", "y"]
+
+
 def test_raising_check_fails_in_place(monkeypatch):
     # A check that raises something other than an EngineError is recorded as
     # FAIL naming the error, in its declared position; no other claim moves.
