@@ -46,19 +46,13 @@ single degree and verifies the K-class identity
 [result] = [b] - (-1)^deg [E] with ``flagx._kclass_zero``: a zero torus
 character proves it, and otherwise the reduced Chern character decides.
 
-Ext on X is read once per twist shape.  Ext_X(a, b) and chi_X(a, b) do not
-change when both arguments are twisted by one line bundle O(cH + dh), so
-for one-term objects they depend only on the ints of ``_shape_key``: the
-Schur power of a, the weight and h-twist of b relative to a, the shift
-difference and both multiplicities.  Each collection carries a table from
-those keys to x_ext outcomes, and a script run has one collection, so one
-table serves the run: the exchange checks (both directions), the mutl/mutr
-degree checks and the final ``check_semiorthogonal`` all read it, and
-x_ext runs on the first pair of each shape only; a zero outcome is x_ext's
-one shared zero.  Objects of several terms go to x_ext directly.  The pairs are still
-checked in the same order, so the first refused move, the first failing
-pair and every detail string are those of the unshared route.
-``gram_solve`` keeps its own table of chi_X values per call.
+Every vanishing the engine demands, in an exchange and in the final
+``check_semiorthogonal``, is asked of ``flagx.x_vanishes``, an O(1)
+interval test per pair of terms.  ``x_ext`` runs only on a pair that does
+not vanish, to tell a Bounded outcome from a nonzero one and to write the
+refusal or the failure detail, and on the mutl/mutr pairs, whose degree
+the move reads.  ``gram_solve`` keeps its own table of chi_X values per
+call.
 """
 
 from __future__ import annotations
@@ -71,8 +65,9 @@ from ..flagx import (
     ExtResult,
     _character,
     _kclass_zero,
-    x_ext,
     x_euler,
+    x_ext,
+    x_vanishes,
 )
 from .blocks import Block, BlockRangeError, make_block, notation
 
@@ -137,8 +132,6 @@ class Collection:
     n_amb: int
     # Written only through ``_splice``.
     entries: list[Entry] = field(default_factory=list)
-    # x_ext outcomes by twist shape (see ``_shape_key``): one table per run.
-    xt: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -178,11 +171,11 @@ def count_tracked(col: Collection) -> int:
 
 
 def _shape_key(a: EObject, b: EObject) -> Optional[tuple[int, ...]]:
-    """Ints that fix Ext_X(a, b) and chi_X(a, b) for one-term objects.
+    """Ints that fix chi_X(a, b) for one-term objects: ``gram_solve``'s key.
 
     Twisting a = S^p U^vee (kH)(da h)[sa] and b by O(-kH - da h) leaves
-    both as they are and takes a to S^p U^vee [sa].  What is left of b is
-    read relative to a; the shifts enter as their difference and the
+    chi_X(a, b) as it is and takes a to S^p U^vee [sa].  What is left of b
+    is read relative to a; the shifts enter as their difference and the
     multiplicities as they are.  None for a multi-term or zero object.
     """
     if len(a.terms) != 1 or len(b.terms) != 1:
@@ -190,20 +183,6 @@ def _shape_key(a: EObject, b: EObject) -> Optional[tuple[int, ...]]:
     ((wa, da, sa, ma),) = a.terms
     ((wb, db, sb, mb),) = b.terms
     return (wa.a - wa.b, wb.a - wa.b, wb.b - wa.b, db - da, sb - sa, ma, mb)
-
-
-def _x_ext(col: Collection, a: EObject, b: EObject) -> ExtResult:
-    """x_ext(a, b) on ``col``'s ambient, one call per twist shape per run.
-
-    Multi-term objects go to ``x_ext`` directly.
-    """
-    key = _shape_key(a, b)
-    if key is None:
-        return x_ext(a, b, col.n_amb)
-    r = col.xt.get(key)
-    if r is None:
-        r = col.xt[key] = x_ext(a, b, col.n_amb)
-    return r
 
 
 def _require_pure(col: Collection, i: int, what: str) -> EObject:
@@ -216,16 +195,16 @@ def _require_pure(col: Collection, i: int, what: str) -> EObject:
 
 
 def _require_vanishing(col: Collection, a: EObject, b: EObject, i: int) -> None:
-    r = _x_ext(col, a, b)
+    if x_vanishes(a, b, col.n_amb):
+        return
+    r = x_ext(a, b, col.n_amb)
     if r.kind == "bounded":
         raise VanishingNotEstablished(
             f"exchange {i}: Hom({notation(a)}, {notation(b)}) bounded"
         )
-    if not r.is_zero():
-        raise VanishingFalse(
-            f"exchange {i}: Hom({notation(a)}, {notation(b)}) = "
-            f"{r.total().dims} != 0"
-        )
+    raise VanishingFalse(
+        f"exchange {i}: Hom({notation(a)}, {notation(b)}) = {r.total().dims} != 0"
+    )
 
 
 def exchange(col: Collection, i: int) -> Spliced:
@@ -303,7 +282,7 @@ def _mutate(col: Collection, i: int, side: str) -> Spliced:
     first = _require_pure(col, i, what)
     second = _require_pure(col, i + 1, what)
     mutator, target = (first, second) if side == "L" else (second, first)
-    degree = _simple_degree(_x_ext(col, first, second), f"{what} {i}")
+    degree = _simple_degree(x_ext(first, second, col.n_amb), f"{what} {i}")
     result = _match_rule(mutator, target, col.n_amb, side)
     _check_kclass(result, target, mutator, degree, col.n_amb)
     pair = (result, mutator) if side == "L" else (mutator, result)
@@ -417,46 +396,36 @@ def mutate_block_left(col: Collection, i: int, j: int) -> Spliced:
 
 
 class PairCheck(NamedTuple):
-    """Outcome of one ordered pair.  A named tuple: the final check builds
-    one per pair (139,128 at n = 16), and a tuple is quicker to build than a
-    frozen dataclass."""
+    """A pure pair of the final check whose Hom does not vanish."""
 
     later: int
     earlier: int
-    status: str  # "pass" | "fail" | "indeterminate" | "skipped-opaque"
-    detail: str = ""
+    status: str  # "fail" | "indeterminate"
+    detail: str
 
 
 def check_semiorthogonal(col: Collection) -> list[PairCheck]:
     """Hom_X(entry_j, entry_i) for every j > i must vanish.
 
-    Pairs are checked in order, each through ``_x_ext``: the pairs that the
-    run's moves certified cost a table read, and one ``x_ext`` covers every
-    pair of a twist shape.
+    The pure pairs are asked of ``x_vanishes`` in (j, i) order; ``x_ext``
+    runs only on a pair that does not vanish.  Returns those pairs, in that
+    order; opaque and cone entries are skipped.  A passing collection gives
+    ``[]``.
     """
+    n_amb = col.n_amb
+    pure = [(j, e) for j, e in enumerate(col.entries) if e.kind == "pure"]
     out = []
-    for j in range(len(col)):
-        for i in range(j):
-            ej, ei = col.entries[j], col.entries[i]
-            if ej.kind != "pure" or ei.kind != "pure":
-                out.append(PairCheck(j, i, "skipped-opaque"))
+    for t, (j, ej) in enumerate(pure):
+        for i, ei in pure[:t]:
+            if x_vanishes(ej.obj, ei.obj, n_amb):
                 continue
-            r = _x_ext(col, ej.obj, ei.obj)
-            if r.is_zero():
-                out.append(PairCheck(j, i, "pass"))
-            elif r.kind == "bounded":
-                out.append(
-                    PairCheck(j, i, "indeterminate", f"front={r.front.dims} back={r.back.dims}")
-                )
+            r = x_ext(ej.obj, ei.obj, n_amb)
+            if r.kind == "bounded":
+                detail = f"front={r.front.dims} back={r.back.dims}"
+                out.append(PairCheck(j, i, "indeterminate", detail))
             else:
-                out.append(
-                    PairCheck(
-                        j,
-                        i,
-                        "fail",
-                        f"Hom({ej.label()}, {ei.label()}) = {r.total().dims}",
-                    )
-                )
+                detail = f"Hom({ej.label()}, {ei.label()}) = {r.total().dims}"
+                out.append(PairCheck(j, i, "fail", detail))
     return out
 
 

@@ -7,8 +7,8 @@ each script's sha256 for n = 2..5 and one digest per generator over n = 6..9.
 
 Each run edits one ``Collection`` in place: every move writes the slots it
 changes and returns them as (old, new), which ``Sim`` hands to its hook.
-The run's collection carries its x_ext table (see ``engine._x_ext``), so
-the exchanges of a run read one Ext per twist shape.
+An exchange asks ``flagx.x_vanishes`` of both directions and runs
+``x_ext`` only on a pair that does not vanish (see the engine docstring).
 
 Objects are located by value during generation, which is safe because every
 collection of a run is multiplicity-free.  ``Sim`` keeps a position

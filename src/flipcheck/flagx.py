@@ -53,10 +53,12 @@ is positive, so nothing cancels, and Ext on X is zero iff neither pass has
 a pushed term with nonzero cohomology.  A Bounded pair has nonzero front
 and back, so the predicate never turns one into a pass.  The tests check it
 against the listed weights (``tests/reference.py``) and against ``x_ext``.
-The van claims and audits ask it first and run ``x_ext`` only for the pairs
-whose outcome they record.  A twist-shape table, as below and in the move
-engine, would not help there: the part 6 pairs (O(ah), O(bH)) never differ
-by a common twist, so each has a shape of its own.
+The van claims and audits, the move engine's exchanges and its final
+semiorthogonality check ask it first and run ``x_ext`` only for the pairs
+whose outcome they record.  A twist-shape table, as below, would not help
+there: the part 6 pairs (O(ah), O(bH)) never differ by a common twist, so
+each has a shape of its own, and the predicate costs about what building a
+shape key does.
 
 Whether a formal sum sum c_i [obj_i] is 0 in K_0(E) is decided by
 ``_kclass_zero`` from its torus character, with ints only.  The Euler

@@ -677,11 +677,10 @@ def verify_sod_odd(n: int) -> Report:
             for c in checks
             if c.status == FAIL
         ]
-        indet = sum(1 for c in checks if c.status == INDET)
         if fails:
             return FAIL, {"failing_pairs": fails[:5]}
-        if indet:
-            return INDET, {"indeterminate_pairs": indet}
+        if checks:
+            return INDET, {"indeterminate_pairs": len(checks)}
         return PASS, None
 
     _check(
@@ -814,9 +813,9 @@ def verify_chessboard(n: int) -> Report:
             *block, target = old
             blockers = []
             for e in block:
-                r = x_ext(e.obj, target.obj, n_amb)
-                if not r.is_zero():
-                    blockers.append({"mutator": e.label(), "ext": _ext_detail(r)})
+                if not x_vanishes(e.obj, target.obj, n_amb):
+                    ext = _ext_detail(x_ext(e.obj, target.obj, n_amb))
+                    blockers.append({"mutator": e.label(), "ext": ext})
             cone = new[0]
             cones.append(
                 {
@@ -1027,12 +1026,11 @@ def verify_even(n: int) -> Report:
     def pairs() -> Outcome:
         checks = check_semiorthogonal(final)
         fails = [c for c in checks if c.status == FAIL]
-        indet = [c for c in checks if c.status == INDET]
         if fails:
             return FAIL, {"failing_pairs": [c.detail for c in fails[:5]]}
-        if indet:
-            return INDET, {"indeterminate_pairs": len(indet)}
-        return PASS, {"pure_pairs": sum(1 for c in checks if c.status == PASS)}
+        if checks:
+            return INDET, {"indeterminate_pairs": len(checks)}
+        return PASS, {"pure_pairs": count * (count - 1) // 2}
 
     _check(
         report,

@@ -84,13 +84,17 @@ def test_a_nonzero_hom_is_refused_the_same_way_by_the_reference(monkeypatch):
             pairs.append((old[1].obj, old[0].obj))
 
     GENERATORS[("odd", "step1")](Sim(Collection(7), record), 3)
-    x_ext_real = reference.x_ext
+    x_ext_real, x_vanishes_real = reference.x_ext, engine.x_vanishes
 
     def nonzero_hom(a, b, n_amb):
         if (a, b) == pairs[1]:
             return ExtResult("exact", GradedDims(), GradedDims(((0, 1),)))
         return x_ext_real(a, b, n_amb)
 
+    def vanishes(a, b, n_amb):
+        return (a, b) != pairs[1] and x_vanishes_real(a, b, n_amb)
+
+    monkeypatch.setattr(engine, "x_vanishes", vanishes)
     monkeypatch.setattr(engine, "x_ext", nonzero_hom)
     monkeypatch.setattr(reference, "x_ext", nonzero_hom)
     sim, counts = _counted_sim(7)

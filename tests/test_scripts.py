@@ -261,13 +261,17 @@ def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
             pairs.append((old[1].obj, old[0].obj))
 
     run_script("odd", "step1", 3, on_move=record)
-    x_ext_real = engine.x_ext
+    x_ext_real, x_vanishes_real = engine.x_ext, engine.x_vanishes
 
     def nonzero_hom(a, b, n_amb):
         if (a, b) == pairs[1]:
             return ExtResult("exact", GradedDims(), GradedDims(((0, 1),)))
         return x_ext_real(a, b, n_amb)
 
+    def vanishes(a, b, n_amb):
+        return (a, b) != pairs[1] and x_vanishes_real(a, b, n_amb)
+
+    monkeypatch.setattr(engine, "x_vanishes", vanishes)
     monkeypatch.setattr(engine, "x_ext", nonzero_hom)
     generated = run_script("odd", "step1", 3)
     with monkeypatch.context() as m:

@@ -1,8 +1,10 @@
-"""The move engine reads Ext_X and chi_X once per twist shape.
+"""The move engine's fast paths against the obvious routes.
 
-Each fast path is checked against an unshared route that calls ``x_ext``
-(or ``x_euler``) on every pair; a wrong answer on one shape must surface at
-the same first pair with the same detail either way.
+Exchanges and the final check ask ``x_vanishes`` of every pair and run
+``x_ext`` only on a pair that does not vanish; ``gram_solve`` reads chi_X
+once per twist shape.  Each is checked against an unshared route that calls
+``x_ext`` (or ``x_euler``) on every pair; a wrong answer on one shape must
+surface at the same first pair with the same detail either way.
 """
 
 import random
@@ -18,10 +20,11 @@ from flipcheck.collections import (
     PairCheck,
     check_semiorthogonal,
     exchange,
+    notation,
     run_script,
 )
 from flipcheck.collections.engine import Entry, gram_solve
-from flipcheck.flagx import EObject, ExtResult, x_ext
+from flipcheck.flagx import EObject, ExtResult, x_ext, x_vanishes
 from flipcheck.weights import Weight
 
 from reference import shifted
@@ -61,16 +64,17 @@ def _twist_normal(a: EObject, b: EObject) -> tuple:
 
 
 def _unshared_pairs(col: Collection, ext=x_ext) -> list[PairCheck]:
-    """check_semiorthogonal by the obvious route: x_ext on every pair."""
+    """check_semiorthogonal by the obvious route: x_ext on every pair, with
+    the passing and skipped pairs kept."""
     out = []
     for j, ej in enumerate(col.entries):
         for i, ei in enumerate(col.entries[:j]):
             if ej.kind != "pure" or ei.kind != "pure":
-                out.append(PairCheck(j, i, "skipped-opaque"))
+                out.append(PairCheck(j, i, "skipped-opaque", ""))
                 continue
             r = ext(ej.obj, ei.obj, col.n_amb)
             if r.is_zero():
-                out.append(PairCheck(j, i, "pass"))
+                out.append(PairCheck(j, i, "pass", ""))
             elif r.kind == "bounded":
                 detail = f"front={r.front.dims} back={r.back.dims}"
                 out.append(PairCheck(j, i, "indeterminate", detail))
@@ -78,6 +82,11 @@ def _unshared_pairs(col: Collection, ext=x_ext) -> list[PairCheck]:
                 detail = f"Hom({ej.label()}, {ei.label()}) = {r.total().dims}"
                 out.append(PairCheck(j, i, "fail", detail))
     return out
+
+
+def _non_passing(checks: list[PairCheck]) -> list[PairCheck]:
+    """The pairs that ``check_semiorthogonal`` returns: fail and indeterminate."""
+    return [c for c in checks if c.status in ("fail", "indeterminate")]
 
 
 def _outcome(fn, *args):
@@ -96,29 +105,29 @@ def _exchanged(col: Collection) -> Collection:
 @pytest.mark.parametrize("n_amb", range(3, 18))
 def test_check_semiorthogonal_matches_the_unshared_route(n_amb):
     col = _mixed_collection(n_amb)
-    got = check_semiorthogonal(col)
-    assert got == _unshared_pairs(col)
-    assert {c.status for c in got} >= {"pass", "fail", "skipped-opaque"}
+    unshared = _unshared_pairs(col)
+    assert check_semiorthogonal(col) == _non_passing(unshared)
+    assert {c.status for c in unshared} >= {"pass", "fail", "skipped-opaque"}
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_final_sod_check_matches_the_unshared_route(n, parity):
-    # The final collection keeps the table its own replay filled.
     res = run_script(parity, "full", n)
-    assert res.ok and res.final.xt
-    assert check_semiorthogonal(res.final) == _unshared_pairs(res.final)
+    assert res.ok
+    assert check_semiorthogonal(res.final) == _non_passing(_unshared_pairs(res.final))
 
 
-def test_x_ext_table_matches_x_ext_on_every_pair():
-    # One table for all ordered pairs of MIXED: a key that dropped or mixed
-    # up a component would hand one pair the Ext of another.
-    n_amb = 5
-    col = Collection(n_amb)
-    for a in MIXED:
-        for b in MIXED:
-            assert engine._x_ext(col, a, b) == x_ext(a, b, n_amb), (a, b)
-    assert len(col.xt) < len(MIXED) ** 2
+def _exchanged_by_x_ext(a: EObject, b: EObject, n_amb: int):
+    """The outcome of exchanging (a, b), read from x_ext in both directions."""
+    for x, y in ((a, b), (b, a)):
+        r = x_ext(x, y, n_amb)
+        hom = f"exchange 0: Hom({notation(x)}, {notation(y)})"
+        if r.kind == "bounded":
+            return "VanishingNotEstablished", f"{hom} bounded"
+        if not r.is_zero():
+            return "VanishingFalse", f"{hom} = {r.total().dims} != 0"
+    return Collection(n_amb, [Entry.pure(b), Entry.pure(a)])
 
 
 @pytest.mark.parametrize("n_amb", range(3, 18))
@@ -130,20 +139,26 @@ def test_exchange_and_gram_solve_match_the_unshared_route(n_amb, monkeypatch):
     a_block = list(make_block("A", (), n_amb))  # an exceptional sequence
     blocks += [(a_block, t) for t in pure[:4] + a_block]
 
+    exchanged = [
+        _outcome(_exchanged, Collection(n_amb, [Entry.pure(a), Entry.pure(b)]))
+        for a in pure
+        for b in pure
+    ]
+    assert exchanged == [_exchanged_by_x_ext(a, b, n_amb) for a in pure for b in pure]
+    assert any(isinstance(o, Collection) for o in exchanged)
+    assert any(isinstance(o, tuple) for o in exchanged)
+
     def run_all():
-        table: dict = {}  # shared by every exchange, as within one run
-        return [
-            _outcome(_exchanged, Collection(n_amb, [Entry.pure(a), Entry.pure(b)], table))
-            for a in pure
-            for b in pure
-        ], [_outcome(gram_solve, block, target, n_amb) for block, target in blocks]
+        return [_outcome(gram_solve, block, target, n_amb) for block, target in blocks]
 
     shared = run_all()
     monkeypatch.setattr(engine, "_shape_key", lambda a, b: None)
     assert run_all() == shared
-    assert any(isinstance(o, Collection) for o in shared[0])
-    assert any(isinstance(o, tuple) for o in shared[0])
-    assert any(isinstance(o, list) for o in shared[1])
+    assert any(isinstance(o, list) for o in shared)
+
+
+def _on_shape(a: EObject, b: EObject, shape) -> bool:
+    return len(a.terms) == len(b.terms) == 1 and _twist_normal(a, b) == shape
 
 
 def _faulty_on(shape):
@@ -151,10 +166,21 @@ def _faulty_on(shape):
     wrong = ExtResult("exact", GradedDims(), GradedDims(((0, 1),)))
 
     def faulty(a, b, n_amb):
-        if len(a.terms) == len(b.terms) == 1 and _twist_normal(a, b) == shape:
-            return wrong
-        return x_ext(a, b, n_amb)
+        return wrong if _on_shape(a, b, shape) else x_ext(a, b, n_amb)
 
+    return faulty
+
+
+def _inject(monkeypatch, shape):
+    """Give the engine a nonzero Hom on every pair of one twist shape, in
+    x_vanishes and x_ext alike; returns the faulty x_ext."""
+    faulty = _faulty_on(shape)
+    monkeypatch.setattr(engine, "x_ext", faulty)
+    monkeypatch.setattr(
+        engine,
+        "x_vanishes",
+        lambda a, b, n_amb: not _on_shape(a, b, shape) and x_vanishes(a, b, n_amb),
+    )
     return faulty
 
 
@@ -172,11 +198,8 @@ def _first_fail(checks):
 def test_a_wrong_ext_on_one_shape_fails_the_same_first_pair(pick, monkeypatch):
     final = run_script("odd", "full", 3).final
     shape = _pure_pair_shapes(final)[pick]
-    faulty = _faulty_on(shape)
-    expected = _unshared_pairs(final, faulty)
-    monkeypatch.setattr(engine, "x_ext", faulty)
-    col = Collection(final.n_amb, final.entries)
-    got = check_semiorthogonal(col)
+    expected = _non_passing(_unshared_pairs(final, _inject(monkeypatch, shape)))
+    got = check_semiorthogonal(final)
     assert got == expected
     first = _first_fail(got)
     assert first is not None and first == _first_fail(expected)
@@ -193,32 +216,37 @@ def test_a_wrong_ext_on_an_exchanged_shape_refuses_the_same_move(step, monkeypat
 
     assert run_script("odd", step, 4, on_move=record).ok
     for shape in (shapes[0], shapes[len(shapes) // 2], shapes[-1]):
-        monkeypatch.setattr(engine, "x_ext", _faulty_on(shape))
-        shared = run_script("odd", step, 4)
+        faulty = _inject(monkeypatch, shape)
+        fast = run_script("odd", step, 4)
         with monkeypatch.context() as m:
-            m.setattr(engine, "_shape_key", lambda a, b: None)
+            # The unshared route: x_ext decides every vanishing.
+            m.setattr(engine, "x_vanishes", lambda a, b, n_amb: faulty(a, b, n_amb).is_zero())
             unshared = run_script("odd", step, 4)
-        assert not shared.ok
-        assert (shared.moves_applied, shared.failed_line, shared.error) == (
+        assert not fast.ok
+        assert (fast.moves_applied, fast.failed_line, fast.error) == (
             unshared.moves_applied,
             unshared.failed_line,
             unshared.error,
         )
-        assert shared.final == unshared.final
+        assert fast.final == unshared.final
 
 
 @pytest.mark.parametrize("parity,step", [("odd", "full"), ("even", "full"), ("odd", "chessboard")])
-def test_x_ext_runs_once_per_shape_in_a_run(parity, step, monkeypatch):
-    seen = []
+def test_x_ext_runs_only_on_pairs_that_do_not_vanish(parity, step, monkeypatch):
+    # Every exchange of a passing run vanishes both ways, so x_ext runs once
+    # per mutl/mutr move, for the degree the move reads, and the final check
+    # of the run asks it nothing.
+    calls = []
+    verbs = []
 
     def counted(a, b, n_amb):
-        seen.append(_twist_normal(a, b))
+        calls.append((a, b))
         return x_ext(a, b, n_amb)
 
     monkeypatch.setattr(engine, "x_ext", counted)
-    res = run_script(parity, step, 4)
-    assert res.ok
-    after_moves = len(seen)
-    check_semiorthogonal(res.final)
-    assert len(seen) == len(set(seen))
-    assert after_moves > 0 and len(seen) > after_moves
+    res = run_script(parity, step, 4, on_move=lambda verb, *rest: verbs.append(verb))
+    assert res.ok and "exchange" in verbs
+    assert len(calls) == sum(1 for v in verbs if v in ("mutl", "mutr"))
+    del calls[:]
+    assert check_semiorthogonal(res.final) == []
+    assert calls == []

@@ -7,7 +7,8 @@ import pytest
 import flipcheck.verify as fv
 from flipcheck.bwb import ZERO, GradedDims
 from flipcheck.cli import emit_report
-from flipcheck.flagx import EObject, e_ext, gr_collection, x_ext, x_vanishes
+from flipcheck.collections import run_script
+from flipcheck.flagx import EObject, ExtResult, e_ext, gr_collection, x_ext, x_vanishes
 from flipcheck.verify import (
     FAIL,
     INDET,
@@ -301,6 +302,93 @@ def test_even_n2_remark():
     assert by["even/count-final"].detail["count"] == 6
 
 
+_NONZERO = ExtResult("exact", GradedDims(), GradedDims(((0, 1),)))
+_BOUNDED = ExtResult("bounded", GradedDims(((0, 1),)), GradedDims(((1, 1),)))
+
+
+def _pair_only_the_final_check_asks(parity, n):
+    """(j, e_j, i, e_i), j > i: the first pure pair of the full replay's final
+    collection whose ordered objects no move of the replay asked about."""
+    import flipcheck.collections.engine as fe
+
+    asked = set()
+
+    def recording(orig):
+        def run(a, b, n_amb):
+            asked.add((a, b))
+            return orig(a, b, n_amb)
+
+        return run
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("x_vanishes", "x_ext"):
+            m.setattr(fe, name, recording(getattr(fe, name)))
+        final = run_script(parity, "full", n).final
+    pure = [(j, e) for j, e in enumerate(final.entries) if e.kind == "pure"]
+    return next(
+        (j, ej, i, ei)
+        for t, (j, ej) in enumerate(pure)
+        for i, ei in pure[:t]
+        if (ej.obj, ei.obj) not in asked
+    )
+
+
+def _final_claims_with(monkeypatch, verifier, parity, n, result):
+    """The claims of ``verifier(n)`` with Hom(e_j, e_i) = ``result`` on the
+    pair of ``_pair_only_the_final_check_asks``, injected into the engine's
+    x_vanishes and x_ext alike, and that pair."""
+    import flipcheck.collections.engine as fe
+
+    j, ej, i, ei = _pair_only_the_final_check_asks(parity, n)
+    vanishes, ext = fe.x_vanishes, fe.x_ext
+
+    def hit(a, b):
+        return (a, b) == (ej.obj, ei.obj)
+
+    with monkeypatch.context() as m:
+        m.setattr(fe, "x_vanishes", lambda a, b, n_amb: not hit(a, b) and vanishes(a, b, n_amb))
+        m.setattr(fe, "x_ext", lambda a, b, n_amb: result if hit(a, b) else ext(a, b, n_amb))
+        by = claims_by_id(verifier(n))
+    return by, (j, ej, i, ei)
+
+
+def test_sod_semiorthogonal_can_fail(monkeypatch):
+    claim = claims_by_id(verify_sod_odd(3))["sod/semiorthogonal"]
+    assert (claim.status, claim.detail) == (PASS, None)
+
+    by, (j, ej, i, ei) = _final_claims_with(monkeypatch, verify_sod_odd, "odd", 3, _NONZERO)
+    assert by["sod/replay"].status == PASS
+    claim = by["sod/semiorthogonal"]
+    assert claim.status == FAIL
+    assert claim.detail == {
+        "failing_pairs": [
+            {"later": j, "earlier": i, "detail": f"Hom({ej.label()}, {ei.label()}) = ((0, 1),)"}
+        ]
+    }
+
+    by, _ = _final_claims_with(monkeypatch, verify_sod_odd, "odd", 3, _BOUNDED)
+    assert by["sod/replay"].status == PASS
+    claim = by["sod/semiorthogonal"]
+    assert (claim.status, claim.detail) == (INDET, {"indeterminate_pairs": 1})
+
+
+def test_even_remark_pairs_can_fail(monkeypatch):
+    # P = 6 pure objects: P(P-1)/2 = 15 pairs.
+    claim = claims_by_id(verify_even(2))["even/remark/pairs"]
+    assert (claim.status, claim.detail) == (PASS, {"pure_pairs": 15})
+
+    by, (j, ej, i, ei) = _final_claims_with(monkeypatch, verify_even, "even", 2, _NONZERO)
+    assert by["even/replay"].status == PASS
+    claim = by["even/remark/pairs"]
+    assert claim.status == FAIL
+    assert claim.detail == {"failing_pairs": [f"Hom({ej.label()}, {ei.label()}) = ((0, 1),)"]}
+
+    by, _ = _final_claims_with(monkeypatch, verify_even, "even", 2, _BOUNDED)
+    assert by["even/replay"].status == PASS
+    claim = by["even/remark/pairs"]
+    assert (claim.status, claim.detail) == (INDET, {"indeterminate_pairs": 1})
+
+
 def test_replay_claims_fail_and_vacuous_paths(monkeypatch):
     from flipcheck.collections.scriptgen import GENERATORS
 
@@ -422,7 +510,7 @@ def test_claims_run_on_the_calling_thread(monkeypatch):
     ext, vanishes = recording(fx.x_ext), recording(fx.x_vanishes)
     for module in (fx, fv, fe):
         monkeypatch.setattr(module, "x_ext", ext)
-    for module in (fx, fv):
+    for module in (fx, fv, fe):
         monkeypatch.setattr(module, "x_vanishes", vanishes)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     got = emit_report(verify_suite(3, "odd", "all", jobs=4), "json")
