@@ -17,7 +17,7 @@ claim rather than hardcoding a correction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .bwb import GradedDims
 from .flagx import (
@@ -34,6 +34,7 @@ from .collections import (
     Block,
     Collection,
     EngineError,
+    NoRuleMatch,
     count_objects,
     count_tracked,
     check_semiorthogonal,
@@ -145,234 +146,201 @@ def _exceptional(pures: list[EObject], n_amb: int) -> Outcome:
     return PASS, {"objects": len(pures)}
 
 
-def _vacuous(report: Report, cid: str, statement: str) -> None:
-    report.claims.append(
-        Claim(cid, statement, PASS, {"note": "vacuous (empty index range)"})
-    )
-
-
 # --------------------------------------------------------------------- van
 
 
-def verify_van(part: int, n: int, parity: str = "odd") -> Report:
-    """The six Hom-vanishing statements, instance by instance."""
-    report = Report(n, parity)
-    n_amb = report.n_amb
-
+def _van_instances(
+    part: int, n: int, odd: bool, n_amb: int, lh: dict, lH: dict
+) -> Iterator[tuple[str, str, EObject, EObject]]:
+    """Part ``part`` stated once: (id, statement, A, B) for each instance
+    RHom_X(A, B) = 0 of its index ranges, in report order.  ``lh[a]`` and
+    ``lH[b]`` are part (6)'s line bundles O(ah) and O(bH)."""
     if part == 1:
-        ks = range(n) if parity == "odd" else range(1, n)
-        for k in ks:
+        for k in range(n) if odd else range(1, n):
             for a in range(n - k):
-                _check(
-                    report,
-                    f"van.1/k={k}/a={a}",
-                    f"RHom(S^{n-k-1}Uv(H-h), S^{a}Uv) = 0",
-                    _vanish, _S(n - k - 1, 1, -1), _S(a), n_amb,
+                yield (
+                    f"van.1/k={k}/a={a}", f"RHom(S^{n-k-1}Uv(H-h), S^{a}Uv) = 0",
+                    _S(n - k - 1, 1, -1), _S(a),
                 )
-        if parity == "even":
-            def audit() -> Outcome:
-                bad = []
-                for a in range(n):
-                    pair = _S(n - 1, 1, -1), _S(a), n_amb
-                    if not x_vanishes(*pair):
-                        bad.append({"a": a, "ext": _ext_detail(x_ext(*pair))})
-                return PASS, {
-                    "note": "k=0 excluded for even parity: S^{n-1}Uv(H-h) lies "
-                    "outside the even Gr collection and the even replay never "
-                    "moves it",
-                    "k0_nonvanishing_instances": bad,
-                }
-
-            _check(report, "van.1/scope-audit", "even-parity scope of part (1)", audit)
-
     elif part == 2:
         # Even parity: line 2 targets the even-collection analogue
         # A^{n-k+1}(H-h) = <O..S^{k-2}Uv>(H-h); the stated b <= k range is an
         # odd-case statement and its b = k boundary genuinely fails at N = 4.
-        b_top = (lambda k: k + 1) if parity == "odd" else (lambda k: k - 1)
         for k in range(n):
             for a in range(k + 2, n):
-                _check(
-                    report,
-                    f"van.2a/k={k}/a={a}",
-                    f"RHom(S^{a}Uv(-h), O({k}h)) = 0",
-                    _vanish, _S(a, 0, -1), _O(0, k), n_amb,
+                yield (
+                    f"van.2a/k={k}/a={a}", f"RHom(S^{a}Uv(-h), O({k}h)) = 0",
+                    _S(a, 0, -1), _O(0, k),
                 )
-            for b in range(b_top(k)):
-                _check(
-                    report,
-                    f"van.2b/k={k}/b={b}",
-                    f"RHom(S^{b}Uv(H-h), O({k}h)) = 0",
-                    _vanish, _S(b, 1, -1), _O(0, k), n_amb,
+            for b in range(k + 1 if odd else k - 1):
+                yield (
+                    f"van.2b/k={k}/b={b}", f"RHom(S^{b}Uv(H-h), O({k}h)) = 0",
+                    _S(b, 1, -1), _O(0, k),
                 )
-        if parity == "even":
-            def audit2() -> Outcome:
-                bad = []
-                for k in range(n):
-                    for b in (k - 1, k):
-                        if b < 0:
-                            continue
-                        pair = _S(b, 1, -1), _O(0, k), n_amb
-                        if not x_vanishes(*pair):
-                            ext = _ext_detail(x_ext(*pair))
-                            bad.append({"k": k, "b": b, "ext": ext})
-                return PASS, {
-                    "note": "even-parity line 2 is scoped to the analogue "
-                    "range b <= k-2 (the A^{n-k+1}(H-h) run the even replay "
-                    "moves); the odd statement's b <= k extension is audited",
-                    "extension_nonvanishing": bad,
-                }
-
-            _check(
-                report, "van.2/scope-audit", "even-parity scope of part (2) line 2", audit2
-            )
-
     elif part == 3:
-        any_inst = False
         for k in range(1, n - 1):
             for l in range(k + 1, n - 1):
-                any_inst = True
-                _check(
-                    report,
-                    f"van.3/k={k}/l={l}/line",
-                    f"RHom(O({l}h), S^{k-1}Uv(H-h)) = 0",
-                    _vanish, _O(0, l), _S(k - 1, 1, -1), n_amb,
+                yield (
+                    f"van.3/k={k}/l={l}/line", f"RHom(O({l}h), S^{k-1}Uv(H-h)) = 0",
+                    _O(0, l), _S(k - 1, 1, -1),
                 )
-                _check(
-                    report,
+                yield (
                     f"van.3/k={k}/l={l}/schur",
                     f"RHom(S^{l}Uv(H-2h), S^{k-1}Uv(H-h)) = 0",
-                    _vanish, _S(l, 1, -2), _S(k - 1, 1, -1), n_amb,
+                    _S(l, 1, -2), _S(k - 1, 1, -1),
                 )
-        if not any_inst:
-            _vacuous(report, "van.3/vacuous", "no instances for this n")
-
     elif part == 4:
-        any_inst = False
         for k in range(1, n - 1):
-            any_inst = True
             for l in range(n - k, n):
-                _check(
-                    report,
+                yield (
                     f"van.4a/k={k}/l={l}",
                     f"RHom(S^{n-2-k}Uv(H-h), O({l}h)) = 0 (certified reading)",
-                    _vanish, _S(n - 2 - k, 1, -1), _O(0, l), n_amb,
+                    _S(n - 2 - k, 1, -1), _O(0, l),
                 )
             for a in range(n - k - 1):
-                _check(
-                    report,
-                    f"van.4b/k={k}/a={a}",
-                    f"RHom(S^{n-k}Uv(H-h), S^{a}Uv(H)) = 0",
-                    _vanish, _S(n - k, 1, -1), _S(a, 1), n_amb,
+                yield (
+                    f"van.4b/k={k}/a={a}", f"RHom(S^{n-k}Uv(H-h), S^{a}Uv(H)) = 0",
+                    _S(n - k, 1, -1), _S(a, 1),
                 )
             for b in range(n - k - 2):
-                _check(
-                    report,
-                    f"van.4c/k={k}/b={b}",
-                    f"RHom(O(({n-k})(H-h)-h), S^{b}Uv(H)) = 0",
-                    _vanish, _O(n - k, -(n - k + 1)), _S(b, 1), n_amb,
+                yield (
+                    f"van.4c/k={k}/b={b}", f"RHom(O(({n-k})(H-h)-h), S^{b}Uv(H)) = 0",
+                    _O(n - k, -(n - k + 1)), _S(b, 1),
                 )
-        if not any_inst:
-            _vacuous(report, "van.4/vacuous", "no instances for this n")
-        else:
-            def audit4() -> Outcome:
-                ok = bad = 0
-                sample = None
-                for k in range(1, n - 1):
-                    for l in range(n - k, n):
-                        pair = _S(n - 2 - k, 1, -1), _O(l, 0), n_amb
-                        if x_vanishes(*pair):
-                            ok += 1
-                        else:
-                            bad += 1
-                            if sample is None:
-                                ext = _ext_detail(x_ext(*pair))
-                                sample = {"k": k, "l": l, "ext": ext}
-                return PASS, {
-                    "note": "display reading O(lH) of part (4) line 1; the "
-                    "appendix proof computes the O(lh) version, which the "
-                    "primary claims certify",
-                    "display_reading_vanishing": ok,
-                    "display_reading_nonvanishing": bad,
-                    "sample": sample,
-                }
-
-            _check(
-                report, "van.4/reading-audit", "O(lH) vs O(lh) reading of line 1", audit4
-            )
-
     elif part == 5:
-        if parity == "even":
-            report.claims.append(
-                Claim(
-                    "van.5/parity",
-                    "part (5) is odd-only; the even-case transpositions are "
-                    "certified inside the even replay",
-                    SKIP,
-                )
-            )
-        else:
-            r_max = (n - 1) // 2
-            any_inst = False
-            for l in range(r_max + 1):
-                for k in range(l + 1, r_max + 1):
-                    for a in range(n - 2 * l - 1, n):
-                        for b in range(n - 2 * k - 1):
-                            any_inst = True
-                            _check(
-                                report,
-                                f"van.5/l={l}/k={k}/a={a}/b={b}",
-                                f"RHom(S^{a}Uv(({n+l})H), S^{b}Uv(({n+k})H)) = 0",
-                                _vanish, _S(a, n + l), _S(b, n + k), n_amb,
-                            )
-            if not any_inst:
-                _vacuous(report, "van.5/vacuous", "empty range 0 <= l < k <= r")
-
-    elif part == 6:
+        r_max = (n - 1) // 2
+        for l in range(r_max + 1):
+            for k in range(l + 1, r_max + 1):
+                for a in range(n - 2 * l - 1, n):
+                    for b in range(n - 2 * k - 1):
+                        yield (
+                            f"van.5/l={l}/k={k}/a={a}/b={b}",
+                            f"RHom(S^{a}Uv(({n+l})H), S^{b}Uv(({n+k})H)) = 0",
+                            _S(a, n + l), _S(b, n + k),
+                        )
+    else:
         box = 3 * n
-        # Each line bundle is built once: lh[a] = O(ah), lH[b] = O(bH).
-        lh = {a: _O(0, a) for a in range(-box, box + 1)}
-        lH = {b: _O(b, 0) for b in range(-box, box + 1)}
         for b in range(1, box + 1):
             for a in range(b + 2, min(b + 2 * n - 3, box) + 1):
-                _check(
-                    report,
-                    f"van.6i/a={a}/b={b}",
-                    f"Ext(O({a}h), O({b}H)) = 0 [condition (i)]",
-                    _vanish, lh[a], lH[b], n_amb,
+                yield (
+                    f"van.6i/a={a}/b={b}", f"Ext(O({a}h), O({b}H)) = 0 [condition (i)]",
+                    lh[a], lH[b],
                 )
         for b in range(max(3 - n_amb, -box), 0):
             for a in range(-box, box + 1):
-                _check(
-                    report,
+                yield (
                     f"van.6ii/a={a}/b={b}",
                     f"Ext(O({a}h), O({b}H)) = 0 [condition (ii), b >= 3-N]",
-                    _vanish, lh[a], lH[b], n_amb,
+                    lh[a], lH[b],
                 )
 
-        def audit6() -> Outcome:
-            ok = bad = 0
-            sample = None
-            for b in range(-box, 3 - n_amb):
-                for a in range(-box, box + 1):
-                    if x_vanishes(lh[a], lH[b], n_amb):
-                        ok += 1
-                    else:
-                        bad += 1
-                        if sample is None:
-                            ext = _ext_detail(x_ext(lh[a], lH[b], n_amb))
-                            sample = {"a": a, "b": b, "ext": ext}
-            return PASS, {
-                "note": "literal condition (ii) 'b < 0' without the b >= 3-N "
-                "bound; every application in the proof satisfies the bound",
-                "literal_tail_vanishing": ok,
-                "literal_tail_nonvanishing": bad,
-                "sample": sample,
-            }
 
-        _check(report, "van.6/reading-audit", "literal (ii) beyond b >= 3-N", audit6)
-    else:
+# The four audits: part -> (id, statement, note, labels, key, pairs).
+# ``pairs(n, n_amb, lh, lH)`` yields (values, A, B) for each pair the audit
+# reads, and ``labels`` names the values.  The scope audits (parts 1 and 2,
+# even parity only) list every pair that does not vanish under ``key``; the
+# reading audits (parts 4 and 6) count both kinds under ``key``_vanishing
+# and ``key``_nonvanishing and sample the first pair that does not vanish.
+_VAN_AUDITS = {
+    1: (
+        "van.1/scope-audit", "even-parity scope of part (1)",
+        "k=0 excluded for even parity: S^{n-1}Uv(H-h) lies outside the even Gr "
+        "collection and the even replay never moves it",
+        ("a",), "k0_nonvanishing_instances",
+        lambda n, n_amb, lh, lH: (((a,), _S(n - 1, 1, -1), _S(a)) for a in range(n)),
+    ),
+    2: (
+        "van.2/scope-audit", "even-parity scope of part (2) line 2",
+        "even-parity line 2 is scoped to the analogue range b <= k-2 (the "
+        "A^{n-k+1}(H-h) run the even replay moves); the odd statement's b <= k "
+        "extension is audited",
+        ("k", "b"), "extension_nonvanishing",
+        lambda n, n_amb, lh, lH: (
+            ((k, b), _S(b, 1, -1), _O(0, k))
+            for k in range(n) for b in (k - 1, k) if b >= 0
+        ),
+    ),
+    4: (
+        "van.4/reading-audit", "O(lH) vs O(lh) reading of line 1",
+        "display reading O(lH) of part (4) line 1; the appendix proof computes "
+        "the O(lh) version, which the primary claims certify",
+        ("k", "l"), "display_reading",
+        lambda n, n_amb, lh, lH: (
+            ((k, l), _S(n - 2 - k, 1, -1), _O(l, 0))
+            for k in range(1, n - 1) for l in range(n - k, n)
+        ),
+    ),
+    6: (
+        "van.6/reading-audit", "literal (ii) beyond b >= 3-N",
+        "literal condition (ii) 'b < 0' without the b >= 3-N bound; every "
+        "application in the proof satisfies the bound",
+        ("a", "b"), "literal_tail",
+        lambda n, n_amb, lh, lH: (
+            ((a, b), lh[a], lH[b])
+            for b in range(-3 * n, 3 - n_amb) for a in range(-3 * n, 3 * n + 1)
+        ),
+    ),
+}
+
+
+def _van_audit(part: int, n: int, n_amb: int, lh: dict, lH: dict) -> Outcome:
+    """Part ``part``'s row of ``_VAN_AUDITS``.  Every pair is counted with
+    ``x_vanishes``; ``x_ext`` runs, and a label dict is built, only for a
+    pair the detail records."""
+    _, _, note, labels, key, pairs = _VAN_AUDITS[part]
+    scope = part < 3
+    ok = total = 0
+    recorded = []
+    for total, (values, a, b) in enumerate(pairs(n, n_amb, lh, lH), 1):
+        if x_vanishes(a, b, n_amb):
+            ok += 1
+        elif scope or not recorded:
+            ext = _ext_detail(x_ext(a, b, n_amb))
+            recorded.append(dict(zip(labels, values), ext=ext))
+    if scope:
+        return PASS, {"note": note, key: recorded}
+    counts = {f"{key}_vanishing": ok, f"{key}_nonvanishing": total - ok}
+    return PASS, {"note": note, **counts, "sample": recorded[0] if recorded else None}
+
+
+def verify_van(part: int, n: int, parity: str = "odd") -> Report:
+    """The six Hom-vanishing statements, instance by instance.
+
+    Each part is stated once, as index ranges and pairs, by
+    ``_van_instances``, and one loop checks every instance with ``_vanish``.
+    A vacuous claim means an empty range: parts 3-5 record one when no
+    instance exists for this n.  (Part 2 has no vacuous claim: its even
+    ranges are empty at n = 2, where only its scope audit is recorded.)
+    Part 5 is odd-only.  One helper, ``_van_audit``, runs the four audits of
+    ``_VAN_AUDITS``.
+    """
+    report = Report(n, parity)
+    if part not in range(1, 7):
         raise ValueError("part must be 1..6")
+    odd = parity == "odd"
+    if part == 5 and not odd:
+        report.claims.append(
+            Claim(
+                "van.5/parity",
+                "part (5) is odd-only; the even-case transpositions are "
+                "certified inside the even replay",
+                SKIP,
+            )
+        )
+        return report
+    n_amb = report.n_amb
+    # Part (6)'s line bundles, each built once: lh[a] = O(ah), lH[b] = O(bH).
+    span = range(-3 * n, 3 * n + 1) if part == 6 else ()
+    lh = {a: _O(0, a) for a in span}
+    lH = {b: _O(b, 0) for b in span}
+    for cid, statement, a, b in _van_instances(part, n, odd, n_amb, lh, lH):
+        _check(report, cid, statement, _vanish, a, b, n_amb)
+    if not report.claims and part in (3, 4, 5):
+        why = "empty range 0 <= l < k <= r" if part == 5 else "no instances for this n"
+        note = {"note": "vacuous (empty index range)"}
+        report.claims.append(Claim(f"van.{part}/vacuous", why, PASS, note))
+    elif part in _VAN_AUDITS and (part > 2 or not odd):
+        _check(report, *_VAN_AUDITS[part][:2], _van_audit, part, n, n_amb, lh, lH)
     return report
 
 
@@ -421,11 +389,16 @@ def verify_mut(n: int, parity: str = "odd") -> Report:
             )
 
     def guard() -> Outcome:
+        # (O(H-h), O) is refused by the RHom test before the range test is
+        # reached; (O, O), whose RHom is C[0] at k = 0, must meet the range test.
         col = Collection(n_amb, [Entry.pure(_O(1, -1)), Entry.pure(_O())])
         try:
             mutate_left(col, 0)
         except EngineError as exc:
-            return PASS, {"rejected": str(exc)}
+            try:
+                mutate_right(Collection(n_amb, [Entry.pure(_O())] * 2), 0)
+            except NoRuleMatch:
+                return PASS, {"rejected": str(exc)}
         return FAIL, {"error": "k=0 mutation was not rejected"}
 
     _check(report, "mut.guard/k=0", "rule (1) outside 1 <= k <= n-1 is rejected", guard)

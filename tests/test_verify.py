@@ -8,6 +8,7 @@ import flipcheck.verify as fv
 from flipcheck.bwb import ZERO, GradedDims
 from flipcheck.cli import emit_report
 from flipcheck.collections import run_script
+from flipcheck.collections.scriptgen import _O, _S
 from flipcheck.flagx import EObject, ExtResult, e_ext, gr_collection, x_ext, x_vanishes
 from flipcheck.verify import (
     FAIL,
@@ -563,27 +564,93 @@ def test_report_extend_rejects_another_n_or_parity():
     assert [c.id for c in r.claims] == ["x", "y"]
 
 
-def test_raising_check_fails_in_place(monkeypatch):
+# The first instance of each primary van family, at an odd n where the
+# family has one: (claim id, n, its pair (A, B) for RHom_X(A, B) = 0, the
+# claims of other families that state the same pair).  Every van.4a pair is
+# also a van.2b pair, and van.2b/k=0/b=0 is van.1/k=n-1/a=0.
+_FIRST_VAN_INSTANCES = [
+    ("van.1/k=0/a=0", 3, (_S(2, 1, -1), _S(0)), ()),
+    ("van.2a/k=0/a=2", 3, (_S(2, 0, -1), _O(0, 0)), ()),
+    ("van.2b/k=0/b=0", 2, (_S(0, 1, -1), _O(0, 0)), ("van.1/k=1/a=0",)),
+    ("van.3/k=1/l=2/line", 4, (_O(0, 2), _S(0, 1, -1)), ()),
+    ("van.3/k=1/l=2/schur", 4, (_S(2, 1, -2), _S(0, 1, -1)), ()),
+    ("van.4a/k=1/l=2", 3, (_S(0, 1, -1), _O(0, 2)), ("van.2b/k=2/b=0",)),
+    ("van.4b/k=1/a=0", 3, (_S(2, 1, -1), _S(0, 1)), ()),
+    ("van.4c/k=1/b=0", 4, (_O(3, -4), _S(0, 1)), ()),
+    ("van.5/l=0/k=1/a=3/b=0", 4, (_S(3, 4), _S(0, 5)), ()),
+    ("van.6i/a=3/b=1", 3, (_O(0, 3), _O(1, 0)), ()),
+    ("van.6ii/a=-6/b=-2", 2, (_O(0, -6), _O(-2, 0)), ()),
+]
+
+
+def _family(cid):
+    return "/".join(part for part in cid.split("/") if "=" not in part)
+
+
+@pytest.mark.parametrize("fault", ["raises", "does-not-vanish"])
+@pytest.mark.parametrize(
+    "cid, n, pair, twins",
+    _FIRST_VAN_INSTANCES,
+    ids=[_family(case[0]) for case in _FIRST_VAN_INSTANCES],
+)
+def test_raising_check_fails_in_place(monkeypatch, cid, n, pair, twins, fault):
     # A check that raises something other than an EngineError is recorded as
-    # FAIL naming the error, in its declared position; no other claim moves.
-    import flipcheck.verify as fv
-    from flipcheck.collections.scriptgen import _S
-
-    base = verify_suite(3, "odd", "all").claims
+    # FAIL naming the error, in its declared position; a pair that does not
+    # vanish is FAIL or INDET with its x_ext detail.  No claim of another
+    # pair moves.
+    base = verify_suite(n, "odd", "all").claims
+    [i] = [i for i, c in enumerate(base) if c.id == cid]
+    assert i == min(j for j, c in enumerate(base) if _family(c.id) == _family(cid))
+    moved = sorted(j for j, c in enumerate(base) if c.id == cid or c.id in twins)
+    assert len(moved) == 1 + len(twins)
     orig = fv.x_vanishes
-    pair = (_S(1, 1, -1), _S(0))  # the one pair of van.1/k=1/a=0 at N = 7
+    n_amb = 2 * n + 1
 
-    def faulty(a, b, n_amb):
-        if (a, b) == pair:
-            raise TypeError("injected fault")
-        return orig(a, b, n_amb)
+    def faulty(a, b, m):
+        if (a, b, m) == (*pair, n_amb):
+            if fault == "raises":
+                raise TypeError("injected fault")
+            return False
+        return orig(a, b, m)
 
     # x_vanishes is the first call _vanish makes; a vanishing pair never
     # reaches x_ext.
     monkeypatch.setattr(fv, "x_vanishes", faulty)
-    got = verify_suite(3, "odd", "all").claims
-    [i] = [i for i, c in enumerate(base) if c.id == "van.1/k=1/a=0"]
-    assert got[i] == Claim(
-        base[i].id, base[i].statement, "fail", {"error": "TypeError: injected fault"}
-    )
+    got = verify_suite(n, "odd", "all").claims
+    if fault == "raises":
+        expected = (FAIL, {"error": "TypeError: injected fault"})
+    else:
+        r = x_ext(*pair, n_amb)
+        expected = (INDET if r.kind == "bounded" else FAIL, fv._ext_detail(r))
+    assert len(got) == len(base)
+    for j, (g, c) in enumerate(zip(got, base)):
+        assert g == (Claim(c.id, c.statement, *expected) if j in moved else c)
+
+
+def test_mut_guard_fails_without_the_range_test(monkeypatch):
+    # mut.guard/k=0 names the 1 <= k range test of _match_rule.  With that
+    # test bypassed, (O, O) at k = 0 reaches the rules and the claim is FAIL.
+    import inspect
+
+    from flipcheck.collections import engine
+
+    test = "if 1 <= k <= n_amb // 2 - 1:"
+    source = inspect.getsource(engine._match_rule)
+    assert source.count(test) == 1
+    namespace = dict(vars(engine))
+    exec(source.replace(test, "if True:"), namespace)
+    base = verify_mut(3).claims
+    [i] = [i for i, c in enumerate(base) if c.id == "mut.guard/k=0"]
+    assert base[i].status == PASS
+    monkeypatch.setattr(engine, "_match_rule", namespace["_match_rule"])
+    got = verify_mut(3).claims
+    assert got[i].status == FAIL
     assert got[:i] + got[i + 1 :] == base[:i] + base[i + 1 :]
+
+
+@pytest.mark.parametrize("part", [0, 7])
+def test_van_part_outside_1_to_6_is_a_value_error(part):
+    with pytest.raises(ValueError, match=r"^part must be 1\.\.6$"):
+        verify_van(part, 3)
+    with pytest.raises(ValueError, match=r"^part must be 1\.\.6$"):
+        verify_suite(3, "odd", f"van.{part}")
