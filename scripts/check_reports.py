@@ -8,8 +8,8 @@ For n = 2..16 and both parities, computes the sha256 of
 ``emit_report(verify_suite(n, parity, "all"), "json")`` with flipcheck
 imported from this checkout's ``src`` and compares it with the committed
 ``report_digests.json`` next to this script.  The first mismatch is printed
-and the exit code is 1; a full pass exits 0.  It takes about 3.5 s (3.2 to
-3.6 s over three runs on a 2-vCPU VM, Python 3.11.7); the test suite checks
+and the exit code is 1; a full pass exits 0.  It takes about 2.5 s (2.1 to
+2.7 s over four runs on a 2-vCPU VM, Python 3.11.7); the test suite checks
 the pins for n = 2..12 only.  Standard library only.
 """
 

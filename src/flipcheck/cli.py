@@ -34,6 +34,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import Optional
 
 from .bwb import GradedDims
+from .collections import make_block
 from .flagx import EObject, e_ext, pushed_term_bound, x_ext
 from .verify import LEMMAS, Report, verify_suite
 from .weights import Weight
@@ -235,10 +236,9 @@ def _exit_code(report: Report) -> int:
 
 def chessboard_cells(n: int) -> list[dict]:
     """Occupancy of the mutated chessboard: plain, staircase, red cells."""
-    stair = set()
-    for j in range(n - 1):
-        for x in range(n - 1 - 2 * j, n):
-            stair.add((x, n + j))
+    # The staircase block's line bundles O(yH + xh), as (x, y) = (h-twist, H-twist).
+    staircase = make_block("S", (n - 2,), 2 * n + 1)
+    stair = {(dh, w.b) for w, dh in map(EObject.single_term, staircase)}
     cells = []
     for y in range(2 * n - 1):
         for x in range(-1 - n, n):

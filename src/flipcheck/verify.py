@@ -551,51 +551,47 @@ def _replay_claims(
 # --------------------------------------------------------------- steps (odd)
 
 
-def _expected_step(step: str, n: int) -> list[tuple[str, object]]:
-    n_amb = 2 * n + 1
-    if step == "step1":
-        blocks = [Block("O")] + [Block("B", (l,)) for l in range(n - 1)]
-        blocks += [Block("Aseg", (n - 1, n - 1), (1, -1))]
-    elif step == "step2":
-        blocks = [Block("C", (l,)) for l in range(n - 1)]
-        blocks += [Block("Aseg", (0, n - 3), (1, -1)), Block("B", (n - 2,))]
-    elif step == "step3":
-        if n < 3:
-            return []
-        blocks = [Block("E", (l,)) for l in range(1, n - 1)]
-    elif step == "step3b":
-        blocks = [Block("Aseg", (0, n - 3), (1, 0)), Block("F", (n - 2,))]
-    elif step == "step4":
-        if n < 3:
-            return []
-        blocks = [Block("E", (1,))] + [Block("cell", (l, 0)) for l in range(2, n)]
-        blocks += [Block("F", (l,)) for l in range(n - 2)]
-    else:
-        raise ValueError(step)
-    return _expected_entries(n_amb, [], *blocks)
-
-
-_STEP_STATEMENTS = {
-    "step1": "<A(H-h), A> = <O, B_0..B_{n-2}, S^{n-1}Uv(H-h)>",
-    "step2": "<A_1(-h), O, B_0..B_{n-2}> = <C_0..C_{n-2}, A^2(H-h), B_{n-2}>",
-    "step3": "<C_1..C_{n-2}, A^2(H-h)> = <E_1..E_{n-2}>",
-    "step3b": "<S^{n-1}Uv(H-h), A^1(H)> = <A^2(H), F_{n-2}>",
-    "step4": "<E_1..E_{n-2}, B_{n-2}, A^2(H)> = <E_1, O(lh)_{2..n-1}, F_0..F_{n-3}>",
+# Each step once, in replay order: step -> (statement, the blocks of its
+# stated right-hand side as a function of n).
+_STEPS = {
+    "step1": (
+        "<A(H-h), A> = <O, B_0..B_{n-2}, S^{n-1}Uv(H-h)>",
+        lambda n: [
+            Block("O"), *(Block("B", (l,)) for l in range(n - 1)),
+            Block("Aseg", (n - 1, n - 1), (1, -1)),
+        ],
+    ),
+    "step2": (
+        "<A_1(-h), O, B_0..B_{n-2}> = <C_0..C_{n-2}, A^2(H-h), B_{n-2}>",
+        lambda n: [
+            *(Block("C", (l,)) for l in range(n - 1)),
+            Block("Aseg", (0, n - 3), (1, -1)), Block("B", (n - 2,)),
+        ],
+    ),
+    "step3": (
+        "<C_1..C_{n-2}, A^2(H-h)> = <E_1..E_{n-2}>",
+        lambda n: [Block("E", (l,)) for l in range(1, n - 1)],
+    ),
+    "step3b": (
+        "<S^{n-1}Uv(H-h), A^1(H)> = <A^2(H), F_{n-2}>",
+        lambda n: [Block("Aseg", (0, n - 3), (1, 0)), Block("F", (n - 2,))],
+    ),
+    "step4": (
+        "<E_1..E_{n-2}, B_{n-2}, A^2(H)> = <E_1, O(lh)_{2..n-1}, F_0..F_{n-3}>",
+        lambda n: [] if n < 3 else [
+            Block("E", (1,)), *(Block("cell", (l, 0)) for l in range(2, n)),
+            *(Block("F", (l,)) for l in range(n - 2)),
+        ],
+    ),
 }
 
 
 def verify_inductive_steps(n: int) -> Report:
     """Replay the four odd-case inductive steps with every move certified."""
     report = Report(n, "odd")
-    for step in ("step1", "step2", "step3", "step3b", "step4"):
-        _replay_claims(
-            report,
-            f"steps.{step}",
-            "odd",
-            step,
-            _expected_step(step, n),
-            statement=_STEP_STATEMENTS[step],
-        )
+    for step, (statement, blocks) in _STEPS.items():
+        expected = _expected_entries(2 * n + 1, [], *blocks(n))
+        _replay_claims(report, f"steps.{step}", "odd", step, expected, statement=statement)
     return report
 
 
@@ -706,14 +702,6 @@ def _region_groups(n: int) -> tuple[list[EObject], list[EObject]]:
     kept = mutated_gr_sod(n)[: -(n - 1)]
     kept += [Block("Au", (2 * l + 1,), (n + l, 0)) for l in range(r + 1)]
     return group1, _objs(n_amb, *kept)
-
-
-def _expected_regions(n: int) -> list[tuple[str, object]]:
-    g1, g2 = _region_groups(n)
-    out: list[tuple[str, object]] = [("opaque", "D2")]
-    out.extend(("pure", o) for o in g1)
-    out.extend(("pure", o) for o in g2)
-    return out
 
 
 def _expected_chessboard_final(n: int) -> list[tuple[str, object]]:
@@ -849,8 +837,9 @@ def verify_chessboard(n: int) -> Report:
         )
 
     # (c) region membership of the two groups of perp(D2).
-    _replay_claims(report, "chess/regions", "odd", "regions", _expected_regions(n))
     group1, group2 = _region_groups(n)
+    regions = [("opaque", "D2"), *(("pure", o) for o in group1 + group2)]
+    _replay_claims(report, "chess/regions", "odd", "regions", regions)
     for tag, group in (("group1", group1), ("group2", group2)):
         for obj in group:
             _check(
@@ -893,10 +882,6 @@ def _even_step2_blocks(n: int) -> list[Block]:
     blocks = [Block("cell", (l, 0)) for l in range(-1, n)] + [Block("Hp")]
     blocks += [Block("Fp", (l,)) for l in range(n - 2)]
     return blocks + [Block("Aseg", (n - 2, n - 1), (1, 0))]
-
-
-def _expected_even_step2(n: int) -> list[tuple[str, object]]:
-    return _expected_entries(2 * n, [], *_even_step2_blocks(n))
 
 
 def _expected_even_final(n: int) -> list[tuple[str, object]]:
@@ -967,7 +952,8 @@ def verify_even(n: int) -> Report:
         _gr_collection_reading, n,
     )
 
-    _replay_claims(report, "even/step2", "even", "step2", _expected_even_step2(n))
+    step2 = _expected_entries(n_amb, [], *_even_step2_blocks(n))
+    _replay_claims(report, "even/step2", "even", "step2", step2)
     final = _replay_claims(report, "even", "even", "full", _expected_even_final(n))
     if final is None:
         return report
@@ -1025,62 +1011,46 @@ def verify_even(n: int) -> Report:
 # ---------------------------------------------------------------- dispatch
 
 
-LEMMAS = (
-    "van.1",
-    "van.2",
-    "van.3",
-    "van.4",
-    "van.5",
-    "van.6",
-    "mut",
-    "steps",
-    "sod",
-    "chessboard",
-    "even",
-    "all",
-)
+# Each suite once, in the order of an "all" report: lemma -> (run(n, parity),
+# the parity it needs or None, the statement of its skip at the other
+# parity).  Each run looks its verifier up when it is called, so a rebound
+# module attribute (the benchmark tracer, a test's monkeypatch) is reached.
+_SUITES = {
+    **{
+        f"van.{p}": (lambda n, parity, p=p: verify_van(p, n, parity), None, None)
+        for p in range(1, 7)
+    },
+    "mut": (lambda n, parity: verify_mut(n, parity), None, None),
+    "steps": (lambda n, _: verify_inductive_steps(n), "odd",
+              "inductive steps 1-4 are the odd-case replay"),
+    "sod": (lambda n, _: verify_sod_odd(n), "odd", "the Gr-side SOD replay is the odd case"),
+    "chessboard": (lambda n, _: verify_chessboard(n), "odd",
+                   "the chessboard suite is the odd case"),
+    "even": (lambda n, _: verify_even(n), "even", "the even-case replay needs --parity even"),
+}
+LEMMAS = (*_SUITES, "all")
 
 
 def verify_suite(n: int, parity: str, lemma: str = "all", jobs: int = 1) -> Report:
     """One report for (n, parity) covering the requested lemma suite.
 
+    ``_SUITES`` is the one place where a suite's parity and its skip are
+    stated: "all" runs every suite of this parity, and a single suite asked
+    for at the other parity records its skip.  A lemma outside ``_SUITES``
+    is a ValueError before any verifier runs.
+
     ``jobs`` has no effect.  It stays in the signature because the
     benchmark worker (``perfbench/worker.py``) passes it by position.
     """
     report = Report(n, parity)
-
-    def skip(cid: str, why: str) -> None:
-        report.claims.append(Claim(cid, why, SKIP))
-
-    odd = parity == "odd"
-    wanted = LEMMAS[:-1] if lemma == "all" else (lemma,)
-    for item in wanted:
-        if item.startswith("van."):
-            report.extend(verify_van(int(item.split(".")[1]), n, parity))
-        elif item == "mut":
-            report.extend(verify_mut(n, parity))
-        elif item == "steps":
-            if odd:
-                report.extend(verify_inductive_steps(n))
-            elif lemma != "all":
-                skip("steps/parity", "inductive steps 1-4 are the odd-case replay")
-        elif item == "sod":
-            if odd:
-                report.extend(verify_sod_odd(n))
-            elif lemma != "all":
-                skip("sod/parity", "the Gr-side SOD replay is the odd case")
-        elif item == "chessboard":
-            if odd:
-                report.extend(verify_chessboard(n))
-            elif lemma != "all":
-                skip("chessboard/parity", "the chessboard suite is the odd case")
-        elif item == "even":
-            if not odd:
-                report.extend(verify_even(n))
-            elif lemma != "all":
-                skip("even/parity", "the even-case replay needs --parity even")
-        else:
-            raise ValueError(f"unknown lemma {item!r}")
+    if lemma != "all" and lemma not in _SUITES:
+        raise ValueError(f"unknown lemma {lemma!r}")
+    for item in _SUITES if lemma == "all" else (lemma,):
+        run, needs, why = _SUITES[item]
+        if needs in (None, parity):
+            report.extend(run(n, parity))
+        elif lemma != "all":
+            report.claims.append(Claim(f"{item}/parity", why, SKIP))
     return report
 
 

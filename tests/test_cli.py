@@ -357,6 +357,39 @@ def test_chessboard_render_staircase_upper_right():
     assert kinds[(0, 0)] == "plain"
 
 
+def _chessboard_reference(n, fmt):
+    # The staircase cells stated by hand: row y = n + j holds x = n-1-2j..n-1.
+    stair = {(x, n + j) for j in range(n - 1) for x in range(n - 1 - 2 * j, n)}
+    cells = []
+    for y in range(2 * n - 1):
+        for x in range(-1 - n, n):
+            if (x, y) in stair:
+                kind = "stair"
+            elif x == -1 - n and n + 1 <= y <= 2 * n - 2:
+                kind = "red"
+            else:
+                kind = "plain"
+            cells.append({"x": x, "y": y, "kind": kind})
+    if fmt == "json":
+        return json.dumps({"n": n, "cells": cells}, indent=2, sort_keys=True)
+    by_pos = {(c["x"], c["y"]): c["kind"] for c in cells}
+    mark = {"plain": "o", "stair": "S", "red": "R"}
+    lines = ["horizontal: O(h) twist, vertical: O(H) twist; S staircase, R mutated"]
+    for y in range(2 * n - 2, -1, -1):
+        row = " ".join(mark[by_pos[(x, y)]] for x in range(-1 - n, n))
+        lines.append(f"{y:>3} | {row}")
+    lines.append("      " + " ".join("-" for _ in range(-1 - n, n)))
+    lines.append("      " + " ".join(f"{x}"[-1] for x in range(-1 - n, n)))
+    lines.append(f"columns x = {-1-n}..{n-1}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "json"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_chessboard_render_matches_the_staircase_formula(n, fmt):
+    assert render_chessboard(n, fmt) == _chessboard_reference(n, fmt)
+
+
 def test_cli_chessboard_runs(capsys):
     assert run(["chessboard", "--n", "3", "--render", "ascii"]) == 0
     assert run(["chessboard", "--n", "3", "--render", "json"]) == 0

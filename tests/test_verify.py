@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -446,6 +447,66 @@ def test_parity_guards():
     assert [c.status for c in verify_suite(2, "odd", "even").claims] == [
         "skipped-opaque"
     ]
+    skips = {
+        ("steps", "even"): "inductive steps 1-4 are the odd-case replay",
+        ("sod", "even"): "the Gr-side SOD replay is the odd case",
+        ("chessboard", "even"): "the chessboard suite is the odd case",
+        ("even", "odd"): "the even-case replay needs --parity even",
+    }
+    for (item, parity), why in skips.items():
+        assert verify_suite(3, parity, item).claims == [
+            Claim(f"{item}/parity", why, "skipped-opaque")
+        ]
+    # A whole suite skips nothing for parity but van.5, an odd-only part.
+    for parity, expected in (("odd", []), ("even", ["van.5/parity"])):
+        claims = verify_suite(3, parity, "all").claims
+        assert [c.id for c in claims if c.id.endswith("/parity")] == expected
+
+
+def test_lemmas_are_the_suites_then_all():
+    assert fv.LEMMAS == (
+        "van.1", "van.2", "van.3", "van.4", "van.5", "van.6",
+        "mut", "steps", "sod", "chessboard", "even", "all",
+    )
+
+
+_VERIFIERS = (
+    "verify_van",
+    "verify_mut",
+    "verify_inductive_steps",
+    "verify_sod_odd",
+    "verify_chessboard",
+    "verify_even",
+)
+
+
+@pytest.mark.parametrize(
+    "parity, expected",
+    [
+        ("odd", {"verify_van": 6, "verify_mut": 1, "verify_inductive_steps": 1,
+                 "verify_sod_odd": 1, "verify_chessboard": 1, "verify_even": 0}),
+        ("even", {"verify_van": 6, "verify_mut": 1, "verify_inductive_steps": 0,
+                  "verify_sod_odd": 0, "verify_chessboard": 0, "verify_even": 1}),
+    ],
+)
+def test_suite_looks_verifiers_up_when_called(monkeypatch, parity, expected):
+    # The benchmark tracer and the tests rebind the module's verify_*
+    # attributes; a suite must reach the rebound function.
+    calls = dict.fromkeys(_VERIFIERS, 0)
+
+    def counting(name):
+        orig = getattr(fv, name)
+
+        def call(*args):
+            calls[name] += 1
+            return orig(*args)
+
+        return call
+
+    for name in _VERIFIERS:
+        monkeypatch.setattr(fv, name, counting(name))
+    verify_suite(3, parity, "all")
+    assert calls == expected
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
@@ -648,9 +709,11 @@ def test_mut_guard_fails_without_the_range_test(monkeypatch):
     assert got[:i] + got[i + 1 :] == base[:i] + base[i + 1 :]
 
 
-@pytest.mark.parametrize("part", [0, 7])
+@pytest.mark.parametrize("part", [0, 7, "x", ""])
 def test_van_part_outside_1_to_6_is_a_value_error(part):
     with pytest.raises(ValueError, match=r"^part must be 1\.\.6$"):
         verify_van(part, 3)
-    with pytest.raises(ValueError, match=r"^part must be 1\.\.6$"):
-        verify_suite(3, "odd", f"van.{part}")
+    # The suite route names a lemma: van.0, van.7, van.x, and the empty name.
+    lemma = f"van.{part}" if part != "" else ""
+    with pytest.raises(ValueError, match=rf"^unknown lemma '{re.escape(lemma)}'$"):
+        verify_suite(3, "odd", lemma)
