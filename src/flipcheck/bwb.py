@@ -36,14 +36,12 @@ zero?" without a dimension by asking whether the pushed weights, a run
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .weights import Weight, normalize
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(NamedTuple):
     """Finite map degree -> positive dimension; the empty map is zero."""
 
     dims: tuple[tuple[int, int], ...] = ()

@@ -57,7 +57,6 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..flagx import (
@@ -104,8 +103,7 @@ class ScriptError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     kind: str  # "pure" | "opaque" | "cone"
     obj: Optional[EObject] = None
     name: str = ""
@@ -127,11 +125,17 @@ class Entry:
         return self.name
 
 
-@dataclass
 class Collection:
-    n_amb: int
-    # Written only through ``_splice``.
-    entries: list[Entry] = field(default_factory=list)
+    """One script run's collection; equal by (n_amb, entries)."""
+
+    def __init__(self, n_amb: int, entries: Optional[list[Entry]] = None):
+        self.n_amb = n_amb
+        # Written only through ``_splice``.
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is Collection
+        return same and self.n_amb == other.n_amb and self.entries == other.entries
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -21,18 +21,17 @@ raises ``ScriptError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..flagx import EObject
 from .blocks import Block
 from .engine import _MOVES, Collection, EngineError, ScriptError
 
 
-# Object shorthands, shared with the verifiers.  An EObject is frozen, so
-# each is built once and shared: the verifiers ask for the same few objects
-# on every instance.
+# Object shorthands, shared with the verifiers.  No field of an EObject can
+# be assigned, so each is built once and shared: the verifiers ask for the
+# same few objects on every instance.
 
 
 @cache
@@ -45,8 +44,7 @@ def _O(c: int = 0, d: int = 0) -> EObject:
     return EObject.line(c, d)
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(NamedTuple):
     final: Collection  # the run's collection; a refused move wrote nothing
     moves_applied: int
     failed_line: Optional[str] = None

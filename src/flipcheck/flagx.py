@@ -33,8 +33,9 @@ Bounded (both contributions recorded, dimensions not resolved).  It runs
 the kernel twice, for the back term and, with the twist O(H+h) entering as
 the int c = 1, for the front term; no twisted object or shifted degree map
 is built.  Every zero outcome is one shared ``ExtResult``: it and its
-``GradedDims`` are frozen, and a zero outcome carries nothing but its kind,
-so no caller can tell it from a fresh one except by identity.
+``GradedDims`` are named tuples, so no field can be assigned, and a zero
+outcome carries nothing but its kind, so no caller can tell it from a
+fresh one except by identity.
 
 A question that needs only "is Ext on X zero?" goes to ``x_vanishes``.  It
 lists no pushed weight and computes no dimension.  For a pair of terms
@@ -90,9 +91,8 @@ involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import bwb
 from .bwb import ZERO, GradedDims
@@ -179,8 +179,7 @@ def e_euler(a: EObject, b: EObject, n_amb: int) -> int:
     return _euler(a, b, n_amb, 0)
 
 
-@dataclass(frozen=True)
-class ExtResult:
+class ExtResult(NamedTuple):
     """Three-valued Ext outcome on X between pushforwards from E.
 
     ``front`` is the divisor-twisted contribution already shifted up one

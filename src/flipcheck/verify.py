@@ -16,7 +16,6 @@ claim rather than hardcoding a correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .bwb import GradedDims
@@ -56,9 +55,9 @@ _SUMMARY_KEYS = {PASS: "pass", FAIL: "fail", INDET: "indeterminate", SKIP: "skip
 
 
 class Claim(NamedTuple):
-    """One checked instance of a claim.  A named tuple, immutable as a frozen
-    dataclass would be: the van sweep builds one per instance (53,224 for
-    n = 2..16, both parities), and a tuple is quicker to build."""
+    """One checked instance of a claim, an immutable named tuple: the van
+    sweep builds one per instance (53,224 for n = 2..16, both parities), and
+    a tuple is quick to build."""
 
     id: str
     statement: str
@@ -66,17 +65,17 @@ class Claim(NamedTuple):
     detail: Optional[dict] = None
 
 
-@dataclass
 class Report:
-    n: int
-    parity: str
-    claims: list[Claim] = field(default_factory=list)
+    """The claims of one run at (n, parity); n >= 2, parity odd or even."""
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, parity: str, claims: Optional[list[Claim]] = None):
+        if n < 2:
             raise ValueError("need n >= 2")
-        if self.parity not in ("odd", "even"):
-            raise ValueError(f"parity must be 'odd' or 'even', not {self.parity!r}")
+        if parity not in ("odd", "even"):
+            raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
+        self.n = n
+        self.parity = parity
+        self.claims = [] if claims is None else claims
 
     @property
     def n_amb(self) -> int:

@@ -18,20 +18,47 @@ as int loops inside ``flagx``'s kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
+def _frozen(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a value: its fields are set once,
+    in ``__init__``, and shared objects can be handed out safely."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+@total_ordering
 class Weight:
-    """Dominant GL(2)-weight (a, b), a >= b."""
+    """Dominant GL(2)-weight (a, b), a >= b.
 
-    a: int
-    b: int
+    Immutable; equal, ordered and hashed by the tuple (a, b), but never equal
+    to one.  Slots, not a tuple: the Ext kernels read ``.a`` and ``.b`` on
+    every pair of terms, and a tuple's field access is slower.
+    """
 
-    def __post_init__(self) -> None:
-        if self.a < self.b:
-            raise ValueError(f"weight ({self.a},{self.b}) violates a >= b")
+    __slots__ = ("a", "b")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, a: int, b: int):
+        if a < b:
+            raise ValueError(f"weight ({a},{b}) violates a >= b")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __repr__(self) -> str:
+        return f"Weight(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Weight and self.a == other.a and self.b == other.b
+
+    def __lt__(self, other: "Weight") -> bool:
+        if other.__class__ is Weight:
+            return (self.a, self.b) < (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def twist(self, c: int) -> "Weight":
         """Tensor with O(cH) = Sigma^{c,c} U^vee."""
@@ -55,7 +82,6 @@ def normalize(entries: Iterable[tuple]) -> tuple[tuple, ...]:
     return tuple(key + (acc[key],) for key in sorted(acc))
 
 
-@dataclass(frozen=True)
 class EObject:
     """Formal sum of (weight, h-twist, shift, multiplicity) terms.
 
@@ -63,10 +89,24 @@ class EObject:
     ``Sigma^w U^vee (x) O(dh.h) [s]`` on E = P(U); H-twists are folded into
     the weight.  Since Rp2* O_E = O, an object on Gr(2, N) is the same as its
     pullback, an EObject whose terms all have h-twist 0.  Terms are kept in
-    ``normalize`` form; the empty sum is the zero object.
+    ``normalize`` form; the empty sum is the zero object.  Immutable, and
+    equal and hashed by its terms.
     """
 
-    terms: tuple[tuple[Weight, int, int, int], ...] = ()
+    __slots__ = ("terms",)
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, terms: tuple[tuple[Weight, int, int, int], ...] = ()):
+        object.__setattr__(self, "terms", terms)
+
+    def __repr__(self) -> str:
+        return f"EObject(terms={self.terms!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is EObject and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @staticmethod
     def of(entries: Iterable[tuple[Weight, int, int, int]]) -> "EObject":

@@ -565,3 +565,19 @@ def test_cli_gr_answers_match_formal_sum_reference(capsys, n_amb, a, b):
     assert capsys.readouterr().out == _render(gr_ext(a, b, n_amb)) + "\n"
     assert run(["cohom", "--N", n, pb]) == 0
     assert capsys.readouterr().out == _render(sum_cohomology(b, n_amb), "H") + "\n"
+
+
+def test_start_up_imports_no_dataclasses():
+    # Every CLI run pays for what ``import flipcheck, flipcheck.cli`` loads;
+    # ``dataclasses`` (with ``inspect`` and ``ast``) was the largest part.
+    import subprocess
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path[:0] = [{str(src)!r}]; import flipcheck, flipcheck.cli; "
+        "print(flipcheck.__file__); print('dataclasses' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split("\n")
+    assert out[0].startswith(str(src)) and out[1] == "False"

@@ -2,7 +2,11 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from flipcheck.bwb import GradedDims
+from flipcheck.bwb import ZERO, GradedDims
+from flipcheck.collections.engine import Collection, Entry
+from flipcheck.collections.scriptgen import _O, _S
+from flipcheck.flagx import _ZERO_EXT
+from flipcheck.verify import Report
 from flipcheck.weights import EObject, Weight
 
 from reference import cg_tensor, dual, hom_object, rank, shifted
@@ -139,3 +143,71 @@ def test_normal_form_matches_merge_and_sort(entries):
     assert GradedDims.of((s, m) for _, _, s, m in entries).dims == tuple(
         sorted(degrees.items())
     )
+
+
+def _mixed_sum():
+    # Terms given out of (a, b) order; equal a with different b, and a
+    # negative b, are where a wrong sort key would show.
+    return EObject.of(
+        [(Weight(3, -1), 0, 0, 1), (Weight(1, 1), 2, 0, 1), (Weight(3, 0), 0, 0, 1),
+         (Weight(-2, -2), 0, 1, 1), (Weight(1, 0), -1, 0, 1)]
+    )
+
+
+def _value_cases():
+    """(id, thunk, expected): ``expected`` is what the thunk returns, an
+    exception instance (type and message) or an exception type it raises."""
+    w, e = Weight(2, 1), _mixed_sum()
+    entry = Entry.pure(_S(1))
+    cases = [
+        ("weight-message", lambda: Weight(0, 1), ValueError("weight (0,1) violates a >= b")),
+        ("weight-eq", lambda: (w == Weight(2, 1), w != Weight(2, 0), w == (2, 1)),
+         (True, True, False)),
+        ("weight-hash", lambda: hash(w) == hash((2, 1)), True),
+        ("weight-order", lambda: (w < Weight(2, 2), w <= w, Weight(3, -4) > w, w >= w),
+         (True, True, True, True)),
+        ("weight-order-foreign", lambda: w < (2, 2), TypeError),
+        ("eobject-eq", lambda: (e == _mixed_sum(), e == EObject(), e == e.terms),
+         (True, False, False)),
+        ("eobject-hash", lambda: hash(e) == hash((e.terms,)), True),
+        ("eobject-iter", lambda: list(e) == list(e.terms), True),
+        ("normalize-order", lambda: [(t[0].a, t[0].b) for t in e.terms],
+         [(-2, -2), (1, 0), (1, 1), (3, -1), (3, 0)]),
+        ("collection-eq", lambda: (Collection(5) == Collection(5),
+                                   Collection(5) == Collection(7),
+                                   Collection(5, [entry]) == Collection(5)),
+         (True, False, False)),
+        ("report-n", lambda: Report(1, "odd"), ValueError("need n >= 2")),
+        ("report-parity", lambda: Report(3, "x"),
+         ValueError("parity must be 'odd' or 'even', not 'x'")),
+        ("weight-del", lambda: delattr(w, "a"), AttributeError),
+        ("shared-objects", lambda: (_S(1) is _S(1), _O(1, -1) is _O(1, -1)), (True, True)),
+    ]
+    # Shared values: the cached shorthands and the one zero Ext outcome.
+    fields = [
+        (w, "a"), (w, "b"), (_S(1), "terms"), (_O(1, -1), "terms"),
+        (ZERO, "dims"), (_ZERO_EXT, "kind"), (_ZERO_EXT, "front"),
+        (_ZERO_EXT.back, "dims"), (entry, "obj"), (entry, "kind"),
+    ]
+    for obj, name in fields:
+        cases.append((f"assign-{type(obj).__name__}.{name}",
+                      lambda obj=obj, name=name: setattr(obj, name, None), AttributeError))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "thunk, expected", [c[1:] for c in _value_cases()], ids=[c[0] for c in _value_cases()]
+)
+def test_value_semantics(thunk, expected):
+    # The value types' equality, hash, order, immutability and checks, as
+    # the callers rely on them: the hashes fix set and dict order, and the
+    # shared objects must not be writable.
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            thunk()
+        assert str(info.value) == str(expected)
+    elif isinstance(expected, type):
+        with pytest.raises(expected):
+            thunk()
+    else:
+        assert thunk() == expected
