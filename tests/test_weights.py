@@ -155,8 +155,9 @@ def _mixed_sum():
 
 
 def _value_cases():
-    """(id, thunk, expected): ``expected`` is what the thunk returns, an
-    exception instance (type and message) or an exception type it raises."""
+    """One ``pytest.param(thunk, expected, id=...)`` per case: ``expected``
+    is what the thunk returns, an exception instance (type and message) or
+    an exception type it raises."""
     w, e = Weight(2, 1), _mixed_sum()
     entry = Entry.pure(_S(1))
     cases = [
@@ -183,21 +184,18 @@ def _value_cases():
         ("weight-del", lambda: delattr(w, "a"), AttributeError),
         ("shared-objects", lambda: (_S(1) is _S(1), _O(1, -1) is _O(1, -1)), (True, True)),
     ]
-    # Shared values: the cached shorthands and the one zero Ext outcome.
-    fields = [
-        (w, "a"), (w, "b"), (_S(1), "terms"), (_O(1, -1), "terms"),
-        (ZERO, "dims"), (_ZERO_EXT, "kind"), (_ZERO_EXT, "front"),
-        (_ZERO_EXT.back, "dims"), (entry, "obj"), (entry, "kind"),
-    ]
+    # Every field of every value type, on the shared values where there are
+    # some: the cached shorthands and the one zero Ext outcome.
+    fields = [(w, "a"), (w, "b"), (_S(1), "terms"), (_O(1, -1), "terms"), (ZERO, "dims")]
+    fields += [(_ZERO_EXT, name) for name in ("kind", "front", "back")]
+    fields += [(entry, name) for name in ("kind", "obj", "name", "kclass")]
     for obj, name in fields:
         cases.append((f"assign-{type(obj).__name__}.{name}",
                       lambda obj=obj, name=name: setattr(obj, name, None), AttributeError))
-    return cases
+    return [pytest.param(thunk, expected, id=name) for name, thunk, expected in cases]
 
 
-@pytest.mark.parametrize(
-    "thunk, expected", [c[1:] for c in _value_cases()], ids=[c[0] for c in _value_cases()]
-)
+@pytest.mark.parametrize("thunk, expected", _value_cases())
 def test_value_semantics(thunk, expected):
     # The value types' equality, hash, order, immutability and checks, as
     # the callers rely on them: the hashes fix set and dict order, and the
