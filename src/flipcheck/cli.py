@@ -182,30 +182,35 @@ def report_to_dict(report: Report) -> dict:
 
 def _report_json(report: Report) -> str:
     """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``,
-    claim by claim.
+    claim by claim, in one copy.
 
     With an indent, ``json`` always runs its pure-Python encoder.  Here each
     claim's fields are written straight from the ``Claim`` in sorted key
     order (detail, id, statement, status): the string fields with the C
     string encoder, and only a detail dumped on its own and indented to its
     depth.  JSON strings hold no raw newline, so the indenting ``replace``
-    touches only the layout.
+    touches only the layout.  Each claim string carries the separator before
+    it, and one ``"".join`` writes the frame head ("claims" sorts first),
+    the claims and the frame tail (run and summary, dumped without claims).
     """
-    claims = []
+    out = ['{\n  "claims": ']
+    sep = "[\n"
     for c in report.claims:
-        head = "    {\n"
+        detail = ""
         if c.detail is not None:
             detail = json.dumps(c.detail, indent=2, sort_keys=True)
-            head += '      "detail": ' + detail.replace("\n", "\n      ") + ",\n"
-        claims.append(
-            f'{head}      "id": {_encode(c.id)},\n'
+            detail = '      "detail": ' + detail.replace("\n", "\n      ") + ",\n"
+        out.append(
+            f'{sep}    {{\n{detail}      "id": {_encode(c.id)},\n'
             f'      "statement": {_encode(c.statement)},\n'
             f'      "status": {_encode(c.status)}\n    }}'
         )
-    body = "[\n" + ",\n".join(claims) + "\n  ]" if claims else "[]"
-    frame = {"run": {"N": report.n_amb, "parity": report.parity}, "claims": []}
-    rest = json.dumps({**frame, "summary": report.summary()}, indent=2, sort_keys=True)
-    return rest.replace('\n  "claims": []', '\n  "claims": ' + body, 1)
+        sep = ",\n"
+    out.append("\n  ]" if report.claims else "[]")
+    run = {"N": report.n_amb, "parity": report.parity}
+    tail = json.dumps({"run": run, "summary": report.summary()}, indent=2, sort_keys=True)
+    out.append("," + tail[1:])
+    return "".join(out)
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:

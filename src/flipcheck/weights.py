@@ -24,7 +24,9 @@ from typing import Iterable, Iterator
 
 def _frozen(self, name: str, *value) -> None:
     """``__setattr__`` and ``__delattr__`` of a value: its fields are set once,
-    in ``__init__``, and shared objects can be handed out safely."""
+    in ``__init__``, and shared objects can be handed out safely.  So ``copy``
+    and ``pickle`` rebuild a value through its ``__reduce__``, by calling the
+    class, rather than by setting its slots."""
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
@@ -59,6 +61,9 @@ class Weight:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))
+
+    def __reduce__(self) -> tuple:
+        return Weight, (self.a, self.b)
 
     def twist(self, c: int) -> "Weight":
         """Tensor with O(cH) = Sigma^{c,c} U^vee."""
@@ -107,6 +112,9 @@ class EObject:
 
     def __hash__(self) -> int:
         return hash((self.terms,))
+
+    def __reduce__(self) -> tuple:
+        return EObject, (self.terms,)
 
     @staticmethod
     def of(entries: Iterable[tuple[Weight, int, int, int]]) -> "EObject":

@@ -3,6 +3,8 @@ import json
 import pathlib
 import re
 
+from hypothesis import given, strategies as st
+
 import pytest
 
 import flipcheck.verify as fv
@@ -15,6 +17,7 @@ from flipcheck.verify import (
     FAIL,
     INDET,
     PASS,
+    SKIP,
     Claim,
     Report,
     verify_all,
@@ -601,9 +604,32 @@ def test_out_of_range_n_is_rejected(n):
 
 
 def test_summary_rejects_unknown_status():
-    r = Report(2, "odd", [Claim("x", "a claim", "pass"), Claim("y", "a claim", "passed")])
-    with pytest.raises(ValueError, match="passed"):
-        r.summary()
+    # The error names the first claim with an unknown status, also when
+    # valid claims and other unknown statuses follow it.
+    claims = [Claim("x", "a claim", "pass"), Claim("y", "a claim", "passed")]
+    claims += [Claim("z", "a claim", "oops"), Claim("w", "a claim", FAIL)]
+    with pytest.raises(ValueError, match=r"^claim y: unknown status 'passed'$"):
+        Report(2, "odd", claims).summary()
+
+
+_SUMMARY_NAMES = {PASS: "pass", FAIL: "fail", INDET: "indeterminate", SKIP: "skipped"}
+
+
+@given(st.lists(st.sampled_from([*_SUMMARY_NAMES, "passed", ""]), max_size=30))
+def test_summary_matches_the_per_claim_loop(statuses):
+    # The one-pass count gives what a plain per-claim loop gives, keys in
+    # report order; a status outside the four is a ValueError naming the
+    # first claim that has one.
+    r = Report(2, "odd", [Claim(f"c{i}", "s", status) for i, status in enumerate(statuses)])
+    expected = dict.fromkeys(_SUMMARY_NAMES.values(), 0)
+    for c in r.claims:
+        if c.status not in _SUMMARY_NAMES:
+            with pytest.raises(ValueError, match=f"^claim {c.id}: unknown status "):
+                r.summary()
+            return
+        expected[_SUMMARY_NAMES[c.status]] += 1
+    got = r.summary()
+    assert got == expected and list(got) == list(expected)
 
 
 def test_claim_is_immutable_and_detail_defaults_to_none():
@@ -686,6 +712,64 @@ def test_raising_check_fails_in_place(monkeypatch, cid, n, pair, twins, fault):
     assert len(got) == len(base)
     for j, (g, c) in enumerate(zip(got, base)):
         assert g == (Claim(c.id, c.statement, *expected) if j in moved else c)
+
+
+def _van_by_check(part, n, parity):
+    """``verify_van``'s claims with every instance routed through ``_check``
+    and ``_vanish``, as before a passing instance was appended directly."""
+    report, odd = Report(n, parity), parity == "odd"
+    n_amb = report.n_amb
+    span = range(-3 * n, 3 * n + 1) if part == 6 else ()
+    lh = {a: _O(0, a) for a in span}
+    lH = {b: _O(b, 0) for b in span}
+    for cid, statement, a, b in fv._van_instances(part, n, odd, n_amb, lh, lH):
+        fv._check(report, cid, statement, fv._vanish, a, b, n_amb)
+    if not report.claims and part in (3, 4, 5):
+        why = "empty range 0 <= l < k <= r" if part == 5 else "no instances for this n"
+        note = {"note": "vacuous (empty index range)"}
+        report.claims.append(Claim(f"van.{part}/vacuous", why, PASS, note))
+    elif part in fv._VAN_AUDITS and (part > 2 or not odd):
+        fv._check(report, *fv._VAN_AUDITS[part][:2], fv._van_audit, part, n, n_amb, lh, lH)
+    return report.claims
+
+
+def _van_matches_check_route(n, parity):
+    for part in range(1, 7):
+        got = verify_van(part, n, parity).claims
+        if part == 5 and parity == "even":
+            assert [(c.id, c.status) for c in got] == [("van.5/parity", SKIP)]
+        else:
+            assert got == _van_by_check(part, n, parity), (part, n, parity)
+        assert all(type(c) is Claim for c in got)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_van_fast_path_matches_check_route(n, parity):
+    # A vanishing instance is appended as PASS without _check; the claims
+    # must be those of routing every instance through _check and _vanish.
+    _van_matches_check_route(n, parity)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_van_fast_path_matches_check_route_with_faults(monkeypatch, n, parity):
+    # The same with a predicate that raises on some pairs and denies others:
+    # the fast path and the _check route record the same FAIL / INDET
+    # details and errors, in the same places.  Ints and tuples of ints hash
+    # the same in every run, so the faulty pairs are fixed.
+    orig = fv.x_vanishes
+
+    def faulty(a, b, m):
+        h = hash((a, b, m)) % 11
+        if h == 0:
+            raise TypeError("injected fault")
+        return h != 1 and orig(a, b, m)
+
+    monkeypatch.setattr(fv, "x_vanishes", faulty)
+    _van_matches_check_route(n, parity)
+    statuses = {c.status for part in range(1, 7) for c in verify_van(part, n, parity).claims}
+    assert FAIL in statuses
 
 
 def test_mut_guard_fails_without_the_range_test(monkeypatch):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 from hypothesis import given, strategies as st
 
 import pytest
@@ -209,3 +212,24 @@ def test_value_semantics(thunk, expected):
             thunk()
     else:
         assert thunk() == expected
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    "value, field",
+    [(Weight(3, -1), "a"), (_S(1), "terms"), (_mixed_sum(), "terms"), (EObject(), "terms")],
+    ids=["weight", "shared-schur", "mixed-sum", "zero"],
+)
+def test_value_copy_and_pickle_round_trip(copier, value, field):
+    # A copy is rebuilt through the class, not by writing its slots: it is
+    # an equal value of the same class with the same hash, and it still
+    # refuses assignment.
+    back = copier(value)
+    assert type(back) is type(value)
+    assert back == value and hash(back) == hash(value)
+    with pytest.raises(AttributeError):
+        setattr(back, field, None)
