@@ -715,8 +715,8 @@ def test_raising_check_fails_in_place(monkeypatch, cid, n, pair, twins, fault):
 
 
 def _van_by_check(part, n, parity):
-    """``verify_van``'s claims with every instance routed through ``_check``
-    and ``_vanish``, as before a passing instance was appended directly."""
+    """``verify_van``'s claims by the plain route: every instance through
+    ``_check`` and ``_vanish``, then the vacuous claim or the audit."""
     report, odd = Report(n, parity), parity == "odd"
     n_amb = report.n_amb
     span = range(-3 * n, 3 * n + 1) if part == 6 else ()
