@@ -21,7 +21,7 @@ Subcommands::
 Exit codes: 0 all pass, 1 any fail, 2 any indeterminate (none fail),
 3 usage or parse error, or a query over a size cap without --allow-large
 (N > 15, n > 7, or an ext/cohom that would split more than ``CG_BUDGET``
-Clebsch-Gordan terms).
+Clebsch-Gordan terms, a term on huge ints counting as several).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode
+from math import isqrt
 from typing import Optional
 
 from .bwb import GradedDims
@@ -129,13 +130,32 @@ def _on_gr(obj: EObject) -> EObject:
 CG_BUDGET = 100_000
 
 
+def _term_weight(a: EObject, b: EObject, n_amb: int) -> int:
+    """How many budget terms one Clebsch-Gordan term of (a, b) counts for.
+
+    A pushed weight's cohomology takes two ``math.comb(x, N-2)`` on ints as
+    long as the largest int of the objects (weights and h-twists), B bits,
+    and the time grows about as s^1.5 with s = (N-2)B.  A term on small ints
+    counts once; one on 4,290-digit ints at N = 7 counts 290 times (it takes
+    about 1.4 ms, against 5-8 us for a small one, on a 2-vCPU VM).
+    """
+    bits = max(
+        (max(abs(w.a), abs(w.b), abs(d)).bit_length() for o in (a, b) for w, d, _, _ in o),
+        default=0,
+    )
+    s = (n_amb - 2) * bits
+    return 1 + (s * isqrt(s) >> 16)
+
+
 def _too_large(args: argparse.Namespace, a: EObject, b: EObject, space: str) -> bool:
     """Without --allow-large, refuse (one line on stderr) a query whose
     estimated Clebsch-Gordan term count (``pushed_term_bound``, the front
-    twist included on X) is over ``CG_BUDGET``."""
+    twist included on X), weighted by the size of its ints
+    (``_term_weight``), is over ``CG_BUDGET``."""
     if args.allow_large:
         return False
     terms = sum(pushed_term_bound(a, b, c) for c in ((0, 1) if space == "x" else (0,)))
+    terms *= _term_weight(a, b, args.n_amb)
     if terms <= CG_BUDGET:
         return False
     from decimal import Decimal  # see _render

@@ -51,12 +51,21 @@ Every vanishing the engine demands, in an exchange and in the final
 interval test per pair of terms.  ``x_ext`` runs only on a pair that does
 not vanish, to tell a Bounded outcome from a nonzero one and to write the
 refusal or the failure detail, and on the mutl/mutr pairs, whose degree
-the move reads.  ``gram_solve`` keeps its own table of chi_X values per
-call.
+the move reads.
+
+chi_X is read from one table per run, not per call: a ``Collection`` holds
+it as ``chi``, and every ``mutlblock`` of the run's ``gram_solve`` reads and
+fills it, so a block reuses the entries of the blocks before it.  A
+one-term object is read as its ints (p, shift, multiplicity, packed
+twist), and chi_X is invariant under a common twist, so for the members of
+one class the table holds one value per p and packed twist difference
+(see ``gram_solve``).  The table goes with its collection; no chi value
+lives in module state.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..flagx import (
@@ -125,13 +134,22 @@ class Entry(NamedTuple):
         return self.name
 
 
+# {p: {packed (dk, dd): chi_X(S^p U^vee, S^p U^vee (dk.H + dd.h))}}
+ChiTable = dict[int, dict[int, int]]
+
+
 class Collection:
-    """One script run's collection; equal by (n_amb, entries)."""
+    """One script run's collection; equal by (n_amb, entries).
+
+    ``chi`` is the run's chi_X table, which ``mutate_block_left`` hands to
+    ``gram_solve``; it plays no part in equality.
+    """
 
     def __init__(self, n_amb: int, entries: Optional[list[Entry]] = None):
         self.n_amb = n_amb
         # Written only through ``_splice``.
         self.entries = [] if entries is None else entries
+        self.chi: ChiTable = {}
 
     def __eq__(self, other: object) -> bool:
         same = other.__class__ is Collection
@@ -172,21 +190,6 @@ def _tracked(entries: Sequence[Entry]) -> int:
 def count_tracked(col: Collection) -> int:
     """Pure entries plus cone entries: one object each, opaques excluded."""
     return _tracked(col.entries)
-
-
-def _shape_key(a: EObject, b: EObject) -> Optional[tuple[int, ...]]:
-    """Ints that fix chi_X(a, b) for one-term objects: ``gram_solve``'s key.
-
-    Twisting a = S^p U^vee (kH)(da h)[sa] and b by O(-kH - da h) leaves
-    chi_X(a, b) as it is and takes a to S^p U^vee [sa].  What is left of b
-    is read relative to a; the shifts enter as their difference and the
-    multiplicities as they are.  None for a multi-term or zero object.
-    """
-    if len(a.terms) != 1 or len(b.terms) != 1:
-        return None
-    ((wa, da, sa, ma),) = a.terms
-    ((wb, db, sb, mb),) = b.terms
-    return (wa.a - wa.b, wb.a - wa.b, wb.b - wa.b, db - da, sb - sa, ma, mb)
 
 
 def _require_pure(col: Collection, i: int, what: str) -> EObject:
@@ -344,37 +347,91 @@ def promote(col: Collection, i: int, name: str) -> Spliced:
     return _splice(col, 0, i + 1, [Entry.opaque(name)] + col.entries[:i])
 
 
-def gram_solve(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
+# A one-term member packs its twist O(kH + dh) into the int k * _PACK + d, so
+# the difference of two packed ints is the packed difference of the twists.
+# It decodes while every |d| is below _PACK // 4; a member past that is read
+# as a whole object, as a multi-term one is.
+_PACK = 1 << 64
+_HALF = _PACK >> 1
+
+
+def _member_ints(o: EObject) -> Optional[tuple[tuple[int, int, int], int]]:
+    """((p, shift, multiplicity), packed twist) of a one-term object
+    S^p U^vee (kH)(dh)[s]; None for any other."""
+    if len(o.terms) != 1:
+        return None
+    ((w, d, s, m),) = o.terms
+    if not -_HALF < 2 * d < _HALF:
+        return None
+    return (w.a - w.b, s, m), w.b * _PACK + d
+
+
+def _chi_at(inner: dict[int, int], p: int, diff: int, n_amb: int) -> int:
+    """chi_X(S^p U^vee, S^p U^vee (dk.H + dd.h)) for the packed ``diff``,
+    read from ``inner``, the table of p, or computed with one ``x_euler``
+    and stored."""
+    v = inner.get(diff)
+    if v is None:
+        dk, dd = divmod(diff + _HALF, _PACK)
+        b = EObject.schur(p, dk, dd - _HALF)
+        v = inner[diff] = x_euler(EObject.schur(p), b, n_amb)
+    return v
+
+
+def gram_solve(
+    block: list[EObject], target: EObject, n_amb: int, chi: Optional[ChiTable] = None
+) -> list[int]:
     """Solve Gram c = chi(block_j, target) by back-substitution.
 
     The chi_X Gram matrix of an exceptional sequence is upper-unitriangular
-    in collection order; validated here before solving (KClassMismatch if
-    not).  chi_X is read from a table local to the call, one ``x_euler`` per
-    twist shape.
+    in collection order; each row is validated as it is built, diagonal
+    first (KClassMismatch if not).  ``chi`` is the table read and filled,
+    a run's ``Collection.chi``; without one the call has its own.
+
+    Each member's ints are read once.  When every member is one-term with
+    the same p and shift and multiplicity 1, as in every chessboard block,
+    chi_X of two members depends only on the difference of their twists
+    (chi_X is invariant under a common twist, and equal shifts cancel): an
+    entry is one lookup by packed int difference in the table of p, and a
+    row is one list of lookups.  So is the right-hand side when the target
+    is of the same class.  Any other block (mixed classes, a multiple, a
+    multi-term member; no caller passes one) and any other target run one
+    ``x_euler`` per entry.
     """
-    table: dict[tuple[int, ...], int] = {}
-
-    def chi(a: EObject, b: EObject) -> int:
-        key = _shape_key(a, b)
-        if key is None:
-            return x_euler(a, b, n_amb)
-        v = table.get(key)
-        if v is None:
-            v = table[key] = x_euler(a, b, n_amb)
-        return v
-
+    if chi is None:
+        chi = {}
+    ints = [_member_ints(o) for o in block]
     m = len(block)
-    gram = [[chi(block[i], block[j]) for j in range(m)] for i in range(m)]
+    cls = ints[0][0] if ints and ints[0] else None
+    one_class = cls is not None and cls[2] == 1 and all(t and t[0] == cls for t in ints)
+    if one_class:
+        p = cls[0]
+        inner = chi.setdefault(p, {})
+        packed = [t[1] for t in ints]
+    gram = []
     for i in range(m):
-        if gram[i][i] != 1:
-            raise KClassMismatch(f"Gram diagonal chi = {gram[i][i]} != 1 at {i}")
-        for j in range(i):
-            if gram[i][j] != 0:
-                raise KClassMismatch(f"Gram not unitriangular at ({i},{j})")
-    rhs = [chi(block[j], target) for j in range(m)]
+        if one_class:
+            vi = packed[i]
+            try:
+                row = [inner[v - vi] for v in packed]
+            except KeyError:
+                row = [_chi_at(inner, p, v - vi, n_amb) for v in packed]
+        else:
+            row = [x_euler(block[i], b, n_amb) for b in block]
+        if row[i] != 1:
+            raise KClassMismatch(f"Gram diagonal chi = {row[i]} != 1 at {i}")
+        if any(row[:i]):
+            j = next(j for j, v in enumerate(row) if v)
+            raise KClassMismatch(f"Gram not unitriangular at ({i},{j})")
+        gram.append(row)
+    it = _member_ints(target)
+    if one_class and it is not None and it[0] == cls:
+        rhs = [_chi_at(inner, p, it[1] - v, n_amb) for v in packed]
+    else:
+        rhs = [x_euler(b, target, n_amb) for b in block]
     coeff = [0] * m
     for i in range(m - 1, -1, -1):
-        coeff[i] = rhs[i] - sum(gram[i][j] * coeff[j] for j in range(i + 1, m))
+        coeff[i] = rhs[i] - sum(map(mul, gram[i][i + 1 :], coeff[i + 1 :]))
     return coeff
 
 
@@ -389,7 +446,7 @@ def mutate_block_left(col: Collection, i: int, j: int) -> Spliced:
         raise ScriptError(f"mutlblock {i}..{j}: empty block")
     block = [_require_pure(col, t, "mutlblock") for t in range(i, j + 1)]
     target = _require_pure(col, j + 1, "mutlblock")
-    coeff = gram_solve(block, target, col.n_amb)
+    coeff = gram_solve(block, target, col.n_amb, col.chi)
     char = _character([(1, target)] + [(-c, s) for c, s in zip(coeff, block)])
     cone = Entry(
         "cone",

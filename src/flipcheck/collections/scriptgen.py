@@ -16,7 +16,7 @@ index that each exchange and mutation updates from the two slots it
 changed, so a lookup costs one dict read instead of a scan of the
 collection; only the other moves (expand, serre, promote, ...) make the
 next lookup rebuild it.  A lookup that finds zero copies or two still
-raises ``ScriptError``.
+raises ``ScriptError``; ``run_script`` returns it as a failed result.
 """
 
 from __future__ import annotations
@@ -56,10 +56,13 @@ class ReplayResult(NamedTuple):
 
 
 class _Refused(ScriptError):
-    """The engine refused a move; carries the failing ``ReplayResult``."""
+    """The run stopped: the engine refused a move, or the generator raised a
+    ``ScriptError`` of its own (no line then).  Carries the failing
+    ``ReplayResult``."""
 
     def __init__(self, result: ReplayResult):
-        super().__init__(f"{result.failed_line!r} refused: {result.error}")
+        where = "script" if result.failed_line is None else repr(result.failed_line)
+        super().__init__(f"{where} refused: {result.error}")
         self.result = result
 
 
@@ -437,14 +440,20 @@ def _generate(parity: str, step: str, n: int, on_move=None) -> Sim:
     except KeyError:
         raise ScriptError(f"no generator for ({parity}, {step})")
     sim = Sim(Collection(2 * n + (parity == "odd")), on_move)
-    gen(sim, n)
+    try:
+        gen(sim, n)
+    except _Refused:
+        raise
+    except ScriptError as exc:  # a lookup that found no copy, say
+        raise _Refused(ReplayResult(sim.col, sim.applied, error=str(exc))) from exc
     return sim
 
 
 def run_script(parity: str, step: str, n: int, on_move=None) -> ReplayResult:
     """Generate the (parity, step, n) script with every move certified,
     stopping at the first refused move, whose line and error the result
-    carries."""
+    carries, or at a ``ScriptError`` of the generator's own, whose error it
+    carries with no line."""
     try:
         sim = _generate(parity, step, n, on_move)
     except _Refused as exc:

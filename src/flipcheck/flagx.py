@@ -56,10 +56,16 @@ and back, so the predicate never turns one into a pass.  The tests check it
 against the listed weights (``tests/reference.py``) and against ``x_ext``.
 The van claims and audits, the move engine's exchanges and its final
 semiorthogonality check ask it first and run ``x_ext`` only for the pairs
-whose outcome they record.  A twist-shape table, as below, would not help
-there: the part 6 pairs (O(ah), O(bH)) never differ by a common twist, so
-each has a shape of its own, and the predicate costs about what building a
-shape key does.
+whose outcome they record.  A twist-shape table, as the even collection
+audit keeps, would not help there: the part 6 pairs (O(ah), O(bH)) never
+differ by a common twist, so each has a shape of its own, and the
+predicate costs about what building a shape key does.
+
+``e_vanishes`` is the same band test over the back pass c = 0 alone, so it
+answers "is Ext_E(a, b) zero?".  ``_band_test`` makes both functions from
+one body, so neither calls the other and ``x_vanishes`` keeps its one frame
+and three parameters.  ``verify``'s even collection audit asks it once per
+twist shape (p, q, l-k) of its backward pairs.
 
 Whether a formal sum sum c_i [obj_i] is 0 in K_0(E) is decided by
 ``_kclass_zero`` from its torus character, with ints only.  The Euler
@@ -224,58 +230,80 @@ def x_ext(a: EObject, b: EObject, n_amb: int) -> ExtResult:
     return ExtResult(kind, _graded(front), _graded(back))
 
 
-def x_vanishes(a: EObject, b: EObject, n_amb: int) -> bool:
-    """True iff ``x_ext(a, b, n_amb)`` is zero, without computing a dimension.
+def _band_test(passes: tuple[int, ...]):
+    """The band test of the module docstring over the passes ``passes`` of
+    the restriction triangle (c = 0, the back, and c = 1, the front), as a
+    function of (a, b, n_amb).
 
-    For each pair of terms and c = 0 (back) and c = 1 (front), the pushed
-    weights are (x0 - s, y0 + s) for s = 0..smax, and the pair is zero iff
-    [0, smax] lies in the two bands of ``bwb.cohomology``'s zero test, read
-    as ranges of s (see the module docstring).  No memo is read and no
-    range is built.
+    ``x_vanishes`` runs both passes and ``e_vanishes`` the back alone; each
+    is the function made here, so neither adds a call frame or a parameter
+    to the other.
     """
-    if n_amb < 3:
-        raise ValueError("need N >= 3")
-    k = n_amb - 2  # the length of each band
-    for wa, da, _, _ in a.terms:
-        a1, b1 = wa.a, wa.b
-        p = a1 - b1
-        for wb, db, _, _ in b.terms:
-            a2, b2 = wb.a, wb.b
-            q = a2 - b2
-            top = p + q
-            t = p if p < q else q
-            for c in (0, 1):
-                d = db - da - c
-                # Rp2* O(d.h) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1]
-                # for d <= -2; w is the width of that weight.
-                if d >= 0:
-                    w, x0, y0 = d, a2 - b1 - c + d, b2 - a1 - c
-                elif d == -1:
-                    continue
-                else:
-                    w, x0, y0 = -d - 2, a2 - b1 - c - 1, b2 - a1 - c + d + 1
-                # The loops of _degrees reach s = t' + u for 0 <= t' <= t and
-                # 0 <= u <= min(top - 2t', w): every s up to this smax.
-                smax = w + t
-                if top < smax:
-                    smax = top
-                if (top + w) >> 1 < smax:
-                    smax = (top + w) >> 1
-                # lo1 <= lo2 start the two bands; end is the first s past the
-                # run of covered s that starts at 0.  If the first band ends
-                # below 0, the second misses 0 too: the pushed weight at
-                # s = 0 is dominant, x0 >= y0.
-                lo1, lo2 = x0 + 2, -k - y0
-                if lo1 > lo2:
-                    lo1, lo2 = lo2, lo1
-                if lo1 > 0:
-                    return False
-                end = lo1 + k
-                if lo2 <= end:
-                    end = lo2 + k
-                if end <= smax:
-                    return False
-    return True
+
+    def vanishes(a: EObject, b: EObject, n_amb: int) -> bool:
+        if n_amb < 3:
+            raise ValueError("need N >= 3")
+        k = n_amb - 2  # the length of each band
+        for wa, da, _, _ in a.terms:
+            a1, b1 = wa.a, wa.b
+            p = a1 - b1
+            for wb, db, _, _ in b.terms:
+                a2, b2 = wb.a, wb.b
+                q = a2 - b2
+                top = p + q
+                t = p if p < q else q
+                for c in passes:
+                    d = db - da - c
+                    # Rp2* O(d.h) is Sigma^{d,0} for d >= 0 and Sigma^{-1,d+1}[-1]
+                    # for d <= -2; w is the width of that weight.
+                    if d >= 0:
+                        w, x0, y0 = d, a2 - b1 - c + d, b2 - a1 - c
+                    elif d == -1:
+                        continue
+                    else:
+                        w, x0, y0 = -d - 2, a2 - b1 - c - 1, b2 - a1 - c + d + 1
+                    # The loops of _degrees reach s = t' + u for 0 <= t' <= t and
+                    # 0 <= u <= min(top - 2t', w): every s up to this smax.
+                    smax = w + t
+                    if top < smax:
+                        smax = top
+                    if (top + w) >> 1 < smax:
+                        smax = (top + w) >> 1
+                    # lo1 <= lo2 start the two bands; end is the first s past the
+                    # run of covered s that starts at 0.  If the first band ends
+                    # below 0, the second misses 0 too: the pushed weight at
+                    # s = 0 is dominant, x0 >= y0.
+                    lo1, lo2 = x0 + 2, -k - y0
+                    if lo1 > lo2:
+                        lo1, lo2 = lo2, lo1
+                    if lo1 > 0:
+                        return False
+                    end = lo1 + k
+                    if lo2 <= end:
+                        end = lo2 + k
+                    if end <= smax:
+                        return False
+        return True
+
+    return vanishes
+
+
+x_vanishes = _band_test((0, 1))
+x_vanishes.__name__ = x_vanishes.__qualname__ = "x_vanishes"
+x_vanishes.__doc__ = """True iff ``x_ext(a, b, n_amb)`` is zero, without computing a dimension.
+
+For each pair of terms and c = 0 (back) and c = 1 (front), the pushed
+weights are (x0 - s, y0 + s) for s = 0..smax, and the pair is zero iff
+[0, smax] lies in the two bands of ``bwb.cohomology``'s zero test, read
+as ranges of s (see the module docstring).  No memo is read and no
+range is built.
+"""
+
+e_vanishes = _band_test((0,))
+e_vanishes.__name__ = e_vanishes.__qualname__ = "e_vanishes"
+e_vanishes.__doc__ = """True iff Ext_E(a, b) = ``e_ext(a, b, n_amb)`` is zero: the c = 0
+pass of ``x_vanishes``'s band test, without computing a dimension.
+"""
 
 
 def x_euler(a: EObject, b: EObject, n_amb: int) -> int:

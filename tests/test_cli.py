@@ -4,7 +4,7 @@ import pathlib
 import sys
 import tracemalloc
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pytest
 
@@ -176,6 +176,37 @@ def test_cli_huge_clebsch_gordan_count_is_refused_at_once(argv, capsys, monkeypa
     assert out.out == ""
     [line] = out.err.splitlines()
     assert "Clebsch-Gordan terms" in line and "--allow-large" in line
+
+
+@pytest.mark.parametrize("space", ["gr", "e", "x"])
+def test_cli_huge_ints_count_against_the_budget(space, capsys, monkeypatch):
+    # 3,268 Clebsch-Gordan terms is under the budget, but each runs BWB's
+    # binomials on 4,290-digit ints (4.5 s in all at N = 7): the term count
+    # is weighted by the size of the ints and refused before any BWB work.
+    # One such term, as in cohom, still runs.
+    import time
+
+    from flipcheck import bwb, flagx
+
+    a, b = _HUGE_PAIR
+    if space == "gr":
+        a = a.replace("[1]", "")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(flagx, "_degrees", refuse)
+        m.setattr(bwb, "cohomology", refuse)
+        t0 = time.perf_counter()
+        assert run(["ext", "--N", "7", "--space", space, a, b]) == 3
+        assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert "Clebsch-Gordan terms (budget 100000) needs --allow-large" in line
+    assert run(["cohom", "--N", "7", a]) == 0
+    assert capsys.readouterr().out.startswith("H^")
 
 
 def test_cli_cohom_counts_one_term_per_summand(capsys, monkeypatch):
@@ -481,7 +512,11 @@ _EXPRS = st.lists(_PIECES | _NUMERALS, max_size=12).map("".join) | st.lists(
 ).map("+".join)
 
 
+_HUGE_PAIR = ("S{" + "9" * 4290 + "}Uv[1]", "S{3267}Uv")  # 3,268 terms on huge ints
+
+
 @given(_EXPRS, _EXPRS, st.integers(3, 7), st.sampled_from(["gr", "e", "x"]))
+@example(a=_HUGE_PAIR[0], b=_HUGE_PAIR[1], n_amb=7, space="e")
 @settings(
     max_examples=120,
     deadline=2000,

@@ -4,7 +4,7 @@ import pytest
 
 from flipcheck.bwb import ZERO, GradedDims, cohomology
 import flipcheck.flagx as fx
-from flipcheck.flagx import EObject, e_ext, e_euler, x_euler, x_ext, x_vanishes
+from flipcheck.flagx import EObject, e_ext, e_euler, e_vanishes, x_euler, x_ext, x_vanishes
 from flipcheck.weights import Weight
 
 import reference
@@ -449,6 +449,24 @@ def test_x_vanishes_matches_listed_weights_exhaustively():
                         pairs += 1
                         vanishing += expect
     assert (pairs, vanishing) == (120384, 11795)
+
+
+def test_e_vanishes_matches_e_ext_exhaustively():
+    # The back pass alone, on the grid of the test above: Ext_E is zero iff
+    # e_ext lists no degree.
+    pairs = vanishing = 0
+    for n_amb in range(3, 11):
+        for p in range(6):
+            a = EObject.schur(p)
+            for q in range(6):
+                for b in range(-n_amb - 6, n_amb + 3):
+                    for d in range(-9, 10):
+                        o = EObject.schur(q, b, d)
+                        expect = not e_ext(a, o, n_amb)
+                        assert e_vanishes(a, o, n_amb) == expect, (n_amb, p, q, b, d)
+                        pairs += 1
+                        vanishing += expect
+    assert (pairs, vanishing) == (120384, 22732)
 
 
 def wide_eobjects():

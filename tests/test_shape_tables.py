@@ -2,9 +2,10 @@
 
 Exchanges and the final check ask ``x_vanishes`` of every pair and run
 ``x_ext`` only on a pair that does not vanish; ``gram_solve`` reads chi_X
-once per twist shape.  Each is checked against an unshared route that calls
-``x_ext`` (or ``x_euler``) on every pair; a wrong answer on one shape must
-surface at the same first pair with the same detail either way.
+from a table keyed by p and packed twist difference.  Each is checked
+against an unshared route that calls ``x_ext`` (or ``x_euler``) on every
+pair; a wrong answer on one shape must surface at the same first pair with
+the same detail either way.
 """
 
 import random
@@ -17,6 +18,7 @@ from flipcheck.collections import (
     Collection,
     make_block,
     EngineError,
+    KClassMismatch,
     PairCheck,
     check_semiorthogonal,
     exchange,
@@ -24,7 +26,7 @@ from flipcheck.collections import (
     run_script,
 )
 from flipcheck.collections.engine import Entry, gram_solve
-from flipcheck.flagx import EObject, ExtResult, x_ext, x_vanishes
+from flipcheck.flagx import EObject, ExtResult, x_euler, x_ext, x_vanishes
 from flipcheck.weights import Weight
 
 from reference import shifted
@@ -131,7 +133,7 @@ def _exchanged_by_x_ext(a: EObject, b: EObject, n_amb: int):
 
 
 @pytest.mark.parametrize("n_amb", range(3, 18))
-def test_exchange_and_gram_solve_match_the_unshared_route(n_amb, monkeypatch):
+def test_exchange_and_gram_solve_match_the_unshared_route(n_amb):
     rng = random.Random(-n_amb)
     pure = rng.sample(MIXED, 16)
     blocks = [(rng.sample(pure, rng.randint(1, 4)), rng.choice(pure)) for _ in range(12)]
@@ -148,13 +150,136 @@ def test_exchange_and_gram_solve_match_the_unshared_route(n_amb, monkeypatch):
     assert any(isinstance(o, Collection) for o in exchanged)
     assert any(isinstance(o, tuple) for o in exchanged)
 
-    def run_all():
-        return [_outcome(gram_solve, block, target, n_amb) for block, target in blocks]
-
-    shared = run_all()
-    monkeypatch.setattr(engine, "_shape_key", lambda a, b: None)
-    assert run_all() == shared
+    shared = [_outcome(gram_solve, block, target, n_amb) for block, target in blocks]
+    per_entry = [_outcome(_per_entry_gram, block, target, n_amb) for block, target in blocks]
+    assert shared == per_entry
     assert any(isinstance(o, list) for o in shared)
+
+
+def _per_entry_gram(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
+    """gram_solve by the obvious route: the whole Gram matrix first, one
+    ``x_euler`` per entry (looked up in the engine, so a fault injected there
+    reaches both routes), then the checks and the back-substitution."""
+    chi = engine.x_euler
+    m = len(block)
+    gram = [[chi(a, b, n_amb) for b in block] for a in block]
+    for i in range(m):
+        if gram[i][i] != 1:
+            raise KClassMismatch(f"Gram diagonal chi = {gram[i][i]} != 1 at {i}")
+        for j in range(i):
+            if gram[i][j] != 0:
+                raise KClassMismatch(f"Gram not unitriangular at ({i},{j})")
+    coeff = [0] * m
+    for i in range(m - 1, -1, -1):
+        rest = sum(gram[i][j] * coeff[j] for j in range(i + 1, m))
+        coeff[i] = chi(block[i], target, n_amb) - rest
+    return coeff
+
+
+def _gram_cases(n_amb: int) -> list[tuple[list[EObject], EObject]]:
+    """Blocks and targets: one class with and without a shift and a
+    multiplicity, mixed classes, two-term members and targets, the zero
+    object, and blocks that are not unitriangular."""
+    rng = random.Random(n_amb)
+    cells = [EObject.line(l, 2 - 2 * l) for l in range(3)]  # one class: S^2's cells
+    a_block = list(make_block("A", (), n_amb))  # classes p = 0..n-1
+    two_term = EObject.line() + shifted(EObject.schur(1, 0, 1), 1)
+    cases = [(cells, EObject.schur(2)), (cells, EObject.line(1, -1))]
+    cases.append((a_block, EObject.line(1, 1)))
+    for s, m in ((1, 1), (0, 2), (3, 3)):
+
+        def lift(o, s=s, m=m):
+            ((w, d, _, _),) = o.terms
+            return EObject(((w, d, s, m),))
+
+        lifted = [lift(o) for o in cells]
+        cases += [(lifted, EObject.schur(2)), (lifted, shifted(EObject.schur(2), s))]
+        cases.append((lifted, lift(EObject.line(1, -1))))
+    cases += [(a_block, two_term), (a_block[:1] + [two_term], EObject.line())]
+    cases += [([EObject(), EObject.line()], EObject.line()), (cells, EObject())]
+    cases += [(cells[::-1], EObject.line()), (cells + cells[:1], EObject.schur(1))]
+    cases += [(a_block[::-1], EObject.schur(1)), (a_block[:1] * 2, EObject.line())]
+    for _ in range(10):
+        block = rng.sample(MIXED, rng.randint(1, 5))
+        cases.append((block, rng.choice(MIXED)))
+    return cases
+
+
+@pytest.mark.parametrize("n_amb", range(3, 12))
+def test_gram_solve_matches_the_per_entry_gram(n_amb):
+    # Each case alone and all of them through one table, as the blocks of a
+    # run share their Collection's: the same coefficients or the same
+    # KClassMismatch message as one x_euler per entry.
+    cases = _gram_cases(n_amb)
+    expected = [_outcome(_per_entry_gram, block, target, n_amb) for block, target in cases]
+    assert [_outcome(gram_solve, b, t, n_amb) for b, t in cases] == expected
+    table: dict = {}
+    assert [_outcome(gram_solve, b, t, n_amb, table) for b, t in cases] == expected
+    assert {type(o) for o in expected} == {list, tuple}
+
+
+def _ints(o: EObject) -> tuple[int, int, int, int, int]:
+    ((w, d, s, m),) = o.terms
+    return w.a - w.b, w.b, d, s, m
+
+
+def _chi_shape(a: EObject, b: EObject) -> tuple[int, int, int, int]:
+    """(p, q, dk, dd): the class pair and twist difference of one-term a, b."""
+    pa, ka, da, _, _ = _ints(a)
+    pb, kb, db, _, _ = _ints(b)
+    return pa, pb, kb - ka, db - da
+
+
+def _chi_off_by_one_on(shape):
+    """x_euler plus one on every one-term pair of one (class pair,
+    difference), scaled by the shift sign and the multiplicities as chi_X
+    is, so every route that is right about chi_X sees the same wrong value."""
+
+    def faulty(a, b, n_amb):
+        v = x_euler(a, b, n_amb)
+        if len(a.terms) == len(b.terms) == 1 and _chi_shape(a, b) == shape:
+            *_, sa, ma = _ints(a)
+            *_, sb, mb = _ints(b)
+            v += (-1) ** (sb - sa) * ma * mb
+        return v
+
+    return faulty
+
+
+@pytest.mark.parametrize("n_amb", [5, 7, 9])
+def test_a_wrong_chi_on_one_shape_fails_the_same_first_entry(n_amb, monkeypatch):
+    cases = [(b, t) for b, t in _gram_cases(n_amb) if all(len(o.terms) == 1 for o in b + [t])]
+    shapes = list(dict.fromkeys(
+        _chi_shape(a, b) for block, t in cases[:8] for a in block for b in block + [t]
+    ))
+    assert len(shapes) > 10
+    for shape in shapes[:: max(1, len(shapes) // 12)]:
+        monkeypatch.setattr(engine, "x_euler", _chi_off_by_one_on(shape))
+        expected = [_outcome(_per_entry_gram, b, t, n_amb) for b, t in cases]
+        table: dict = {}
+        assert [_outcome(gram_solve, b, t, n_amb, table) for b, t in cases] == expected
+        assert [_outcome(gram_solve, b, t, n_amb) for b, t in cases] == expected
+
+
+def test_chi_table_belongs_to_its_run():
+    # A chessboard run at N = 9 after one at N = 7, in one process, gives the
+    # bytes of a fresh run (the pinned digest): no chi value outlives its run.
+    import hashlib
+    import json
+    import pathlib
+
+    from flipcheck.cli import emit_report
+    from flipcheck.verify import verify_chessboard, verify_suite
+
+    pins = json.loads(
+        (pathlib.Path(__file__).parents[1] / "scripts" / "report_digests.json").read_text()
+    )
+    verify_chessboard(3)
+    text = emit_report(verify_suite(4, "odd", "all"), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == pins["n4/odd"]
+    chessboard = run_script("odd", "chessboard", 4)
+    assert chessboard.ok and chessboard.final.chi
+    assert Collection(9).chi == {}
 
 
 def _on_shape(a: EObject, b: EObject, shape) -> bool:

@@ -287,16 +287,101 @@ def test_injected_ext_on_a_shape_matches_all_pairs(monkeypatch, n, pairs):
     # A nonzero backward Ext (or a wrong diagonal) on a shape must give the
     # FAIL detail of the full route: the first failing pair in the all-pairs
     # order, with the diagonal of a row read before its backward pairs.
-    full, table = gr_ext, e_ext
+    # The audit asks e_ext of the diagonal and e_vanishes of the backward
+    # pairs, so each shape is injected into both.
+    full, table, vanishes = gr_ext, e_ext, fv.e_vanishes
     for j0, i0 in pairs:
         value = ZERO if i0 == j0 else GradedDims(((1, 1),))
         full = _corrupt_shape(full, n, j0, i0, value)
         table = _corrupt_shape(table, n, j0, i0, value)
+        vanishes = _corrupt_shape(vanishes, n, j0, i0, not value)
     expected = _all_pairs_reading(n, full)
     monkeypatch.setattr(fv, "e_ext", table)
+    monkeypatch.setattr(fv, "e_vanishes", vanishes)
     got = fv._gr_collection_reading(n)
     assert got[0] == FAIL
     assert got == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gr_reading_asks_each_shape_once(monkeypatch, n):
+    # One e_ext per p for the diagonal; one e_vanishes per distinct
+    # backward shape (p, q, l-k), never per pair.
+    coll = gr_collection(2 * n)
+    shapes = fv._shapes(coll)
+    backward = {
+        (p, q, l - k)
+        for j, (p, k, _) in enumerate(shapes)
+        for q, l, _ in shapes[:j]
+    }
+    calls = {"e_ext": [], "e_vanishes": []}
+
+    def logged(orig, log):
+        def run(a, b, n_amb):
+            log.append((a, b))
+            return orig(a, b, n_amb)
+
+        return run
+
+    for name, log in calls.items():
+        monkeypatch.setattr(fv, name, logged(getattr(fv, name), log))
+    assert fv._gr_collection_reading(n)[0] == PASS
+    assert len(calls["e_ext"]) == n
+    asked = [(a.single_term(), b.single_term()) for a, b in calls["e_vanishes"]]
+    got = {(wa.a - wa.b, wb.a - wb.b, wb.b - wa.b) for (wa, _), (wb, _) in asked}
+    assert len(asked) == len(got) and got == backward
+
+
+def _per_object_exceptional(pures, n_amb):
+    """_exceptional by the obvious route: x_ext(T, T) for every object."""
+    for t in pures:
+        r = fv.x_ext(t, t, n_amb)
+        if r.kind != "exact" or r.total().dims != ((0, 1),):
+            return FAIL, {"object": fv.notation(t), "ext": fv._ext_detail(r)}
+    return PASS, {"objects": len(pures)}
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_exceptional_matches_the_per_object_route(monkeypatch, parity):
+    # A wrong Ext(T, T) on every object of one class (p, multiplicity),
+    # whichever twist and shift: the same first failing object and detail.
+    # The final collection gets a shifted multiple and a two-term object.
+    n_amb = 9 if parity == "odd" else 8
+    final = run_script(parity, "full", 4).final.pure_objects()
+    assert fv._exceptional(final, n_amb) == (PASS, {"objects": len(final)})
+    # A shifted twist of a class that passes, a two-term object and a
+    # multiple, which fail.
+    two_term, multiple = _S(1) + _O(0, 1), EObject(((Weight(2, 1), 3, 0, 2),))
+    final += [shifted(_S(1, 2, 3), 1), two_term, multiple]
+    assert fv._exceptional(final, n_amb) == _per_object_exceptional(final, n_amb)
+
+    def key(t):
+        ((w, _, _, m),) = t.terms
+        return w.a - w.b, m
+
+    classes = list(dict.fromkeys(key(t) for t in final if len(t.terms) == 1))
+    assert len(classes) >= 4
+    for cls in classes + [two_term]:
+        def faulty(a, b, n_amb, cls=cls):
+            if isinstance(cls, EObject):
+                hit = a == cls
+            else:
+                hit = len(a.terms) == 1 and key(a) == cls
+            return _NONZERO if hit else x_ext(a, b, n_amb)
+
+        monkeypatch.setattr(fv, "x_ext", faulty)
+        got = fv._exceptional(final, n_amb)
+        assert got[0] == FAIL
+        assert got == _per_object_exceptional(final, n_amb)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_report_bytes_same_with_e_ext_zero_test(monkeypatch, n):
+    # e_vanishes is a fast path for not e_ext(...): routing the even audit's
+    # questions through the slow test must not move one byte.
+    base = emit_report(verify_suite(n, "even", "all"), "json")
+    monkeypatch.setattr(fv, "e_vanishes", lambda a, b, n_amb: not e_ext(a, b, n_amb))
+    assert emit_report(verify_suite(n, "even", "all"), "json") == base
 
 
 def test_even_n2_remark():
@@ -417,6 +502,38 @@ def test_replay_claims_fail_and_vacuous_paths(monkeypatch):
     assert by["steps.step1/final"].detail == {
         "note": "vacuous for this n (empty blocks elided)"
     }
+
+
+def test_a_generator_script_error_is_a_failed_replay(monkeypatch, capsys):
+    # A lookup that finds no copy raises ScriptError inside the generator,
+    # not inside a move: the replay claim is FAIL with that error, the other
+    # claims keep their bytes, and the CLI prints the report and exits 1.
+    from flipcheck.cli import run
+    from flipcheck.collections.scriptgen import GENERATORS
+
+    base = verify_suite(3, "odd", "steps")
+
+    def lost(sim, n):
+        sim.expand(fv.Block("A"))
+        sim.move_right(_S(n, 5), 1)
+
+    monkeypatch.setitem(GENERATORS, ("odd", "step3b"), lost)
+    res = run_script("odd", "step3b", 3)
+    assert (res.ok, res.moves_applied, res.failed_line) == (False, 1, None)
+    assert res.error == "object lookup found 0 copies"
+    report = verify_suite(3, "odd", "steps")
+    by = claims_by_id(report)
+    assert by["steps.step3b/replay"].status == FAIL
+    assert by["steps.step3b/replay"].detail == {
+        "failed_move": None,
+        "error": "object lookup found 0 copies",
+    }
+    assert "steps.step3b/final" not in by
+    kept = [c for c in base.claims if not c.id.startswith("steps.step3b/")]
+    assert [c for c in report.claims if c.id != "steps.step3b/replay"] == kept
+    assert run(["verify", "--n", "3", "--lemma", "steps", "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["summary"]["fail"] == 1 and out.err == ""
 
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
