@@ -345,7 +345,6 @@ def _per_object_exceptional(pures, n_amb):
 def test_exceptional_matches_the_per_object_route(monkeypatch, parity):
     # A wrong Ext(T, T) on every object of one class (p, multiplicity),
     # whichever twist and shift: the same first failing object and detail.
-    # The final collection gets a shifted multiple and a two-term object.
     n_amb = 9 if parity == "odd" else 8
     final = run_script(parity, "full", 4).final.pure_objects()
     assert fv._exceptional(final, n_amb) == (PASS, {"objects": len(final)})
