@@ -386,7 +386,8 @@ def gram_solve(
     The chi_X Gram matrix of an exceptional sequence is upper-unitriangular
     in collection order; each row is validated as it is built, diagonal
     first (KClassMismatch if not).  ``chi`` is the table read and filled,
-    a run's ``Collection.chi``; without one the call has its own.
+    a run's ``Collection.chi`` or the one the staircase Propositions of an
+    n share; without one the call has its own.
 
     Each member's ints are read once.  When every member is one-term with
     the same p and shift and multiplicity 1, as in every chessboard block,

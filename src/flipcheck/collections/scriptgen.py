@@ -16,13 +16,18 @@ index that each exchange and mutation updates from the two slots it
 changed, so a lookup costs one dict read instead of a scan of the
 collection; only the other moves (expand, serre, promote, ...) make the
 next lookup rebuild it.  A lookup that finds zero copies or two still
-raises ``ScriptError``; ``run_script`` returns it as a failed result.
+raises ``ScriptError``.
+
+A run ends in one place, ``run_script``: a move the engine refuses raises
+its own error, with its line noted as ``Sim.refused``, and a lookup's
+``ScriptError`` raises as it is; ``run_script`` turns either into the
+failed ``ReplayResult``; nothing else stops them.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..flagx import EObject
 from .blocks import Block
@@ -55,22 +60,12 @@ class ReplayResult(NamedTuple):
         return self.error is None
 
 
-class _Refused(ScriptError):
-    """The run stopped: the engine refused a move, or the generator raised a
-    ``ScriptError`` of its own (no line then).  Carries the failing
-    ``ReplayResult``."""
-
-    def __init__(self, result: ReplayResult):
-        where = "script" if result.failed_line is None else repr(result.failed_line)
-        super().__init__(f"{where} refused: {result.error}")
-        self.result = result
-
-
 class Sim:
     """Applies moves by verb through ``engine._MOVES`` to its one collection
     ``col``, records their lines and calls ``on_move(verb, args, old, new,
     col)`` after each, where ``old`` and ``new`` are the entries the move
-    replaced and wrote.
+    replaced and wrote.  A refused move notes its line as ``refused`` and
+    re-raises the engine's own error; ``run_script`` ends the run there.
 
     ``idx`` reads a position index of the pure objects.  An exchange swaps
     two of its slots and ``mutl``/``mutr`` replace two; any other move, or a
@@ -83,15 +78,16 @@ class Sim:
         self.applied = 0
         self.on_move = on_move
         self._pos: Optional[dict[EObject, int]] = None
+        self.refused: Optional[str] = None  # the line of the refused move
 
     def do(self, verb: str, *args) -> None:
         move, text = _MOVES[verb]
         line = f"{verb} {text.format(*args)}"
         try:
             old, new = move(self.col, *args)
-        except EngineError as exc:
-            res = ReplayResult(self.col, self.applied, failed_line=line, error=str(exc))
-            raise _Refused(res) from exc
+        except EngineError:
+            self.refused = line
+            raise
         self.lines.append(line)
         self.applied += 1
         self._update_index(verb, args, old, new)
@@ -125,10 +121,8 @@ class Sim:
     def note(self, text: str) -> None:
         self.lines.append(f"# {text}")
 
-    def expand(self, block: Block, at: int | None = None) -> None:
-        if at is None:
-            at = len(self.col)
-        self.do("expand", block, at)
+    def expand(self, block: Block) -> None:
+        self.do("expand", block, len(self.col))
 
     def idx(self, obj: EObject) -> int:
         pos = self._pos if self._pos is not None else self._index()
@@ -380,17 +374,22 @@ def gen_odd_chessboard(sim: Sim, n: int) -> None:
 # ---------------------------------------------------------------- even scripts
 
 
+def _even_step_moves(sim: Sim, n: int) -> None:
+    """Even steps 1-3 and the regrouping, from <A^1(-h), A^1(H-h), A, A(H)>."""
+    _step1_moves(sim, n, odd=False)
+    _step2_moves(sim, n, odd=False)
+    _step3_moves(sim, n, odd=False)
+    _step4_moves_even(sim, n)
+    _regroup_moves(sim, n)
+
+
 def gen_even_step2(sim: Sim, n: int) -> None:
     """Standalone even step 2: <A^1(-h), A^1(H-h), A, A(H)> -> its stated RHS."""
     sim.expand(Block("Aseg", (0, n - 2), (0, -1)))
     sim.expand(Block("Aseg", (0, n - 2), (1, -1)))
     sim.expand(Block("A"))
     sim.expand(Block("A", (), (1, 0)))
-    _step1_moves(sim, n, odd=False)
-    _step2_moves(sim, n, odd=False)
-    _step3_moves(sim, n, odd=False)
-    _step4_moves_even(sim, n)
-    _regroup_moves(sim, n)
+    _even_step_moves(sim, n)
 
 
 def gen_even_full(sim: Sim, n: int) -> None:
@@ -403,11 +402,7 @@ def gen_even_full(sim: Sim, n: int) -> None:
     first_tail = sim.idx(_S(0, 2 * n - 2))
     sim.do("serre", first_tail, len(sim.col) - 1)
     sim.do("promote", sim.opaque_idx(), "D'")
-    _step1_moves(sim, n, odd=False)
-    _step2_moves(sim, n, odd=False)
-    _step3_moves(sim, n, odd=False)
-    _step4_moves_even(sim, n)
-    _regroup_moves(sim, n)
+    _even_step_moves(sim, n)
     # step 3: collect the far-left candidates, Serre-twist, promote.
     rp = (n - 1) // 2 - 1
     tail: list[EObject] = [_S(n - 1, n - 1, 0)]
@@ -434,28 +429,35 @@ GENERATORS = {
 }
 
 
-def _generate(parity: str, step: str, n: int, on_move=None) -> Sim:
+def _start(parity: str, step: str, n: int, on_move=None) -> tuple[Callable, Sim]:
+    """The (parity, step) generator and a new ``Sim`` for its run; an unknown
+    pair raises ``ScriptError``."""
     try:
         gen = GENERATORS[(parity, step)]
     except KeyError:
         raise ScriptError(f"no generator for ({parity}, {step})")
-    sim = Sim(Collection(2 * n + (parity == "odd")), on_move)
-    try:
-        gen(sim, n)
-    except _Refused:
-        raise
-    except ScriptError as exc:  # a lookup that found no copy, say
-        raise _Refused(ReplayResult(sim.col, sim.applied, error=str(exc))) from exc
+    return gen, Sim(Collection(2 * n + (parity == "odd")), on_move)
+
+
+def _generate(parity: str, step: str, n: int, on_move=None) -> Sim:
+    """Run the (parity, step, n) generator; a refusal or a ``ScriptError``
+    of the generator's own propagates as raised."""
+    gen, sim = _start(parity, step, n, on_move)
+    gen(sim, n)
     return sim
 
 
 def run_script(parity: str, step: str, n: int, on_move=None) -> ReplayResult:
-    """Generate the (parity, step, n) script with every move certified,
-    stopping at the first refused move, whose line and error the result
-    carries, or at a ``ScriptError`` of the generator's own, whose error it
-    carries with no line."""
+    """Generate the (parity, step, n) script with every move certified.
+
+    This is where a run ends.  An ``EngineError`` out of the generator
+    stops it and becomes the failed result: a refused move gives its line,
+    ``Sim.refused``, and its error; a ``ScriptError`` of the generator's own
+    (a lookup that found no copy, say) gives its error and no line.
+    """
+    gen, sim = _start(parity, step, n, on_move)
     try:
-        sim = _generate(parity, step, n, on_move)
-    except _Refused as exc:
-        return exc.result
+        gen(sim, n)
+    except EngineError as exc:
+        return ReplayResult(sim.col, sim.applied, sim.refused, str(exc))
     return ReplayResult(sim.col, sim.applied)

@@ -47,7 +47,7 @@ from .collections import (
     run_script,
     serre_twist,
 )
-from .collections.engine import Entry, _tracked, gram_solve
+from .collections.engine import ChiTable, Entry, _tracked, gram_solve
 from .collections.scriptgen import _O, _S, mutated_gr_sod
 
 PASS = "pass"
@@ -535,15 +535,20 @@ def _replay_claims(
     on_move=None,
     statement: str = "final collection equals the stated right-hand side",
 ) -> Optional[Collection]:
-    """Replay a move script and emit replay/final/count claims."""
-    start_counts: list[int] = []
+    """Replay a move script and emit replay/final/count claims.
+
+    ``*/count`` compares the tracked count (pure and cone entries) before
+    every counted move, any verb but ``expand`` and ``opaque``, and after
+    the run: it passes iff all are one number, the detail's ``count``.
+    """
+    seen: set[int] = set()
     count = 0  # tracked entries of the run's collection, which starts empty
 
     def counter(verb: str, args: tuple, old: list, new: list, col: Collection) -> None:
         nonlocal count
-        count += _tracked(new) - _tracked(old)
         if verb not in ("expand", "opaque"):
-            start_counts.append(count)
+            seen.add(count)
+        count += _tracked(new) - _tracked(old)
         if on_move is not None:
             on_move(verb, args, old, new, col)
 
@@ -572,14 +577,14 @@ def _replay_claims(
         return res.final
     status, detail = _layout_check(res.final, expected)
     report.claims.append(Claim(f"{prefix}/final", statement, status, detail))
-    if start_counts:
-        conserved = len(set(start_counts)) == 1
+    if seen:
+        seen.add(count)
         report.claims.append(
             Claim(
                 f"{prefix}/count",
                 "object count invariant under every move",
-                PASS if conserved else FAIL,
-                {"count": start_counts[-1]},
+                PASS if len(seen) == 1 else FAIL,
+                {"count": count},
             )
         )
     return res.final
@@ -764,13 +769,14 @@ def _van6_condition(a: int, b: int, n: int, n_amb: int) -> str:
     return "neither"
 
 
-def _staircase_prop(k: int, n_amb: int) -> Outcome:
-    """S^kUv is resolved by the cells O(k-2l, l) with Gram coefficients 1."""
+def _staircase_prop(k: int, n_amb: int, chi: ChiTable) -> Outcome:
+    """S^kUv is resolved by the cells O(k-2l, l) with Gram coefficients 1;
+    ``chi`` is the chi_X table the Propositions of one n share."""
     cells = [_O(l, k - 2 * l) for l in range(k + 1)]
     target = _S(k)
     # A Gram that is not unitriangular raises KClassMismatch, which _check
     # records as FAIL with the solver's message.
-    coeff = gram_solve(cells, target, n_amb)
+    coeff = gram_solve(cells, target, n_amb, chi)
     if coeff != [1] * len(cells):
         return FAIL, {"coefficients": coeff}
     if not _kclass_zero([(1, target)] + [(-1, c) for c in cells], n_amb):
@@ -864,13 +870,14 @@ def verify_chessboard(n: int) -> Report:
         )
 
     # (b) staircase Proposition via the unitriangular Euler-Gram system.
+    chi: ChiTable = {}
     for k in range(n):
         _check(
             report,
             f"chess/prop/k={k}",
             f"S^{k}Uv lies in <O(k-2l, l)>_{{0<=l<={k}}} with all "
             "Gram-system coefficients 1",
-            _staircase_prop, k, n_amb,
+            _staircase_prop, k, n_amb, chi,
         )
 
     # (c) region membership of the two groups of perp(D2).

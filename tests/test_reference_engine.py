@@ -26,7 +26,7 @@ from flipcheck.collections import (
     ScriptError,
     VanishingFalse,
 )
-from flipcheck.collections.scriptgen import GENERATORS, Sim, _Refused
+from flipcheck.collections.scriptgen import GENERATORS, Sim, _O
 from flipcheck.flagx import ExtResult
 from reference import RefSim, tracked
 
@@ -50,8 +50,6 @@ def _drive(sim, key: tuple[str, str], n: int):
     """Run a generator on ``sim``: the refused line and error class, or None."""
     try:
         GENERATORS[key](sim, n)
-    except _Refused as exc:
-        return exc.result.failed_line, type(exc.__cause__)
     except EngineError as exc:
         return sim.refused, type(exc)
     return None
@@ -103,6 +101,23 @@ def test_a_nonzero_hom_is_refused_the_same_way_by_the_reference(monkeypatch):
     assert _drive(sim, ("odd", "step1"), 3) == refused
     assert _drive(ref, ("odd", "step1"), 3) == refused
     _same_run(sim, counts, ref)
+
+
+def test_a_failed_lookup_ends_the_run_the_same_way_as_the_reference(monkeypatch):
+    # The generator's own lookup finds no copy after two applied moves: both
+    # engines raise ScriptError with no refused line and keep both blocks.
+    def lost(sim, n):
+        sim.expand(_A)
+        sim.expand(_A_H)
+        sim.move_right(_O(5), 1)
+
+    monkeypatch.setitem(GENERATORS, ("odd", "step1"), lost)
+    sim, counts = _counted_sim(7)
+    ref = RefSim(7)
+    assert _drive(sim, ("odd", "step1"), 3) == (None, ScriptError)
+    assert _drive(ref, ("odd", "step1"), 3) == (None, ScriptError)
+    _same_run(sim, counts, ref)
+    assert (sim.applied, len(sim.col)) == (2, 6)
 
 
 # ------------------------------------------------------------ random moves
@@ -188,8 +203,8 @@ def _apply(sim: Sim, counts: list[int], ref: RefSim, verb: str, args: tuple):
     got = want = None
     try:
         sim.do(verb, *args)
-    except _Refused as exc:
-        got = type(exc.__cause__)
+    except EngineError as exc:
+        got = type(exc)
     try:
         ref.do(verb, *args)
     except EngineError as exc:

@@ -196,6 +196,33 @@ def test_empty_script_is_identity(monkeypatch):
 
 _A = Block("A")
 
+
+def test_a_generator_lookup_error_keeps_the_collection_as_it_stood(monkeypatch):
+    # The generator's own ScriptError, raised outside any move after two
+    # applied moves, is the failed result: no line, two moves, and the
+    # collection those two moves left.
+    def lost(sim, n):
+        sim.expand(_A)
+        sim.do("opaque", "D", 0)
+        sim.idx(_O(5))
+
+    monkeypatch.setitem(GENERATORS, ("odd", "step1"), lost)
+    res = run_script("odd", "step1", 2)
+    assert (res.ok, res.failed_line, res.moves_applied) == (False, None, 2)
+    assert res.error == "object lookup found 0 copies"
+    expected = Collection(5)
+    _MOVES["expand"][0](expected, _A, 0)
+    _MOVES["opaque"][0](expected, "D", 0)
+    assert res.final == expected
+    with pytest.raises(ScriptError, match="found 0 copies"):
+        _generate("odd", "step1", 2)
+
+
+def test_an_unknown_script_raises():
+    with pytest.raises(ScriptError, match=r"no generator for \(odd, step9\)"):
+        run_script("odd", "step9", 3)
+
+
 # A negative index or position for each verb, and its line in the record.
 _NEGATIVE = [
     (("exchange", -1), "exchange -1"),
@@ -283,7 +310,7 @@ def test_refused_move_gives_the_same_result_both_ways(monkeypatch):
     )
     assert generated.final == replayed.final
     assert (generated.moves_applied, generated.failed_line) == (3, "exchange 3")
-    with pytest.raises(ScriptError, match="exchange 3"):
+    with pytest.raises(VanishingFalse, match="exchange 3"):
         _generate("odd", "step1", 3).lines
     by = {c.id: c for c in verify_inductive_steps(3).claims}
     assert by["steps.step1/replay"].detail == {

@@ -183,6 +183,29 @@ def test_sod_readings():
     assert by["sod/count-final"].detail["count"] == 10
 
 
+def test_replay_count_sees_the_first_counted_move(monkeypatch):
+    # A serre that drops the first twisted entry changes the count on the
+    # first counted move of the odd full script (its only serre) and on a
+    # later one of the even script; both count claims must see it.
+    import flipcheck.collections.engine as engine
+
+    serre, text = engine._MOVES["serre"]
+
+    def lossy(col, i, j):
+        old, new = serre(col, i, j)
+        del col.entries[0]
+        return old, new[1:]
+
+    monkeypatch.setitem(engine._MOVES, "serre", (lossy, text))
+    for n in (2, 3):
+        for prefix, report in (("sod", verify_sod_odd(n)), ("even", verify_even(n))):
+            by = claims_by_id(report)
+            assert by[f"{prefix}/replay"].status == PASS, (prefix, n)
+            count = by[f"{prefix}/count"]
+            assert count.status == FAIL, (prefix, n)
+            assert count.detail == by[f"{prefix}/count-final"].detail, (prefix, n)
+
+
 def test_chessboard_region_assignment_swap():
     r = verify_chessboard(3)
     audit = claims_by_id(r)["chess/region/assignment-audit"]
@@ -215,7 +238,7 @@ def test_chessboard_proposition_fails_with_solver_message(monkeypatch):
     import flipcheck.verify as verify
     from flipcheck.collections import KClassMismatch
 
-    def broken(block, target, n_amb):
+    def broken(block, target, n_amb, chi):
         raise KClassMismatch("Gram not unitriangular at (1,0)")
 
     monkeypatch.setattr(verify, "gram_solve", broken)
