@@ -55,12 +55,12 @@ the move reads.
 
 chi_X is read from one table per run, not per call: a ``Collection`` holds
 it as ``chi``, and every ``mutlblock`` of the run's ``gram_solve`` reads and
-fills it, so a block reuses the entries of the blocks before it.  A
-one-term object is read as its ints (p, shift, multiplicity, packed
-twist), and chi_X is invariant under a common twist, so for the members of
-one class the table holds one value per p and packed twist difference
-(see ``gram_solve``).  The table goes with its collection; no chi value
-lives in module state.
+fills it, so a block reuses the entries of the blocks before it.  A single
+pure term S^p U^vee (kH)(dh) packs into one int, and chi_X is invariant
+under a common twist, so the table is keyed by the row member's p and the
+difference of two packed ints (see ``gram_solve``).  A member or target
+that is not a single pure term is refused with ``ScriptError``.  The table
+goes with its collection; no chi value lives in module state.
 """
 
 from __future__ import annotations
@@ -134,15 +134,18 @@ class Entry(NamedTuple):
         return self.name
 
 
-# {p: {packed (dk, dd): chi_X(S^p U^vee, S^p U^vee (dk.H + dd.h))}}
+# {p: {packed (dq, dk, dd): chi_X(S^p U^vee, S^(p+dq) U^vee (dk.H + dd.h))}},
+# keyed by the row member's p and the difference of two packed single pure
+# terms (see ``_packed``).
 ChiTable = dict[int, dict[int, int]]
 
 
 class Collection:
     """One script run's collection; equal by (n_amb, entries).
 
-    ``chi`` is the run's chi_X table, which ``mutate_block_left`` hands to
-    ``gram_solve``; it plays no part in equality.
+    ``chi`` is the run's chi_X table, keyed by p and packed difference,
+    which ``mutate_block_left`` hands to ``gram_solve``; it plays no part in
+    equality.
     """
 
     def __init__(self, n_amb: int, entries: Optional[list[Entry]] = None):
@@ -249,12 +252,15 @@ def _match_rule(mutator: EObject, target: EObject, n_amb: int, side: str) -> EOb
 
     The target is read as S^k U^vee (x) T with T = O(cH + dh).  Rules are
     tried only for 1 <= k <= n-1, before any rule object is built (at k = 0
-    rule (1)'s mutator is no bundle).  Each rule of the side whose mutator,
-    twisted by T, is ``mutator`` gives its result twisted by T.  At k = 1
-    rules (2) and (3) coincide and give one result.
+    rule (1)'s mutator is no bundle); a target that is not a single pure
+    term matches nothing.  Each rule of the side whose mutator, twisted by
+    T, is ``mutator`` gives its result twisted by T.  At k = 1 rules (2) and
+    (3) coincide and give one result.
     """
-    w, d = target.single_term()
-    k, c = w.a - w.b, w.b
+    k = c = d = 0
+    if target.is_single():
+        w, d = target.single_term()
+        k, c = w.a - w.b, w.b
     results: set[EObject] = set()
     if 1 <= k <= n_amb // 2 - 1:
         for rule_side, rule_mutator, rule_result in _RULES:
@@ -347,34 +353,35 @@ def promote(col: Collection, i: int, name: str) -> Spliced:
     return _splice(col, 0, i + 1, [Entry.opaque(name)] + col.entries[:i])
 
 
-# A one-term member packs its twist O(kH + dh) into the int k * _PACK + d, so
-# the difference of two packed ints is the packed difference of the twists.
-# It decodes while every |d| is below _PACK // 4; a member past that is read
-# as a whole object, as a multi-term one is.
+# A single pure term S^p U^vee (kH)(dh) packs into the int
+# p * _CLS + k * _PACK + d.  While every |k| and |d| is below _PACK // 4, the
+# difference of two packed ints fixes (dp, dk, dd), so with the row member's
+# p it names chi_X of the pair: chi_X is invariant under a common twist.
 _PACK = 1 << 64
-_HALF = _PACK >> 1
+_CLS = _PACK * _PACK
+_LIMIT = _PACK >> 2
 
 
-def _member_ints(o: EObject) -> Optional[tuple[tuple[int, int, int], int]]:
-    """((p, shift, multiplicity), packed twist) of a one-term object
-    S^p U^vee (kH)(dh)[s]; None for any other."""
-    if len(o.terms) != 1:
-        return None
-    ((w, d, s, m),) = o.terms
-    if not -_HALF < 2 * d < _HALF:
-        return None
-    return (w.a - w.b, s, m), w.b * _PACK + d
+def _packed(o: EObject) -> tuple[int, int]:
+    """(p, packed int) of a single pure term within the limit; ScriptError,
+    naming it, for any other object."""
+    if o.is_single():
+        ((w, d, _, _),) = o.terms
+        if -_LIMIT < w.b < _LIMIT and -_LIMIT < d < _LIMIT:
+            p = w.a - w.b
+            return p, p * _CLS + w.b * _PACK + d
+    raise ScriptError(
+        f"gram: {notation(o) or '0'} is not a single pure term "
+        f"S^pUv(kH)(dh) with |k|, |d| < {_LIMIT}"
+    )
 
 
-def _chi_at(inner: dict[int, int], p: int, diff: int, n_amb: int) -> int:
-    """chi_X(S^p U^vee, S^p U^vee (dk.H + dd.h)) for the packed ``diff``,
-    read from ``inner``, the table of p, or computed with one ``x_euler``
-    and stored."""
+def _chi(inner: dict[int, int], diff: int, a: EObject, b: EObject, n_amb: int) -> int:
+    """chi_X(a, b), read from ``inner`` at the packed difference ``diff``, or
+    computed with one ``x_euler`` and stored there."""
     v = inner.get(diff)
     if v is None:
-        dk, dd = divmod(diff + _HALF, _PACK)
-        b = EObject.schur(p, dk, dd - _HALF)
-        v = inner[diff] = x_euler(EObject.schur(p), b, n_amb)
+        v = inner[diff] = x_euler(a, b, n_amb)
     return v
 
 
@@ -389,47 +396,35 @@ def gram_solve(
     a run's ``Collection.chi`` or the one the staircase Propositions of an
     n share; without one the call has its own.
 
-    Each member's ints are read once.  When every member is one-term with
-    the same p and shift and multiplicity 1, as in every chessboard block,
-    chi_X of two members depends only on the difference of their twists
-    (chi_X is invariant under a common twist, and equal shifts cancel): an
-    entry is one lookup by packed int difference in the table of p, and a
-    row is one list of lookups.  So is the right-hand side when the target
-    is of the same class.  Any other block (mixed classes, a multiple, a
-    multi-term member; no caller passes one) and any other target run one
-    ``x_euler`` per entry.
+    Every member and the target must be a single pure term within the
+    packing limit (ScriptError, naming the first that is not; every pure
+    entry a move creates is one).  Each is packed once.  Entry (i, j) is
+    the table of member i's p read at the packed difference v_j - v_i, so a
+    row is one list of lookups, for a block of one class or of several; the
+    right-hand side is read the same way at v_target - v_i.  A miss runs
+    one ``x_euler`` on the two objects and stores it.
     """
     if chi is None:
         chi = {}
-    ints = [_member_ints(o) for o in block]
+    ints = [_packed(o) for o in block]
+    vt = _packed(target)[1]
+    packed = [v for _, v in ints]
+    inners = [chi.setdefault(p, {}) for p, _ in ints]
     m = len(block)
-    cls = ints[0][0] if ints and ints[0] else None
-    one_class = cls is not None and cls[2] == 1 and all(t and t[0] == cls for t in ints)
-    if one_class:
-        p = cls[0]
-        inner = chi.setdefault(p, {})
-        packed = [t[1] for t in ints]
     gram = []
     for i in range(m):
-        if one_class:
-            vi = packed[i]
-            try:
-                row = [inner[v - vi] for v in packed]
-            except KeyError:
-                row = [_chi_at(inner, p, v - vi, n_amb) for v in packed]
-        else:
-            row = [x_euler(block[i], b, n_amb) for b in block]
+        inner, vi, a = inners[i], packed[i], block[i]
+        try:
+            row = [inner[v - vi] for v in packed]
+        except KeyError:
+            row = [_chi(inner, v - vi, a, b, n_amb) for v, b in zip(packed, block)]
         if row[i] != 1:
             raise KClassMismatch(f"Gram diagonal chi = {row[i]} != 1 at {i}")
         if any(row[:i]):
             j = next(j for j, v in enumerate(row) if v)
             raise KClassMismatch(f"Gram not unitriangular at ({i},{j})")
         gram.append(row)
-    it = _member_ints(target)
-    if one_class and it is not None and it[0] == cls:
-        rhs = [_chi_at(inner, p, it[1] - v, n_amb) for v in packed]
-    else:
-        rhs = [x_euler(b, target, n_amb) for b in block]
+    rhs = [_chi(t, vt - v, a, target, n_amb) for t, v, a in zip(inners, packed, block)]
     coeff = [0] * m
     for i in range(m - 1, -1, -1):
         coeff[i] = rhs[i] - sum(map(mul, gram[i][i + 1 :], coeff[i + 1 :]))

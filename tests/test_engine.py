@@ -23,9 +23,11 @@ from flipcheck.collections import (
 )
 from flipcheck.collections import engine
 from flipcheck.collections.engine import Entry, ScriptError
-from flipcheck.collections.scriptgen import Sim
+from flipcheck.collections.scriptgen import GENERATORS, Sim, run_script
 from flipcheck.flagx import EObject, ExtResult
 from flipcheck.verify import _expected_pair
+
+from reference import shifted
 
 
 def col_of(n_amb, *objs):
@@ -131,6 +133,23 @@ def test_mutate_range_guard():
     # would build S^{-1}Uv(H-h)
     with pytest.raises(NoRuleMatch):
         mutate_right(col_of(n_amb, EObject.line(), EObject.line()), 0)
+
+
+def test_mutate_refuses_a_target_that_is_not_a_single_pure_term(monkeypatch):
+    # RHom(O(H-h), Uv[2]) = C[-2] is one-dimensional, so the pair reaches the
+    # rule table; its shifted target matches no rule, alone or in a run.
+    pair = [Entry.pure(EObject.schur(0, 1, -1)), Entry.pure(shifted(EObject.schur(1), 2))]
+    with pytest.raises(NoRuleMatch, match="matches no rule"):
+        mutate_left(Collection(7, list(pair)), 0)
+
+    def gen(sim, n):
+        engine._splice(sim.col, 0, 0, list(pair))
+        sim.do("mutl", 0)
+
+    monkeypatch.setitem(GENERATORS, ("odd", "step1"), gen)
+    res = run_script("odd", "step1", 3)
+    assert (res.ok, res.moves_applied, res.failed_line) == (False, 0, "mutl 0")
+    assert res.error == "L_O(H-h)(Uv[2]) matches no rule"
 
 
 def test_mutations_restore_semiorthogonality():

@@ -2,24 +2,32 @@
 
 Exchanges and the final check ask ``x_vanishes`` of every pair and run
 ``x_ext`` only on a pair that does not vanish; ``gram_solve`` reads chi_X
-from a table keyed by p and packed twist difference.  Each is checked
-against an unshared route that calls ``x_ext`` (or ``x_euler``) on every
-pair; a wrong answer on one shape must surface at the same first pair with
-the same detail either way.
+from a table keyed by the row member's p and the difference of two packed
+single pure terms.  Each is checked against an unshared route that calls
+``x_ext`` (or ``x_euler``) on every pair; a wrong answer on one shape must
+surface at the same first pair with the same detail either way.  The Gram
+takes single pure terms only: a shifted, multiple, two-term or zero member
+or target, or one past the packing limit, is refused with ``ScriptError``.
 """
 
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
 
 import flipcheck.collections.engine as engine
+import flipcheck.verify as verify
 from flipcheck.bwb import GradedDims
+from flipcheck.cli import emit_report
 from flipcheck.collections import (
     Collection,
     make_block,
     EngineError,
     KClassMismatch,
     PairCheck,
+    ScriptError,
     check_semiorthogonal,
     exchange,
     notation,
@@ -136,10 +144,11 @@ def _exchanged_by_x_ext(a: EObject, b: EObject, n_amb: int):
 def test_exchange_and_gram_solve_match_the_unshared_route(n_amb):
     rng = random.Random(-n_amb)
     pure = rng.sample(MIXED, 16)
-    blocks = [(rng.sample(pure, rng.randint(1, 4)), rng.choice(pure)) for _ in range(12)]
-    blocks.append((pure[:1] * 2, pure[1]))  # equal shapes, not unitriangular
+    single = [o for o in MIXED if o.is_single()]  # the Gram's domain
+    blocks = [(rng.sample(single, rng.randint(1, 4)), rng.choice(single)) for _ in range(12)]
+    blocks.append((single[:1] * 2, single[1]))  # equal shapes, not unitriangular
     a_block = list(make_block("A", (), n_amb))  # an exceptional sequence
-    blocks += [(a_block, t) for t in pure[:4] + a_block]
+    blocks += [(a_block, t) for t in single[:4] + a_block]
 
     exchanged = [
         _outcome(_exchanged, Collection(n_amb, [Entry.pure(a), Entry.pure(b)]))
@@ -154,6 +163,12 @@ def test_exchange_and_gram_solve_match_the_unshared_route(n_amb):
     per_entry = [_outcome(_per_entry_gram, block, target, n_amb) for block, target in blocks]
     assert shared == per_entry
     assert any(isinstance(o, list) for o in shared)
+    others = [o for o in pure if not o.is_single()]
+    assert others
+    for o in others:
+        for block, target in ((single[:1] + [o], single[1]), (single[:2], o)):
+            with pytest.raises(ScriptError, match="not a single pure term"):
+                gram_solve(block, target, n_amb)
 
 
 def _per_entry_gram(block: list[EObject], target: EObject, n_amb: int) -> list[int]:
@@ -176,16 +191,18 @@ def _per_entry_gram(block: list[EObject], target: EObject, n_amb: int) -> list[i
     return coeff
 
 
-def _gram_cases(n_amb: int) -> list[tuple[list[EObject], EObject]]:
-    """Blocks and targets: one class with and without a shift and a
-    multiplicity, mixed classes, two-term members and targets, the zero
-    object, and blocks that are not unitriangular."""
+def _gram_cases(n_amb: int) -> tuple[list, list]:
+    """(solved, refused) blocks and targets.  Solved: one class, mixed
+    classes, and blocks that are not unitriangular, every member and target
+    a single pure term.  Refused: shifted and multiple (lifted), two-term and
+    zero members and targets, which ``gram_solve`` does not take."""
     rng = random.Random(n_amb)
     cells = [EObject.line(l, 2 - 2 * l) for l in range(3)]  # one class: S^2's cells
     a_block = list(make_block("A", (), n_amb))  # classes p = 0..n-1
     two_term = EObject.line() + shifted(EObject.schur(1, 0, 1), 1)
     cases = [(cells, EObject.schur(2)), (cells, EObject.line(1, -1))]
     cases.append((a_block, EObject.line(1, 1)))
+    refused = []
     for s, m in ((1, 1), (0, 2), (3, 3)):
 
         def lift(o, s=s, m=m):
@@ -193,16 +210,17 @@ def _gram_cases(n_amb: int) -> list[tuple[list[EObject], EObject]]:
             return EObject(((w, d, s, m),))
 
         lifted = [lift(o) for o in cells]
-        cases += [(lifted, EObject.schur(2)), (lifted, shifted(EObject.schur(2), s))]
-        cases.append((lifted, lift(EObject.line(1, -1))))
-    cases += [(a_block, two_term), (a_block[:1] + [two_term], EObject.line())]
-    cases += [([EObject(), EObject.line()], EObject.line()), (cells, EObject())]
+        refused += [(lifted, EObject.schur(2)), (lifted, shifted(EObject.schur(2), s))]
+        refused.append((lifted, lift(EObject.line(1, -1))))
+    refused += [(a_block, two_term), (a_block[:1] + [two_term], EObject.line())]
+    refused += [([EObject(), EObject.line()], EObject.line()), (cells, EObject())]
     cases += [(cells[::-1], EObject.line()), (cells + cells[:1], EObject.schur(1))]
     cases += [(a_block[::-1], EObject.schur(1)), (a_block[:1] * 2, EObject.line())]
     for _ in range(10):
         block = rng.sample(MIXED, rng.randint(1, 5))
-        cases.append((block, rng.choice(MIXED)))
-    return cases
+        case = (block, rng.choice(MIXED))
+        (cases if all(o.is_single() for o in block + [case[1]]) else refused).append(case)
+    return cases, refused
 
 
 @pytest.mark.parametrize("n_amb", range(3, 12))
@@ -210,12 +228,86 @@ def test_gram_solve_matches_the_per_entry_gram(n_amb):
     # Each case alone and all of them through one table, as the blocks of a
     # run share their Collection's: the same coefficients or the same
     # KClassMismatch message as one x_euler per entry.
-    cases = _gram_cases(n_amb)
+    cases, refused = _gram_cases(n_amb)
     expected = [_outcome(_per_entry_gram, block, target, n_amb) for block, target in cases]
     assert [_outcome(gram_solve, b, t, n_amb) for b, t in cases] == expected
     table: dict = {}
     assert [_outcome(gram_solve, b, t, n_amb, table) for b, t in cases] == expected
     assert {type(o) for o in expected} == {list, tuple}
+    # Any other member or target is refused, naming it, and leaves the
+    # shared table as it was.
+    before = {p: dict(inner) for p, inner in table.items()}
+    for block, target in refused:
+        with pytest.raises(ScriptError, match="is not a single pure term"):
+            gram_solve(block, target, n_amb, table)
+    assert table == before
+
+
+@pytest.mark.parametrize("twist", ["k", "d"])
+def test_gram_solve_on_each_side_of_the_packing_limit(twist):
+    # S^2's cells and target under a common twist that puts the k (or d) of
+    # one of them at +-(limit - 1): solved as the per-entry Gram solves it.
+    # One step further puts it at +-limit: refused.  Members at -(limit - 1)
+    # and limit - 1 differ by almost 2 * limit, which the packed difference
+    # still tells from every other.
+    limit = engine._PACK // 4
+    n_amb = 7
+    objs = [EObject.line(l, 2 - 2 * l) for l in range(3)] + [EObject.schur(2)]
+
+    def part(o):
+        ((w, d, _, _),) = o.terms
+        return w.b if twist == "k" else d
+
+    def at(o, x):
+        return o.twisted(x, 0) if twist == "k" else o.twisted(0, x)
+
+    for sign in (1, -1):
+        edge = sign * (limit - 1 - max(sign * part(o) for o in objs))
+        *block, target = [at(o, edge) for o in objs]
+        assert max(abs(part(o)) for o in block + [target]) == limit - 1
+        assert gram_solve(block, target, n_amb) == [1, 1, 1]
+        assert _per_entry_gram(block, target, n_amb) == [1, 1, 1]
+        *block, target = [at(o, edge + sign) for o in objs]
+        assert max(abs(part(o)) for o in block + [target]) == limit
+        with pytest.raises(ScriptError, match="is not a single pure term"):
+            gram_solve(block, target, n_amb)
+    far = [at(EObject.line(), 1 - limit), at(EObject.line(), limit - 1)]
+    for case in ((far, EObject.line()), (far[::-1], EObject.line())):
+        assert _outcome(gram_solve, *case, n_amb) == _outcome(_per_entry_gram, *case, n_amb)
+
+
+@pytest.mark.parametrize("n_amb", [7, 9])
+def test_gram_solve_on_a_mixed_class_block_with_a_third_class_target(n_amb):
+    # Block O, Uv (p = 0, 1) and targets of p = 2: the rows read the tables of
+    # p = 0 and p = 1, and the right-hand side reads them at the packed
+    # difference to a p = 2 object.
+    block = list(make_block("A", (), n_amb))[:2]
+    for target in (EObject.schur(2, 1), EObject.schur(2, -1, 3)):
+        table: dict = {}
+        expected = _per_entry_gram(block, target, n_amb)
+        assert gram_solve(block, target, n_amb, table) == expected
+        assert sorted(table) == [0, 1]
+
+
+def test_report_bytes_same_with_the_per_entry_gram(monkeypatch):
+    # Every Gram of the suites (mutlblock's and the staircase Propositions')
+    # by one x_euler per entry and no table gives the pinned report bytes.
+    calls = []
+
+    def slow(block, target, n_amb, chi=None):
+        calls.append(len(block))
+        return _per_entry_gram(block, target, n_amb)
+
+    monkeypatch.setattr(engine, "gram_solve", slow)
+    monkeypatch.setattr(verify, "gram_solve", slow)
+    pins = json.loads(
+        (pathlib.Path(__file__).parents[1] / "scripts" / "report_digests.json").read_text()
+    )
+    for n in range(2, 7):
+        del calls[:]
+        text = emit_report(verify.verify_suite(n, "odd", "all"), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == pins[f"n{n}/odd"]
+        assert calls
 
 
 def _ints(o: EObject) -> tuple[int, int, int, int, int]:
@@ -248,7 +340,7 @@ def _chi_off_by_one_on(shape):
 
 @pytest.mark.parametrize("n_amb", [5, 7, 9])
 def test_a_wrong_chi_on_one_shape_fails_the_same_first_entry(n_amb, monkeypatch):
-    cases = [(b, t) for b, t in _gram_cases(n_amb) if all(len(o.terms) == 1 for o in b + [t])]
+    cases = _gram_cases(n_amb)[0]
     shapes = list(dict.fromkeys(
         _chi_shape(a, b) for block, t in cases[:8] for a in block for b in block + [t]
     ))
